@@ -5,9 +5,12 @@ fully determines every blob size (model kind, scale, concat position, one
 line per layer) and records the two layout conventions, a lone "end" line,
 then little-endian float32 blobs in layer order, kernel before bias.
 Save -> load is bit-exact; a wrong magic and a short payload raise
-distinguishable errors.
+distinguishable errors. Non-finite weights are refused on both sides, and a
+save replaces the destination atomically, so an interrupted save leaves the
+previous checkpoint intact.
 """
 
+import os
 import re
 
 import numpy as np
@@ -53,6 +56,11 @@ def _parse_layer_line(text: str) -> LayerSpec:
                      TemporalPad(kv["tpad"]), kv["act"], (sh, sw), int(kv["spad"]))
 
 
+def _require_finite(w: ConvWeights, i: int, path: str):
+    if not (np.isfinite(w.kernel).all() and np.isfinite(w.bias).all()):
+        raise CheckpointError(f"{path}: layer {i} holds non-finite weights")
+
+
 def save_checkpoint(params, spec: ModelSpec, meta: dict, path: str):
     lines = [
         "format = 1",
@@ -73,12 +81,21 @@ def save_checkpoint(params, spec: ModelSpec, meta: dict, path: str):
         if "\n" in value:
             raise CheckpointError(f"meta value for {key!r} spans lines")
         lines.append(f"{key} = {value}")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + b"\n")
-        fh.write(("\n".join(lines) + "\nend\n").encode("utf-8"))
-        for w in params:
-            fh.write(np.ascontiguousarray(w.kernel, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(w.bias, dtype="<f4").tobytes())
+    # written beside the destination so os.replace stays on one file system
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + b"\n")
+            fh.write(("\n".join(lines) + "\nend\n").encode("utf-8"))
+            for i, w in enumerate(params):
+                _require_finite(w, i, path)
+                fh.write(np.ascontiguousarray(w.kernel, dtype="<f4").tobytes())
+                fh.write(np.ascontiguousarray(w.bias, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str):
@@ -117,6 +134,7 @@ def load_checkpoint(path: str):
         kernel = np.frombuffer(blob[pos: pos + kn], dtype="<f4").reshape(shape)
         bias = np.frombuffer(blob[pos + kn: pos + kn + bn], dtype="<f4")
         params.append(ConvWeights(kernel.copy(), bias.copy()))
+        _require_finite(params[-1], i, path)
         pos += kn + bn
     if pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes beyond the declared blobs")

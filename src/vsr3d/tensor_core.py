@@ -9,18 +9,34 @@ relies on.
 Convolution is correlation-style, stride 1 on the depth axis, with an optional
 spatial stride used by strided 2D layers. Gradients are hand-derived per
 operation; there is no autograd graph.
+
+The forward is im2col + GEMM (Chellapilla, Puri and Simard 2006) with a
+slice-major gather: the (C, kH, kW) windows of every padded depth slice are
+copied once into a (N, D'*C*kH*kW, positions) column buffer. The kD slices
+under output slice z are then one contiguous row block, so each output slice
+is a single GEMM whose result is already in (N, O, H, W) order, and every
+output element is one contraction over kD*C*kH*kW terms. Splitting that
+contraction into kD partial GEMMs summed afterwards adds a float32 rounding
+step that the finite-difference gradient check does not tolerate.
+
+The backward keeps a loop over the kD*kH*kW taps with two small matmuls each:
+a column-based backward over the same buffer (two GEMMs plus a col2im
+scatter) measured within 6% of it on the padded 32->32 layers and slower on
+the unpadded 32->32 and the 96->4 layers.
 """
 
 import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_DTYPE = np.float32
 
-# Upper bound on the scratch buffer used by the windowed contraction in
-# conv_forward; larger workloads fall back to row-chunking (identical results,
-# each output element is still one ordered summation).
+# Upper bound on conv_forward's column buffer, which holds every padded depth
+# slice's windows for a band of output rows; larger inputs are processed in
+# bands of rows sized to fit (identical results: a band only limits which
+# output positions one GEMM covers, never how an element is summed).
 _WINDOW_BUDGET_BYTES = 256 * 1024 * 1024
 
 
@@ -148,18 +164,23 @@ def conv_forward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     ho = (hp - kh) // sh + 1
     wo = (wp - kw) // sw + 1
 
-    kflat = kernel.reshape(out_g, -1)
+    # (O, kD*C*kH*kW): the row order of kd consecutive slices of `cols`
+    kmat = kernel.transpose(0, 2, 1, 3, 4).reshape(out_g, -1)
     out = np.empty((n_b, out_g, do, ho, wo), dtype=x.dtype)
 
-    elem = xp.dtype.itemsize
-    rows_per_chunk = max(1, _WINDOW_BUDGET_BYTES // max(1, n_b * in_g * do * wo * kd * kh * kw * elem))
+    per_slice = in_g * kh * kw
+    row_bytes = n_b * dp * per_slice * wo * xp.dtype.itemsize
+    rows_per_chunk = max(1, _WINDOW_BUDGET_BYTES // max(1, row_bytes))
     for y0 in range(0, ho, rows_per_chunk):
         y1 = min(y0 + rows_per_chunk, ho)
-        win = _window_view(xp, (kd, kh, kw), (sh, sw), y0, y1 - y0, wo, do)
-        # one im2col copy per chunk, then a single GEMM against the kernel
-        flat = win.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(
-            n_b, do, y1 - y0, wo, in_g * kd * kh * kw)
-        out[:, :, :, y0:y1] = np.moveaxis(flat @ kflat.T, -1, 1)
+        rows = y1 - y0
+        band = xp[:, :, :, y0 * sh:(y1 - 1) * sh + kh]
+        win = sliding_window_view(band, (kh, kw), axis=(3, 4))[:, :, :, ::sh, ::sw]
+        # (N, dp*C*kH*kW, rows*wo); each copied run reads along one row of W
+        cols = win.transpose(0, 2, 1, 5, 6, 3, 4).reshape(n_b, dp * per_slice, rows * wo)
+        for z in range(do):
+            block = cols[:, z * per_slice:(z + kd) * per_slice]
+            out[:, :, z, y0:y1] = (kmat @ block).reshape(n_b, out_g, rows, wo)
     out += bias.astype(x.dtype).reshape(1, out_g, 1, 1, 1)
     return out
 
@@ -250,19 +271,6 @@ def pixel_unshuffle(x: np.ndarray, scale: int) -> np.ndarray:
     out = x.reshape(n_b, g, h // scale, scale, w // scale, scale)
     out = out.transpose(0, 1, 3, 5, 2, 4)
     return np.ascontiguousarray(out.reshape(n_b, g * scale * scale, 1, h // scale, w // scale))
-
-
-def _window_view(xp: np.ndarray, ksize, stride, y0: int, rows: int, wo: int, do: int) -> np.ndarray:
-    kd, kh, kw = ksize
-    sh, sw = stride
-    n_b, c = xp.shape[:2]
-    sn, sc, sd, sy, sx = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp[:, :, :, y0 * sh:],
-        shape=(n_b, c, do, rows, wo, kd, kh, kw),
-        strides=(sn, sc, sd, sy * sh, sx * sw, sd, sy, sx),
-        writeable=False,
-    )
 
 
 def _unpad_gradient(grad_xp: np.ndarray, x_shape, kernel_depth: int, pad: PadPolicy) -> np.ndarray:

@@ -4,6 +4,7 @@ import pytest
 from vsr3d.checkpoint import (MAGIC, BadMagicError, CheckpointError,
                               TruncatedError, load_checkpoint, save_checkpoint)
 from vsr3d.model import build_architecture, count_parameters
+from vsr3d.tensor_core import ConvWeights
 
 from test_model import random_params
 
@@ -86,3 +87,25 @@ class TestCorruption:
             save_checkpoint(params, spec, {"scale": 3}, str(tmp_path / "x.ckpt"))
         with pytest.raises(CheckpointError):
             save_checkpoint(params, spec, {"note": "two\nlines"}, str(tmp_path / "y.ckpt"))
+
+
+class TestNonFiniteAndAtomicSave:
+    def test_failed_save_keeps_previous_checkpoint(self, saved, tmp_path):
+        params, spec, path = saved
+        before = open(path, "rb").read()
+        bad = [ConvWeights(w.kernel.copy(), w.bias.copy()) for w in params]
+        bad[-1].bias[0] = np.nan
+        # the last layer fails after the header and every other blob are out
+        with pytest.raises(CheckpointError, match=f"layer {len(bad) - 1} "):
+            save_checkpoint(bad, spec, {}, path)
+        assert open(path, "rb").read() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_rejected_on_load(self, saved, tmp_path, value):
+        _, _, path = saved
+        blob = open(path, "rb").read()
+        bad = str(tmp_path / "bad.ckpt")
+        open(bad, "wb").write(blob[:-4] + np.float32(value).astype("<f4").tobytes())
+        with pytest.raises(CheckpointError, match="layer 5 holds non-finite"):
+            load_checkpoint(bad)

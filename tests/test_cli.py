@@ -177,6 +177,18 @@ class TestUpscale:
                      "--checkpoint", str(ckpt), "--scale", "2"]) == 1
         assert "cannot serve" in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_is_runtime_error(self, clips, tmp_path, capsys):
+        ckpt = tmp_path / "nan.ckpt"
+        zero_checkpoint(ckpt)
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:-4] + np.float32(np.nan).astype("<f4").tobytes())
+        out = tmp_path / "o.y4m"
+        assert main(["upscale", str(clips["small"]), str(out),
+                     "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "layer 5 holds non-finite weights" in err
+        assert not out.exists()
+
     def test_dump_features(self, clips, tmp_path, capsys):
         ckpt = tmp_path / "zero.ckpt"
         zero_checkpoint(ckpt)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vsr3d import reference
+from vsr3d import reference, tensor_core
 from vsr3d.tensor_core import (
     ConvWeights,
     PadPolicy,
@@ -96,6 +96,17 @@ class TestConvForward:
         pad = PadPolicy(spatial=int(rng.integers(0, 2)), temporal=temporal)
         np.testing.assert_allclose(conv_forward(x, w, pad),
                                    reference.conv_forward_loop(x, w, pad), atol=1e-5)
+
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)])
+    @pytest.mark.parametrize("temporal", list(TemporalPad))
+    def test_row_chunked_path_matches_loop_oracle(self, monkeypatch, temporal, stride):
+        # a 4 KB budget splits the output rows into chunks of 1 to 6 rows
+        monkeypatch.setattr(tensor_core, "_WINDOW_BUDGET_BYTES", 4096)
+        x, w = random_case(31, n=2, cin=1, cout=2, d=3, h=15, w=6)
+        pad = PadPolicy(spatial=1, temporal=temporal)
+        np.testing.assert_allclose(conv_forward(x, w, pad, stride=stride),
+                                   reference.conv_forward_loop(x, w, pad, stride=stride),
+                                   atol=1e-5)
 
     @pytest.mark.parametrize("stride", [(2, 2), (2, 1), (1, 3)])
     def test_spatial_stride_matches_oracle(self, stride):
