@@ -11,17 +11,18 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .bicubic import bicubic_resize, degrade_clip, resize_plane, upscale_chroma
+from .bicubic import bicubic_resize, degrade_clip, upscale_chroma
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import ConfigError, FIELD_DOCS, RunConfig, load_config
+from .config import COMMANDS, FIELD_DOCS, ConfigError, RunConfig, load_config
 from .frames import Frame, VideoClip
 from .metrics import format_metric, metrics_csv, psnr, ssim
 from .model import (ARCH_NAMES, LayerSpec, ModelSpec, build_architecture,
                     count_parameters, dump_feature_maps, forward,
-                    forward_multiscale, forward_stack)
+                    forward_multiscale, forward_stack, zero_params)
 from .reference import conv_forward_loop
 from .scene import (SceneLabel, build_sf_net, confusion_csv, confusion_matrix,
                     make_sf_dataset, replace_frames, sf_input_from_window,
@@ -29,7 +30,7 @@ from .scene import (SceneLabel, build_sf_net, confusion_csv, confusion_matrix,
 from .tensor_core import (ConvWeights, PadPolicy, TemporalPad, pixel_shuffle,
                           pixel_unshuffle, relu)
 from .training import (DatasetRecipe, TrainingDiverged, extract_dataset,
-                       grad_check, miniature_spec, train, xavier_init)
+                       grad_check, miniature_spec, train, val_psnr, xavier_init)
 from .video_io import ClipFormatError, read_clip, write_clip
 
 # bias-free weight totals of the five reference architectures at scale 2
@@ -55,19 +56,16 @@ def _read(cfg: RunConfig, path: str) -> VideoClip:
     return read_clip(path, fmt=cfg.format or None, size=cfg.clip_size())
 
 
-def _load_sr(path: str):
-    _check_exists(path, "checkpoint")
-    params, spec, meta = load_checkpoint(path)
-    if spec.kind != "sr":
-        raise ValueError(f"{path} holds a {spec.kind!r} model, not an SR model")
-    return params, spec, meta
+# model kind -> (what a missing path is called, what the model is called)
+_KINDS = {"sr": ("checkpoint", "an SR model"), "sf": ("scene checkpoint", "a scene classifier")}
 
 
-def _load_sf(path: str):
-    _check_exists(path, "scene checkpoint")
+def _load(path: str, kind: str):
+    what, model = _KINDS[kind]
+    _check_exists(path, what)
     params, spec, meta = load_checkpoint(path)
-    if spec.kind != "sf":
-        raise ValueError(f"{path} holds a {spec.kind!r} model, not a scene classifier")
+    if spec.kind != kind:
+        raise ValueError(f"{path} holds a {spec.kind!r} model, not {model}")
     return params, spec, meta
 
 
@@ -92,16 +90,6 @@ def _output_format(cfg: RunConfig, path: str):
 
 # ---------------------------------------------------------------------------
 # train
-
-def _bicubic_val_psnr(samples, scale: int) -> float:
-    vals = []
-    for s in samples:
-        p = s.hr_target.shape[-1]
-        base = np.clip(resize_plane(s.lr_frames[2], p, p), 0.0, 1.0).astype(np.float32)
-        vals.append(psnr(Frame(base), Frame(s.hr_target), border=scale))
-    finite = [v for v in vals if math.isfinite(v)]
-    return float(np.mean(finite)) if finite else math.inf
-
 
 def cmd_train(cfg: RunConfig) -> int:
     paths = cfg.path_list("train_clips")
@@ -135,7 +123,8 @@ def cmd_train(cfg: RunConfig) -> int:
                    out_path=cfg.out_path, log_path=cfg.log_path or None,
                    checkpoint_every=cfg.checkpoint_every, max_steps=cfg.max_steps,
                    meta={"arch": cfg.arch})
-    baseline = _bicubic_val_psnr(val, cfg.scale)
+    # the zero model is exactly the clamped bicubic upscaler
+    baseline = val_psnr(zero_params(spec), spec, val, spec.scale)
     print(f"final validation PSNR {result.final_val_psnr:.2f} dB "
           f"(bicubic baseline {baseline:.2f} dB)")
     print(f"checkpoint written to {cfg.out_path}")
@@ -156,7 +145,7 @@ def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
                 hr = upscale_chroma(f, rs, hr_luma=hr.luma)
             out_frames.append(hr)
     else:
-        params, spec, _ = _load_sr(cfg.checkpoint)
+        params, spec, _ = _load(cfg.checkpoint, "sr")
         if spec.scale == rs:
             def runner(window):
                 return forward(params, spec, window)
@@ -165,7 +154,7 @@ def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
                 return forward_multiscale(params, spec, window, rs)
         else:
             raise ValueError(f"checkpoint upsamples x{spec.scale}; cannot serve x{rs}")
-        sf = _load_sf(cfg.sf_checkpoint) if cfg.sf_checkpoint else None
+        sf = _load(cfg.sf_checkpoint, "sf") if cfg.sf_checkpoint else None
         dump_centre = len(clip) // 2
         for centre in range(len(clip)):
             window = clip.window(centre)
@@ -235,7 +224,7 @@ def cmd_evaluate(cfg: RunConfig, ref_path: str, cand_path: str | None) -> int:
 # scene detection
 
 def cmd_scene(cfg: RunConfig, in_path: str) -> int:
-    params, spec, _ = _load_sf(cfg.sf_checkpoint)
+    params, spec, _ = _load(cfg.sf_checkpoint, "sf")
     clip = _read(cfg, in_path)
     lines = ["frame,label,confidence"]
     print(f"{'frame':>5}  {'label':<15}  {'confidence':>10}")
@@ -421,98 +410,29 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="Exit codes: 0 success, 1 runtime failure, 2 usage/config error. "
                "Config files hold 'key = value' lines; flags override them.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def common(p):
+    subs = {name: sub.add_parser(name, help=text) for name, text in COMMANDS.items()}
+    for p in subs.values():
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, help=FIELD_DOCS["seed"])
-
-    def clip_io(p):
-        p.add_argument("--size", help=FIELD_DOCS["size"])
-        p.add_argument("--format", help=FIELD_DOCS["format"])
-
-    p = sub.add_parser("train", help="train an SR model on clips")
-    common(p); clip_io(p)
-    p.add_argument("--data", nargs="+", dest="train_clips", help=FIELD_DOCS["train_clips"])
-    p.add_argument("--val", nargs="+", dest="val_clips", help=FIELD_DOCS["val_clips"])
-    p.add_argument("--arch", help=FIELD_DOCS["arch"])
-    p.add_argument("--scale", type=int, help=FIELD_DOCS["scale"])
-    p.add_argument("--epochs", type=int, help=FIELD_DOCS["epochs"])
-    p.add_argument("--batch-size", type=int, dest="batch_size", help=FIELD_DOCS["batch_size"])
-    p.add_argument("--lr", type=float, help=FIELD_DOCS["lr"])
-    p.add_argument("--weight-decay", type=float, dest="weight_decay",
-                   help=FIELD_DOCS["weight_decay"])
-    p.add_argument("--loss-form", dest="loss_form", help=FIELD_DOCS["loss_form"])
-    p.add_argument("--frame-stride", type=int, dest="frame_stride",
-                   help=FIELD_DOCS["frame_stride"])
-    p.add_argument("--subimages-per-frame", type=int, dest="subimages_per_frame",
-                   help=FIELD_DOCS["subimages_per_frame"])
-    p.add_argument("--lr-patch-size", type=int, dest="lr_patch_size",
-                   help=FIELD_DOCS["lr_patch_size"])
-    p.add_argument("--max-steps", type=int, dest="max_steps", help=FIELD_DOCS["max_steps"])
-    p.add_argument("--val-every", type=int, dest="val_every", help=FIELD_DOCS["val_every"])
-    p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every",
-                   help=FIELD_DOCS["checkpoint_every"])
-    p.add_argument("--out", dest="out_path", help=FIELD_DOCS["out_path"])
-    p.add_argument("--log", dest="log_path", help=FIELD_DOCS["log_path"])
-
-    p = sub.add_parser("upscale", help="upscale a clip with a checkpoint or bicubic")
-    common(p); clip_io(p)
-    p.add_argument("input", help="clip to upscale")
-    p.add_argument("output", help="where the upscaled clip goes (format by extension)")
-    p.add_argument("--checkpoint", help=FIELD_DOCS["checkpoint"])
-    p.add_argument("--method", help=FIELD_DOCS["method"])
-    p.add_argument("--scale", type=int,
-                   help=FIELD_DOCS["scale"] + "; a scale-2 checkpoint serves 3 and 4 "
-                        "by bicubic pre-upscaling")
-    p.add_argument("--sf-checkpoint", dest="sf_checkpoint", help=FIELD_DOCS["sf_checkpoint"])
-    p.add_argument("--dump-features", dest="dump_features", help=FIELD_DOCS["dump_features"])
-    p.add_argument("--dump-layer", type=int, dest="dump_layer", help=FIELD_DOCS["dump_layer"])
-
-    p = sub.add_parser("evaluate", help="PSNR/SSIM of a candidate clip against a reference")
-    common(p); clip_io(p)
-    p.add_argument("reference", help="ground-truth clip")
-    p.add_argument("candidate", nargs="?", help="clip to score (omit with --method bicubic)")
-    p.add_argument("--method", help=FIELD_DOCS["method"])
-    p.add_argument("--scale", type=int, help="degradation factor for --method bicubic")
-    p.add_argument("--border", type=int, help=FIELD_DOCS["border"])
-    p.add_argument("--csv", dest="csv_path", help=FIELD_DOCS["csv_path"])
-
-    p = sub.add_parser("scene", help="per-window scene-change report for a clip")
-    common(p); clip_io(p)
-    p.add_argument("input", help="clip to scan")
-    p.add_argument("--sf-checkpoint", dest="sf_checkpoint", help=FIELD_DOCS["sf_checkpoint"])
-    p.add_argument("--csv", dest="csv_path", help=FIELD_DOCS["csv_path"])
-
-    p = sub.add_parser("sf-train", help="train the scene-change classifier")
-    common(p); clip_io(p)
-    p.add_argument("--scenes-a", nargs="+", dest="scenes_a", help=FIELD_DOCS["scenes_a"])
-    p.add_argument("--scenes-b", nargs="+", dest="scenes_b", help=FIELD_DOCS["scenes_b"])
-    p.add_argument("--per-class", type=int, dest="per_class", help=FIELD_DOCS["per_class"])
-    p.add_argument("--layers", type=int, dest="sf_layers", help=FIELD_DOCS["sf_layers"])
-    p.add_argument("--epochs", type=int, dest="sf_epochs", help=FIELD_DOCS["sf_epochs"])
-    p.add_argument("--batch-size", type=int, dest="sf_batch_size",
-                   help=FIELD_DOCS["sf_batch_size"])
-    p.add_argument("--lr", type=float, dest="sf_lr", help=FIELD_DOCS["sf_lr"])
-    p.add_argument("--val-every", type=int, dest="val_every", help=FIELD_DOCS["val_every"])
-    p.add_argument("--out", dest="out_path", help=FIELD_DOCS["out_path"])
-    p.add_argument("--log", dest="log_path", help=FIELD_DOCS["log_path"])
-    p.add_argument("--csv", dest="csv_path", help="confusion matrix CSV")
-
-    p = sub.add_parser("verify", help="run built-in self-checks")
-    common(p)
-    p.add_argument("--f64", action="store_true",
-                   help="check gradients in float64 at tolerance 1e-6")
-
-    p = sub.add_parser("param-count", help="weight counts of the reference architectures")
-    common(p)
-    p.add_argument("archs", nargs="*", help="architectures (default: all five)")
-    p.add_argument("--scale", type=int, help=FIELD_DOCS["scale"])
-    p.add_argument("--bias", action="store_true", help="also count biases")
+    subs["upscale"].add_argument("input", help="clip to upscale")
+    subs["upscale"].add_argument("output",
+                                 help="where the upscaled clip goes (format by extension)")
+    subs["evaluate"].add_argument("reference", help="ground-truth clip")
+    subs["evaluate"].add_argument("candidate", nargs="?",
+                                  help="clip to score (omit with --method bicubic)")
+    subs["scene"].add_argument("input", help="clip to scan")
+    subs["verify"].add_argument("--f64", action="store_true",
+                                help="check gradients in float64 at tolerance 1e-6")
+    subs["param-count"].add_argument("archs", nargs="*",
+                                     help="architectures (default: all five)")
+    subs["param-count"].add_argument("--bias", action="store_true", help="also count biases")
+    # every other flag sets the RunConfig field of the same dest
+    for f in fields(RunConfig):
+        opt = f.metadata
+        for name in opt["commands"]:
+            subs[name].add_argument(opt["flag"] or "--" + f.name.replace("_", "-"),
+                                    dest=f.name, type=f.type, help=opt["doc"],
+                                    nargs="+" if opt["paths"] else None)
     return parser
-
-
-_NON_CONFIG_KEYS = {"command", "config", "input", "output", "reference",
-                    "candidate", "f64", "archs", "bias"}
 
 
 def main(argv=None) -> int:
@@ -521,11 +441,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    overrides = {}
-    for key, value in vars(args).items():
-        if key in _NON_CONFIG_KEYS or value is None:
-            continue
-        overrides[key] = ",".join(value) if isinstance(value, list) else value
+    # FIELD_DOCS holds the RunConfig keys; the other arguments are passed on below
+    overrides = {key: ",".join(value) if isinstance(value, list) else value
+                 for key, value in vars(args).items() if key in FIELD_DOCS}
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "train":

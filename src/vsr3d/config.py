@@ -1,49 +1,39 @@
 """Run configuration: documented defaults, `key = value` files, CLI overrides.
 
+Each RunConfig field is the one declaration of a run option. Its type and
+default are the field's; its metadata holds the help text, the subcommands
+whose flag sets it, the flag where that is not `--field-name`, and whether
+the flag takes several paths (joined with commas into the value). The
+command line and FIELD_DOCS are derived from these fields.
+
 A config file holds any subset of RunConfig's fields, one `key = value` per
 line, with `#` comments and blank lines ignored. Unknown keys are rejected
 rather than silently dropped so typos cannot disable an option. Command-line
 flags win over file values, which win over the defaults below.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
-FIELD_DOCS = {
-    "arch": "SR architecture: cnn2d, v1, v2, v3, or full",
-    "scale": "upscaling factor (2, 3, or 4)",
-    "seed": "single seed every random choice derives from",
-    "train_clips": "comma-separated training clip paths",
-    "val_clips": "comma-separated validation clip paths (empty: hold out training samples)",
-    "frame_stride": "extract windows from every Nth frame",
-    "subimages_per_frame": "random crops per extracted frame",
-    "lr_patch_size": "LR crop edge in pixels (0: per-scale default 80/60/40)",
-    "epochs": "passes over the extracted dataset",
-    "batch_size": "windows per optimizer step",
-    "lr": "Adam learning rate for filters (biases run at a tenth)",
-    "weight_decay": "L2 penalty folded into filter gradients",
-    "loss_form": "mse reduction: mean or sum",
-    "max_steps": "stop after this many steps (0: no cap)",
-    "val_every": "steps between validation passes (0: only at the end)",
-    "checkpoint_every": "steps between checkpoint rewrites (0: only at the end)",
-    "border": "pixels cropped from every edge before PSNR/SSIM",
-    "out_path": "checkpoint the run writes",
-    "log_path": "training log CSV (empty: not written)",
-    "csv_path": "metric / report CSV (empty: not written)",
-    "checkpoint": "model checkpoint to run",
-    "sf_checkpoint": "scene-change classifier checkpoint",
-    "sf_layers": "scene classifier depth (2 or 3)",
-    "per_class": "scene training samples per class",
-    "scenes_a": "comma-separated clip paths forming scene pool A",
-    "scenes_b": "comma-separated clip paths forming scene pool B",
-    "sf_epochs": "passes over the scene training set",
-    "sf_batch_size": "scene windows per optimizer step",
-    "sf_lr": "Adam learning rate for the scene classifier",
-    "method": "checkpoint-free baseline (only: bicubic)",
-    "size": "WxH geometry for raw YUV clips, e.g. 704x576",
-    "format": "force clip format: y4m, rawyuv420, or pgmdir",
-    "dump_features": "directory for feature-map PGMs (empty: off)",
-    "dump_layer": "1-based layer whose feature maps get dumped",
+from .scene import SF_BATCH, SF_LR
+from .training import DEFAULT_BATCH, DEFAULT_LR, DEFAULT_WEIGHT_DECAY
+
+COMMANDS = {
+    "train": "train an SR model on clips",
+    "upscale": "upscale a clip with a checkpoint or bicubic",
+    "evaluate": "PSNR/SSIM of a candidate clip against a reference",
+    "scene": "per-window scene-change report for a clip",
+    "sf-train": "train the scene-change classifier",
+    "verify": "run built-in self-checks",
+    "param-count": "weight counts of the reference architectures",
 }
+CLIP_COMMANDS = ("train", "upscale", "evaluate", "scene", "sf-train")
+TRAIN, UPSCALE, SF_TRAIN = ("train",), ("upscale",), ("sf-train",)
+TRAINERS = ("train", "sf-train")
+
+
+def _option(default, doc: str, commands, flag: str | None = None, paths: bool = False):
+    return field(default=default, metadata={"doc": doc, "commands": commands,
+                                            "flag": flag, "paths": paths})
 
 
 class ConfigError(ValueError):
@@ -52,40 +42,50 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    arch: str = "full"
-    scale: int = 2
-    seed: int = 0
-    train_clips: str = ""
-    val_clips: str = ""
-    frame_stride: int = 5
-    subimages_per_frame: int = 10
-    lr_patch_size: int = 0
-    epochs: int = 10
-    batch_size: int = 32
-    lr: float = 5e-4
-    weight_decay: float = 5e-4
-    loss_form: str = "mean"
-    max_steps: int = 0
-    val_every: int = 0
-    checkpoint_every: int = 0
-    border: int = 0
-    out_path: str = "model.ckpt"
-    log_path: str = ""
-    csv_path: str = ""
-    checkpoint: str = ""
-    sf_checkpoint: str = ""
-    sf_layers: int = 3
-    per_class: int = 200
-    scenes_a: str = ""
-    scenes_b: str = ""
-    sf_epochs: int = 20
-    sf_batch_size: int = 64
-    sf_lr: float = 1e-3
-    method: str = ""
-    size: str = ""
-    format: str = ""
-    dump_features: str = ""
-    dump_layer: int = 1
+    arch: str = _option("full", "SR architecture: cnn2d, v1, v2, v3, or full", TRAIN)
+    scale: int = _option(2, "upscaling factor (2, 3, or 4); a scale-2 checkpoint serves 3 and 4 "
+                         "by bicubic pre-upscaling; evaluate --method bicubic degrades by it",
+                         ("train", "upscale", "evaluate", "param-count"))
+    seed: int = _option(0, "single seed every random choice derives from", tuple(COMMANDS))
+    train_clips: str = _option("", "comma-separated training clip paths", TRAIN, "--data",
+                               paths=True)
+    val_clips: str = _option("", "comma-separated validation clip paths (empty: hold out "
+                             "training samples)", TRAIN, "--val", paths=True)
+    frame_stride: int = _option(5, "extract windows from every Nth frame", TRAIN)
+    subimages_per_frame: int = _option(10, "random crops per extracted frame", TRAIN)
+    lr_patch_size: int = _option(0, "LR crop edge in pixels (0: per-scale default 80/60/40)", TRAIN)
+    epochs: int = _option(10, "passes over the extracted dataset", TRAIN)
+    batch_size: int = _option(DEFAULT_BATCH, "windows per optimizer step", TRAIN)
+    lr: float = _option(DEFAULT_LR, "Adam learning rate for filters (biases run at a tenth)", TRAIN)
+    weight_decay: float = _option(DEFAULT_WEIGHT_DECAY, "L2 penalty folded into filter gradients",
+                                  TRAIN)
+    loss_form: str = _option("mean", "mse reduction: mean or sum", TRAIN)
+    max_steps: int = _option(0, "stop after this many steps (0: no cap)", TRAIN)
+    val_every: int = _option(0, "steps between validation passes (0: only at the end)", TRAINERS)
+    checkpoint_every: int = _option(0, "steps between checkpoint rewrites (0: only at the end)",
+                                    TRAIN)
+    border: int = _option(0, "pixels cropped from every edge before PSNR/SSIM", ("evaluate",))
+    out_path: str = _option("model.ckpt", "checkpoint the run writes", TRAINERS, "--out")
+    log_path: str = _option("", "training log CSV (empty: not written)", TRAINERS, "--log")
+    csv_path: str = _option("", "per-frame metric, window report, or confusion matrix CSV "
+                            "(empty: not written)", ("evaluate", "scene", "sf-train"), "--csv")
+    checkpoint: str = _option("", "model checkpoint to run", UPSCALE)
+    sf_checkpoint: str = _option("", "scene-change classifier checkpoint", ("upscale", "scene"))
+    sf_layers: int = _option(3, "scene classifier depth (2 or 3)", SF_TRAIN, "--layers")
+    per_class: int = _option(200, "scene training samples per class", SF_TRAIN)
+    scenes_a: str = _option("", "comma-separated clip paths forming scene pool A", SF_TRAIN,
+                            paths=True)
+    scenes_b: str = _option("", "comma-separated clip paths forming scene pool B", SF_TRAIN,
+                            paths=True)
+    sf_epochs: int = _option(20, "passes over the scene training set", SF_TRAIN, "--epochs")
+    sf_batch_size: int = _option(SF_BATCH, "scene windows per optimizer step", SF_TRAIN,
+                                 "--batch-size")
+    sf_lr: float = _option(SF_LR, "Adam learning rate for the scene classifier", SF_TRAIN, "--lr")
+    method: str = _option("", "checkpoint-free baseline (only: bicubic)", ("upscale", "evaluate"))
+    size: str = _option("", "WxH geometry for raw YUV clips, e.g. 704x576", CLIP_COMMANDS)
+    format: str = _option("", "force clip format: y4m, rawyuv420, or pgmdir", CLIP_COMMANDS)
+    dump_features: str = _option("", "directory for feature-map PGMs (empty: off)", UPSCALE)
+    dump_layer: int = _option(1, "1-based layer whose feature maps get dumped", UPSCALE)
 
     def clip_size(self):
         """Parse the `size` field into (width, height), or None if unset."""
@@ -106,6 +106,7 @@ class RunConfig:
 
 
 _TYPES = {f.name: f.type for f in fields(RunConfig)}
+FIELD_DOCS = {f.name: f.metadata["doc"] for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):

@@ -13,11 +13,10 @@ from enum import Enum
 import numpy as np
 
 from .bicubic import resize_plane
-from .checkpoint import save_checkpoint
 from .frames import Frame, VideoClip
 from .model import LayerSpec, ModelSpec, backward_stack, forward_stack
 from .tensor_core import DEFAULT_DTYPE
-from .training import adam_step, init_optim, write_log, xavier_init
+from .training import fit
 
 SF_WIDTH = 48
 SF_HEIGHT = 27
@@ -224,47 +223,26 @@ class SFTrainResult:
 
 
 def train_sf(spec: ModelSpec, samples: list[tuple[SFInput, SceneLabel]], *,
-             epochs: int = 1, batch_size: int = SF_BATCH, lr: float = SF_LR,
-             seed: int = 0, weight_decay: float = 0.0,
-             val_samples=None, val_every: int = 0,
-             out_path=None, log_path=None, meta=None) -> SFTrainResult:
-    """Cross-entropy Adam training of the scene classifier. Deterministic
-    for a fixed (samples, seed, hyper) triple, like the SR loop."""
+             batch_size: int = SF_BATCH, lr: float = SF_LR, weight_decay: float = 0.0,
+             val_samples=None, **loop) -> SFTrainResult:
+    """Cross-entropy training of the scene classifier through `training.fit`,
+    the loop the SR net trains through too, which takes the remaining loop
+    options. Validation is the accuracy on val_samples."""
     if spec.kind != "sf":
         raise ValueError("train_sf needs an SF spec")
-    if not samples:
-        raise ValueError("no training samples")
-    params = xavier_init(spec, seed)
-    state = init_optim(spec, base_lr=lr, weight_decay=weight_decay)
-    shuffle_rng = np.random.default_rng((seed, 1))
-    xs_all = _sf_batch([s for s, _ in samples])
-    labels_all = np.array([lab.value for _, lab in samples])
-    log_rows = []
-    step = 0
-    last_val = None
-    for _ in range(max(epochs, 0)):
-        order = shuffle_rng.permutation(len(samples))
-        for lo in range(0, len(order), batch_size):
-            idx = order[lo:lo + batch_size]
-            x = xs_all[idx]
-            out, caches = forward_stack(params, spec, x, want_caches=True)
-            logits = out.reshape(out.shape[0], -1)
-            loss, grad = loss_cross_entropy(logits, labels_all[idx])
-            grads, _ = backward_stack(params, spec, caches,
-                                      grad.reshape(out.shape))
-            params = adam_step(params, grads, state)
-            step += 1
-            if val_samples and val_every and step % val_every == 0:
-                last_val = sf_accuracy(params, spec, val_samples)
-                log_rows.append((step, loss, last_val))
-            else:
-                log_rows.append((step, loss, None))
-    if val_samples:
-        last_val = sf_accuracy(params, spec, val_samples)
-    if out_path is not None:
-        meta = dict(meta or {})
-        meta.update({"step": str(step), "seed": str(seed)})
-        save_checkpoint(params, spec, meta, out_path)
-    if log_path is not None:
-        write_log(log_rows, log_path, val_column="val_accuracy")
-    return SFTrainResult(params, log_rows, last_val)
+
+    def batch_loss(params, idx):
+        x = _sf_batch([samples[i][0] for i in idx])
+        out, caches = forward_stack(params, spec, x, want_caches=True)
+        labels = np.array([samples[i][1].value for i in idx])
+        loss, grad = loss_cross_entropy(out.reshape(out.shape[0], -1), labels)
+        grads, _ = backward_stack(params, spec, caches, grad.reshape(out.shape))
+        return loss, grads
+
+    def validate(params):
+        return sf_accuracy(params, spec, val_samples)
+
+    return SFTrainResult(*fit(spec, len(samples), batch_loss,
+                              validate if val_samples else None, batch_size=batch_size,
+                              lr=lr, weight_decay=weight_decay, val_column="val_accuracy",
+                              **loop))

@@ -8,6 +8,7 @@ treated as a single scene, so extracted windows never straddle a cut.
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .tensor_core import (DEFAULT_DTYPE, ConvWeights, TemporalPad,
 
 DEFAULT_LR = 5e-4
 DEFAULT_BATCH = 32
+DEFAULT_WEIGHT_DECAY = 5e-4
 LR_PATCH_SIZES = {2: 80, 3: 60, 4: 40}
 
 
@@ -147,11 +149,11 @@ class OptimState:
     eps: float = 1e-8
     base_lr: float = DEFAULT_LR
     bias_lr_factor: float = 0.1
-    weight_decay: float = 5e-4   # filters only; biases always decay-free
+    weight_decay: float = DEFAULT_WEIGHT_DECAY   # filters only; biases always decay-free
 
 
 def init_optim(spec: ModelSpec, base_lr: float = DEFAULT_LR,
-               weight_decay: float = 5e-4, dtype=DEFAULT_DTYPE) -> OptimState:
+               weight_decay: float = DEFAULT_WEIGHT_DECAY, dtype=DEFAULT_DTYPE) -> OptimState:
     return OptimState(m=zero_params(spec, dtype), v=zero_params(spec, dtype),
                       base_lr=base_lr, weight_decay=weight_decay)
 
@@ -189,9 +191,9 @@ def _batch_tensors(samples, idx):
     return x, t
 
 
-def _bicubic_bases(samples, scale: int) -> list[np.ndarray]:
-    p = samples[0].lr_frames.shape[-1] * scale
-    return [resize_plane(s.lr_frames[2], p, p).astype(DEFAULT_DTYPE) for s in samples]
+def _bicubic_base(sample: WindowSample) -> np.ndarray:
+    p = sample.hr_target.shape[-1]
+    return resize_plane(sample.lr_frames[2], p, p).astype(DEFAULT_DTYPE)
 
 
 def sr_batch_step(params, spec: ModelSpec, x, bases, target, form: str = "mean"):
@@ -207,17 +209,16 @@ def sr_batch_step(params, spec: ModelSpec, x, bases, target, form: str = "mean")
     return loss, grads
 
 
-def _val_psnr(params, spec: ModelSpec, samples, border: int) -> float:
+def val_psnr(params, spec: ModelSpec, samples, border: int) -> float:
+    """Mean PSNR of the clamped predictions over the samples, skipping
+    infinite values (exact predictions)."""
     from .metrics import psnr
     from .frames import Frame
 
     vals = []
     for s in samples:
-        x = s.lr_frames[None, None]
-        out, _ = forward_stack(params, spec, x)
-        p = s.hr_target.shape[-1]
-        base = resize_plane(s.lr_frames[2], p, p).astype(DEFAULT_DTYPE)
-        pred = np.clip(pixel_shuffle(out, spec.scale)[0, 0, 0] + base, 0.0, 1.0)
+        out, _ = forward_stack(params, spec, s.lr_frames[None, None])
+        pred = np.clip(pixel_shuffle(out, spec.scale)[0, 0, 0] + _bicubic_base(s), 0.0, 1.0)
         vals.append(psnr(Frame(pred), Frame(s.hr_target), border=border))
     finite = [v for v in vals if math.isfinite(v)]
     return float(np.mean(finite)) if finite else math.inf
@@ -230,63 +231,77 @@ class TrainResult:
     final_val_psnr: float | None = None
 
 
-def train(spec: ModelSpec, samples: list[WindowSample], *, epochs: int = 1,
-          batch_size: int = DEFAULT_BATCH, lr: float = DEFAULT_LR, seed: int = 0,
-          weight_decay: float = 5e-4, loss_form: str = "mean",
-          val_samples: list[WindowSample] | None = None, val_every: int = 0,
-          out_path: str | None = None, log_path: str | None = None,
-          checkpoint_every: int = 0, max_steps: int = 0,
-          meta: dict | None = None) -> TrainResult:
-    """Seeded mini-batch training of an SR spec.
+def fit(spec: ModelSpec, count: int, batch_loss, validate=None, *, epochs: int = 1,
+        batch_size: int = DEFAULT_BATCH, lr: float = DEFAULT_LR, seed: int = 0,
+        weight_decay: float = DEFAULT_WEIGHT_DECAY, val_every: int = 0,
+        out_path: str | None = None, log_path: str | None = None,
+        val_column: str = "val_psnr_db", checkpoint_every: int = 0,
+        max_steps: int = 0, meta: dict | None = None):
+    """The seeded mini-batch Adam loop every network trains through.
 
-    Shuffles per epoch from the seed, logs (step, loss, periodic validation
-    PSNR), writes periodic and final checkpoints to out_path, and aborts on
-    a non-finite loss keeping the last checkpoint on disk.
+    Starts from xavier_init(spec, seed), shuffles the `count` sample indices
+    per epoch from the seed, and hands each batch of indices to
+    `batch_loss(params, idx) -> (loss, grads)`. Logs (step, loss, periodic
+    `validate(params)`), writes periodic and final checkpoints to out_path,
+    and aborts on a non-finite loss keeping the last checkpoint on disk.
+    Returns (params, log rows, final validation or None).
     """
-    if not samples:
+    if not count:
         raise ValueError("empty dataset")
     params = xavier_init(spec, seed)
     state = init_optim(spec, base_lr=lr, weight_decay=weight_decay)
     shuffle = np.random.default_rng((seed, 1))
     rows = []
     meta = dict(meta or {})
-    bases_all = _bicubic_bases(samples, spec.scale)
 
     def checkpoint(step):
         if out_path:
             save_checkpoint(params, spec, {**meta, "step": step, "seed": seed}, out_path)
 
+    def batches():
+        for _ in range(epochs):
+            order = shuffle.permutation(count)
+            for lo in range(0, count, batch_size):
+                yield order[lo: lo + batch_size]
+
     step = 0
-    stop = False
-    border = spec.scale
-    for _ in range(epochs):
-        if stop:
-            break
-        order = shuffle.permutation(len(samples))
-        for lo in range(0, len(samples), batch_size):
-            idx = order[lo: lo + batch_size]
-            x, target = _batch_tensors(samples, idx)
-            bases = np.stack([bases_all[i] for i in idx])[:, None, None]
-            loss, grads = sr_batch_step(params, spec, x, bases, target, loss_form)
-            if not math.isfinite(loss):
-                checkpoint_note = " (checkpoint kept)" if out_path and step else ""
-                raise TrainingDiverged(f"loss {loss} at step {step + 1}{checkpoint_note}")
-            params = adam_step(params, grads, state)
-            step += 1
-            val = None
-            if val_samples and val_every and step % val_every == 0:
-                val = _val_psnr(params, spec, val_samples, border)
-            rows.append((step, loss, val))
-            if checkpoint_every and step % checkpoint_every == 0:
-                checkpoint(step)
-            if max_steps and step >= max_steps:
-                stop = True
-                break
-    final_val = _val_psnr(params, spec, val_samples, border) if val_samples else None
+    for idx in islice(batches(), max_steps or None):
+        loss, grads = batch_loss(params, idx)
+        if not math.isfinite(loss):
+            checkpoint_note = " (checkpoint kept)" if out_path and step else ""
+            raise TrainingDiverged(f"loss {loss} at step {step + 1}{checkpoint_note}")
+        params = adam_step(params, grads, state)
+        step += 1
+        due = validate and val_every and step % val_every == 0
+        rows.append((step, loss, validate(params) if due else None))
+        if checkpoint_every and step % checkpoint_every == 0:
+            checkpoint(step)
+    final_val = validate(params) if validate else None
     checkpoint(step)
     if log_path:
-        write_log(rows, log_path)
-    return TrainResult(params, rows, final_val)
+        write_log(rows, log_path, val_column)
+    return params, rows, final_val
+
+
+def train(spec: ModelSpec, samples: list[WindowSample], *, loss_form: str = "mean",
+          val_samples: list[WindowSample] | None = None, **loop) -> TrainResult:
+    """Seeded mini-batch training of an SR spec through `fit`, which takes
+    the loop options (epochs, batch_size, lr, seed, weight_decay, val_every,
+    out_path, log_path, checkpoint_every, max_steps, meta). Validation is
+    the mean PSNR on val_samples with the scale as border.
+    """
+    bases_all = [_bicubic_base(s) for s in samples]
+
+    def batch_loss(params, idx):
+        x, target = _batch_tensors(samples, idx)
+        bases = np.stack([bases_all[i] for i in idx])[:, None, None]
+        return sr_batch_step(params, spec, x, bases, target, loss_form)
+
+    def validate(params):
+        return val_psnr(params, spec, val_samples, spec.scale)
+
+    return TrainResult(*fit(spec, len(samples), batch_loss,
+                            validate if val_samples else None, **loop))
 
 
 def write_log(rows, path: str, val_column: str = "val_psnr_db"):

@@ -51,6 +51,8 @@ def _check_even(w: int, h: int):
 def _read_yuv_frames(fh, w: int, h: int, frame_rate, delimited: bool) -> VideoClip:
     frames = []
     cw, ch = w // 2, h // 2
+    frame_bytes = w * h + 2 * cw * ch
+    file_bytes = os.fstat(fh.fileno()).st_size
     while True:
         if delimited:
             line = fh.readline()
@@ -58,11 +60,14 @@ def _read_yuv_frames(fh, w: int, h: int, frame_rate, delimited: bool) -> VideoCl
                 break
             if not line.startswith(b"FRAME"):
                 raise ClipFormatError("expected FRAME delimiter")
-        payload = fh.read(w * h + 2 * cw * ch)
-        if not payload and not delimited:
+        elif fh.tell() == file_bytes:
             break
-        if len(payload) != w * h + 2 * cw * ch:
-            raise ClipFormatError("truncated frame payload")
+        # checked before reading, so a huge declared geometry cannot
+        # allocate more than the file holds
+        if file_bytes - fh.tell() < frame_bytes:
+            raise ClipFormatError(f"truncated frame payload ({w}x{h} frames take "
+                                  f"{frame_bytes} bytes, {file_bytes - fh.tell()} left)")
+        payload = fh.read(frame_bytes)
         y = _from_u8(payload[: w * h], h, w)
         u = _from_u8(payload[w * h: w * h + cw * ch], ch, cw)
         v = _from_u8(payload[w * h + cw * ch:], ch, cw)

@@ -1,10 +1,18 @@
 """End-to-end drives of the command line through main(argv)."""
 
+import argparse
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vsr3d.checkpoint import save_checkpoint
-from vsr3d.cli import REFERENCE_WEIGHT_COUNTS, main
+from vsr3d.cli import REFERENCE_WEIGHT_COUNTS, _build_parser, main
+from vsr3d.config import RunConfig
 from vsr3d.frames import Frame, VideoClip
 from vsr3d.model import build_architecture, count_parameters
 from vsr3d.tensor_core import ConvWeights
@@ -295,3 +303,95 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "10/10 checks passed" in out
         assert "FAIL" not in out
+
+
+# (flag, dest, nargs) of every argument of every subcommand; positionals
+# are listed under their dest
+_COMMON = {("--config", "config", None), ("--seed", "seed", None)}
+_CLIP_IO = _COMMON | {("--size", "size", None), ("--format", "format", None)}
+CLI_SURFACE = {
+    "train": _CLIP_IO | {
+        ("--data", "train_clips", "+"), ("--val", "val_clips", "+"),
+        ("--arch", "arch", None), ("--scale", "scale", None),
+        ("--epochs", "epochs", None), ("--batch-size", "batch_size", None),
+        ("--lr", "lr", None), ("--weight-decay", "weight_decay", None),
+        ("--loss-form", "loss_form", None), ("--frame-stride", "frame_stride", None),
+        ("--subimages-per-frame", "subimages_per_frame", None),
+        ("--lr-patch-size", "lr_patch_size", None), ("--max-steps", "max_steps", None),
+        ("--val-every", "val_every", None), ("--checkpoint-every", "checkpoint_every", None),
+        ("--out", "out_path", None), ("--log", "log_path", None)},
+    "upscale": _CLIP_IO | {
+        ("input", "input", None), ("output", "output", None),
+        ("--checkpoint", "checkpoint", None), ("--method", "method", None),
+        ("--scale", "scale", None), ("--sf-checkpoint", "sf_checkpoint", None),
+        ("--dump-features", "dump_features", None), ("--dump-layer", "dump_layer", None)},
+    "evaluate": _CLIP_IO | {
+        ("reference", "reference", None), ("candidate", "candidate", "?"),
+        ("--method", "method", None), ("--scale", "scale", None),
+        ("--border", "border", None), ("--csv", "csv_path", None)},
+    "scene": _CLIP_IO | {
+        ("input", "input", None), ("--sf-checkpoint", "sf_checkpoint", None),
+        ("--csv", "csv_path", None)},
+    "sf-train": _CLIP_IO | {
+        ("--scenes-a", "scenes_a", "+"), ("--scenes-b", "scenes_b", "+"),
+        ("--per-class", "per_class", None), ("--layers", "sf_layers", None),
+        ("--epochs", "sf_epochs", None), ("--batch-size", "sf_batch_size", None),
+        ("--lr", "sf_lr", None), ("--val-every", "val_every", None),
+        ("--out", "out_path", None), ("--log", "log_path", None),
+        ("--csv", "csv_path", None)},
+    "verify": _COMMON | {("--f64", "f64", 0)},
+    "param-count": _COMMON | {
+        ("archs", "archs", "*"), ("--scale", "scale", None), ("--bias", "bias", 0)},
+}
+
+
+def _surface() -> dict:
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {(a.option_strings[0] if a.option_strings else a.dest, a.dest, a.nargs)
+                   for a in p._actions if not isinstance(a, argparse._HelpAction)}
+            for name, p in sub.choices.items()}
+
+
+class TestSurface:
+    def test_flags_dests_and_nargs_are_pinned(self):
+        surface = _surface()
+        assert surface == CLI_SURFACE
+        reachable = {dest for table in surface.values() for _, dest, _ in table}
+        assert {f.name for f in dataclasses.fields(RunConfig)} <= reachable
+
+    @pytest.mark.parametrize("command", sorted(CLI_SURFACE))
+    def test_help_prints(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        assert "usage: vsr3d " + command in capsys.readouterr().out
+
+
+# runs the command line under a 3 GB address-space cap set on this child only
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from vsr3d.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("name, payload, extra", [
+    ("huge.y4m", b"YUV4MPEG2 W60000 H60000 F25:1 C420\nFRAME\n", []),
+    ("huge.yuv", bytes(64), ["--size", "60000x60000"]),
+])
+def test_oversized_geometry_is_one_line_error(tmp_path, name, payload, extra):
+    # the declared 60000x60000 frame would need 5.4 GB; the reader must
+    # refuse it from the file size instead of trying to allocate it
+    clip = tmp_path / name
+    clip.write_bytes(payload)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "upscale", str(clip), str(tmp_path / "o.y4m"),
+         "--method", "bicubic", *extra],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: truncated frame payload"), \
+        proc.stderr

@@ -267,6 +267,16 @@ class TestTrainedClassifier:
         assert meta["arch"] == "sf2"
         assert sf_accuracy(params, spec2, val_set) == sf_accuracy(result.params, spec, val_set)
 
+    def test_loop_options_pass_through(self, trained_sf, tmp_path):
+        _, _, val_set, _, (_, _, train_set) = trained_sf
+        out = str(tmp_path / "capped.ckpt")
+        result = train_sf(build_sf_net(2), train_set, epochs=5, batch_size=32, seed=0,
+                          max_steps=3, checkpoint_every=2, val_samples=val_set,
+                          val_every=2, out_path=out)
+        assert [r[0] for r in result.log_rows] == [1, 2, 3]
+        assert [r[2] is None for r in result.log_rows] == [True, False, True]
+        assert load_checkpoint(out)[2]["step"] == "3"
+
     def test_retrain_is_byte_identical(self, trained_sf, tmp_path):
         spec, _, _, path, (_, _, train_set) = trained_sf
         other = str(tmp_path / "again.ckpt")

@@ -8,7 +8,7 @@ from vsr3d.frames import Frame, VideoClip
 from vsr3d.model import LayerSpec, ModelSpec, build_architecture, forward_stack
 from vsr3d.tensor_core import ConvWeights, TemporalPad, pixel_shuffle
 from vsr3d.training import (DatasetRecipe, OptimState, adam_step, extract_dataset,
-                            grad_check, init_optim, loss_mse, miniature_spec,
+                            fit, grad_check, init_optim, loss_mse, miniature_spec,
                             sr_batch_step, train, xavier_init, TrainingDiverged)
 
 
@@ -299,6 +299,37 @@ class TestTrainLoop:
         result = train(spec, samples, epochs=2000, batch_size=8, lr=2e-3,
                        weight_decay=0.0, seed=4)
         assert result.log_rows[-1][1] < 1e-6
+
+
+class TestFit:
+    def scripted(self, spec, losses, seen):
+        # batch_loss replaying `losses` with zero gradients, recording batches
+        def batch_loss(params, idx):
+            seen.append(list(idx))
+            return losses[len(seen) - 1], [ConvWeights(np.zeros_like(w.kernel),
+                                                       np.zeros_like(w.bias)) for w in params]
+        return batch_loss
+
+    def test_batches_cover_each_epoch_and_max_steps_caps(self):
+        spec, seen = miniature_spec("v1"), []
+        _, rows, final = fit(spec, 10, self.scripted(spec, [1.0] * 9, seen),
+                             epochs=3, batch_size=4)
+        assert [len(b) for b in seen] == [4, 4, 2] * 3
+        for epoch in range(3):
+            assert sorted(sum(seen[3 * epoch: 3 * epoch + 3], [])) == list(range(10))
+        assert [r[0] for r in rows] == list(range(1, 10)) and final is None
+        capped = []
+        _, rows, _ = fit(spec, 10, self.scripted(spec, [1.0] * 9, capped),
+                         epochs=3, batch_size=4, max_steps=5)
+        assert len(rows) == 5 and capped == seen[:5]
+
+    def test_non_finite_loss_aborts_keeping_periodic_checkpoint(self, tmp_path):
+        spec, out = miniature_spec("v1"), str(tmp_path / "m.ckpt")
+        loop = self.scripted(spec, [1.0, 0.5, math.nan], [])
+        with pytest.raises(TrainingDiverged, match=r"step 3 \(checkpoint kept\)"):
+            fit(spec, 8, loop, epochs=5, batch_size=2, out_path=out, checkpoint_every=1)
+        from vsr3d.checkpoint import load_checkpoint
+        assert load_checkpoint(out)[2]["step"] == "2"
 
 
 class TestGradCheck:
