@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -23,12 +24,12 @@ from .metrics import format_metric, metrics_csv, psnr, ssim
 from .model import (ARCH_NAMES, LayerSpec, ModelSpec, build_architecture,
                     count_parameters, dump_feature_maps, forward,
                     forward_multiscale, forward_stack, zero_params)
-from .reference import conv_forward_loop
+from .reference import conv_forward_loop, forward_stack_loop
 from .scene import (SceneLabel, build_sf_net, confusion_csv, confusion_matrix,
                     make_sf_dataset, replace_frames, sf_input_from_window,
                     sf_logits, softmax, train_sf)
-from .tensor_core import (ConvWeights, PadPolicy, TemporalPad, pixel_shuffle,
-                          pixel_unshuffle, relu)
+from .tensor_core import (ConvWeights, PadPolicy, TemporalPad, conv_forward, pixel_shuffle,
+                          pixel_unshuffle)
 from .training import (DatasetRecipe, TrainingDiverged, extract_dataset,
                        grad_check, miniature_spec, train, val_psnr, xavier_init)
 from .video_io import ClipFormatError, read_clip, write_clip
@@ -88,6 +89,15 @@ def _output_format(cfg: RunConfig, path: str):
         raise
 
 
+def _write_csv(cfg: RunConfig, text: str, what: str = ""):
+    """Write text to --csv when given, naming what was written if `what`."""
+    if cfg.csv_path:
+        with open(cfg.csv_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        if what:
+            print(f"{what} -> {cfg.csv_path}")
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -134,45 +144,43 @@ def cmd_train(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # upscale
 
+def _window_logits(sf, window) -> np.ndarray:
+    params, spec, _ = sf
+    return sf_logits(params, spec, [sf_input_from_window(window)])[0]
+
+
 def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
     clip = _read(cfg, in_path)
     rs = cfg.scale
-    out_frames = []
+    sf, dump_centre = None, None
     if cfg.method == "bicubic":
-        for f in clip:
-            hr = bicubic_resize(f, f.width * rs, f.height * rs)
-            if f.chroma is not None:
-                hr = upscale_chroma(f, rs, hr_luma=hr.luma)
-            out_frames.append(hr)
+        def runner(window):
+            return bicubic_resize(window[2], window[2].width * rs, window[2].height * rs)
     else:
         params, spec, _ = _load(cfg.checkpoint, "sr")
-        if spec.scale == rs:
-            def runner(window):
-                return forward(params, spec, window)
-        elif spec.scale == 2 and rs in (3, 4):
-            def runner(window):
-                return forward_multiscale(params, spec, window, rs)
-        else:
+        if spec.scale != rs and not (spec.scale == 2 and rs in (3, 4)):
             raise ValueError(f"checkpoint upsamples x{spec.scale}; cannot serve x{rs}")
+
+        def runner(window):
+            if spec.scale == rs:
+                return forward(params, spec, window)
+            return forward_multiscale(params, spec, window, rs)
         sf = _load(cfg.sf_checkpoint, "sf") if cfg.sf_checkpoint else None
-        dump_centre = len(clip) // 2
-        for centre in range(len(clip)):
-            window = clip.window(centre)
-            if sf is not None:
-                sf_params, sf_spec, _ = sf
-                logits = sf_logits(sf_params, sf_spec,
-                                   [sf_input_from_window(window)])[0]
-                window = replace_frames(window, SceneLabel(int(np.argmax(logits))))
-            if cfg.dump_features and centre == dump_centre:
-                written = dump_feature_maps(params, spec, window, cfg.dump_layer,
-                                            cfg.dump_features)
-                print(f"wrote {len(written)} feature maps for frame {centre} "
-                      f"to {cfg.dump_features}")
-            sr = runner(window)
-            src = clip[centre]
-            if src.chroma is not None:
-                sr = upscale_chroma(src, rs, hr_luma=sr.luma)
-            out_frames.append(sr)
+        dump_centre = len(clip) // 2 if cfg.dump_features else None
+    out_frames = []
+    for centre in range(len(clip)):
+        window = clip.window(centre)
+        if sf is not None:
+            window = replace_frames(window, SceneLabel(int(np.argmax(_window_logits(sf, window)))))
+        if centre == dump_centre:
+            written = dump_feature_maps(params, spec, window, cfg.dump_layer, cfg.dump_features)
+            print(f"wrote {len(written)} feature maps for frame {centre} "
+                  f"to {cfg.dump_features}")
+        sr = runner(window)
+        src = clip[centre]
+        if src.chroma is not None:
+            sr = upscale_chroma(src, rs, hr_luma=sr.luma)
+        out_frames.append(sr)
     write_clip(VideoClip(out_frames, frame_rate=clip.frame_rate), out_path,
                fmt=_output_format(cfg, out_path))
     print(f"{len(out_frames)} frames -> {out_path} "
@@ -213,10 +221,7 @@ def cmd_evaluate(cfg: RunConfig, ref_path: str, cand_path: str | None) -> int:
     mean_psnr = float(np.mean(finite)) if finite else math.inf
     mean_ssim = float(np.mean([s for _, _, _, s in rows]))
     print(f"{'mean':>5}  {format_metric(mean_psnr):>9}  {format_metric(mean_ssim):>7}")
-    if cfg.csv_path:
-        with open(cfg.csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(metrics_csv(rows))
-        print(f"per-frame metrics -> {cfg.csv_path}")
+    _write_csv(cfg, metrics_csv(rows), "per-frame metrics")
     return 0
 
 
@@ -224,21 +229,17 @@ def cmd_evaluate(cfg: RunConfig, ref_path: str, cand_path: str | None) -> int:
 # scene detection
 
 def cmd_scene(cfg: RunConfig, in_path: str) -> int:
-    params, spec, _ = _load(cfg.sf_checkpoint, "sf")
+    sf = _load(cfg.sf_checkpoint, "sf")
     clip = _read(cfg, in_path)
     lines = ["frame,label,confidence"]
     print(f"{'frame':>5}  {'label':<15}  {'confidence':>10}")
     for centre in range(len(clip)):
-        logits = sf_logits(params, spec, [sf_input_from_window(clip.window(centre))])[0]
-        probs = softmax(logits)
+        logits = _window_logits(sf, clip.window(centre))
         label = SceneLabel(int(np.argmax(logits)))
-        conf = float(probs[label.value])
+        conf = float(softmax(logits)[label.value])
         print(f"{centre:>5}  {label.name.lower():<15}  {conf:>10.4f}")
         lines.append(f"{centre},{label.name.lower()},{conf:.4f}")
-    if cfg.csv_path:
-        with open(cfg.csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"window report -> {cfg.csv_path}")
+    _write_csv(cfg, "\n".join(lines) + "\n", "window report")
     return 0
 
 
@@ -262,9 +263,7 @@ def cmd_sf_train(cfg: RunConfig) -> int:
     print(f"held-out accuracy {result.final_val_accuracy:.4f} on {len(val_set)} samples")
     text = confusion_csv(confusion_matrix(result.params, spec, val_set))
     print(text, end="")
-    if cfg.csv_path:
-        with open(cfg.csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_csv(cfg, text)
     print(f"checkpoint written to {cfg.out_path}")
     return 0
 
@@ -302,7 +301,6 @@ def _check_conv_oracle():
         x = rng.standard_normal((2, cin, kd + 2, 7, 8)).astype(np.float32)
         w = ConvWeights(rng.standard_normal((cout, cin, kd, kh, kw)).astype(np.float32),
                         rng.standard_normal(cout).astype(np.float32))
-        from .tensor_core import conv_forward
         fast = conv_forward(x, w, pad, stride=stride)
         slow = conv_forward_loop(x, w, pad, stride=stride)
         worst = max(worst, float(np.max(np.abs(fast - slow))))
@@ -321,16 +319,7 @@ def _check_stack_oracle():
               for i, w in enumerate(xavier_init(spec, 0))]
     x = np.random.default_rng(5).random((1, 1, 5, 6, 6)).astype(np.float32)
     fast, _ = forward_stack(params, spec, x)
-    h = x
-    for i, (layer, w) in enumerate(zip(spec.layers, params)):
-        pad = PadPolicy(temporal=layer.temporal_pad, spatial=layer.spatial_pad)
-        h = conv_forward_loop(h, w, pad, stride=layer.stride)
-        if layer.activation == "relu":
-            h = relu(h)
-        if spec.concat_after == i + 1:
-            n, c, d, hh, ww = h.shape
-            h = h.reshape(n, c * d, 1, hh, ww)
-    err = float(np.max(np.abs(fast - h)))
+    err = float(np.max(np.abs(fast - forward_stack_loop(params, spec, x))))
     return err < 1e-5, f"max |diff| {err:.2e}"
 
 
@@ -350,32 +339,32 @@ def _check_replacement():
     return True, "all five labels"
 
 
+def _check_gradients(arch: str, seed: int, use_f64: bool):
+    report = grad_check(miniature_spec(arch), seed=seed, tolerance=1e-6 if use_f64 else 1e-3,
+                        dtype=np.float64 if use_f64 else np.float32, name=arch)
+    return report.passed, report.summary()
+
+
 def cmd_verify(cfg: RunConfig, use_f64: bool) -> int:
-    dtype = np.float64 if use_f64 else np.float32
-    tol = 1e-6 if use_f64 else 1e-3
+    # (line template, check); a check returns (passed, detail)
     checks = [
-        ("parameter counts", _check_param_counts),
-        ("pixel shuffle roundtrip", _check_pixel_shuffle),
-        ("convolution vs loop oracle", _check_conv_oracle),
-        ("layer stack vs chained oracle", _check_stack_oracle),
-        ("frame replacement truth table", _check_replacement),
-    ]
-    failures = 0
-    for name, fn in checks:
+        ("parameter counts ({})", _check_param_counts),
+        ("pixel shuffle roundtrip ({})", _check_pixel_shuffle),
+        ("convolution vs loop oracle ({})", _check_conv_oracle),
+        ("layer stack vs chained oracle ({})", _check_stack_oracle),
+        ("frame replacement truth table ({})", _check_replacement),
+    ] + [("gradient check {}", partial(_check_gradients, arch, cfg.seed, use_f64))
+         for arch in ARCH_NAMES]
+    passed = 0
+    for template, fn in checks:
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        failures += not ok
-        print(f"{'ok  ' if ok else 'FAIL'} {name} ({detail})")
-    for arch in ARCH_NAMES:
-        report = grad_check(miniature_spec(arch), seed=cfg.seed, tolerance=tol,
-                            dtype=dtype, name=arch)
-        failures += not report.passed
-        print(f"{'ok  ' if report.passed else 'FAIL'} gradient check {report.summary()}")
-    print(f"{len(checks) + len(ARCH_NAMES) - failures}/{len(checks) + len(ARCH_NAMES)} "
-          "checks passed")
-    return 1 if failures else 0
+        passed += ok
+        print(f"{'ok  ' if ok else 'FAIL'} {template.format(detail)}")
+    print(f"{passed}/{len(checks)} checks passed")
+    return 0 if passed == len(checks) else 1
 
 
 def cmd_param_count(cfg: RunConfig, archs: list, include_bias: bool) -> int:

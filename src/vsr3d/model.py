@@ -178,19 +178,23 @@ def _flatten_depth(x: np.ndarray) -> np.ndarray:
     return x.reshape(n, c * d, 1, h, w)
 
 
-def forward_stack(params, spec: ModelSpec, x: np.ndarray, want_caches: bool = False):
+def forward_stack(params, spec: ModelSpec, x: np.ndarray, want_caches: bool = False,
+                  start: int | None = None):
     """Apply the layer stack to (N, C, D, H, W) input.
 
-    Returns (out, caches); caches hold per-layer (input, preactivation)
-    pairs when requested, for backward_stack.
+    With `start`, x is instead layer `start`'s preactivation and the stack
+    runs on from there, which lets gradient checks probe one layer at a time.
+    Returns (out, caches); caches hold the (input, preactivation) pair of
+    each layer run when requested, for backward_stack.
     """
     check_params(params, spec)
     caches = []
-    if spec.concat_after == 0:
+    if spec.concat_after == 0 and start is None:
         x = _flatten_depth(x)
-    for i, (layer, w) in enumerate(zip(spec.layers, params)):
+    for i in range(start or 0, len(spec.layers)):
+        layer = spec.layers[i]
         pad = PadPolicy(spatial=layer.spatial_pad, temporal=layer.temporal_pad)
-        pre = conv_forward(x, w, pad, layer.stride)
+        pre = x if i == start else conv_forward(x, params[i], pad, layer.stride)
         caches.append((x, pre) if want_caches else None)
         x = relu(pre) if layer.activation == "relu" else pre
         if i + 1 == spec.concat_after:
@@ -225,15 +229,6 @@ def stack_windows(windows) -> np.ndarray:
     return tensor5d(batch[:, None])
 
 
-def predict_residual(params, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """HR residual plane batch (N, 1, 1, H*scale, W*scale) for SR specs."""
-    out, _ = forward_stack(params, spec, x)
-    shuffled = pixel_shuffle(out, spec.scale)
-    if shuffled.shape[1] != 1 or shuffled.shape[2] != 1:
-        raise ValueError(f"stack output {out.shape} does not shuffle into one residual plane")
-    return shuffled
-
-
 def forward(params, spec: ModelSpec, window) -> Frame:
     """Upscale the middle frame of a five-frame window."""
     if spec.kind != "sr":
@@ -242,8 +237,8 @@ def forward(params, spec: ModelSpec, window) -> Frame:
         raise ValueError(f"expected {spec.input_frames} frames, got {len(window)}")
     if any((f.height, f.width) != (window[0].height, window[0].width) for f in window):
         raise ValueError("window frames disagree on geometry")
-    x = stack_windows([window])
-    residual = predict_residual(params, spec, x)[0, 0, 0]
+    out, _ = forward_stack(params, spec, stack_windows([window]))
+    residual = pixel_shuffle(out, spec.scale)[0, 0, 0]
     middle = window[spec.input_frames // 2]
     base = bicubic_resize(middle, middle.width * spec.scale, middle.height * spec.scale)
     return Frame(np.clip(base.luma + residual, 0.0, 1.0))

@@ -45,6 +45,23 @@ def conv_forward_loop(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     return out
 
 
+def forward_stack_loop(params, spec, x: np.ndarray) -> np.ndarray:
+    """The layer stack of a ModelSpec chained from conv_forward_loop, with
+    ReLU as np.maximum and the depth flatten as a C-order reshape."""
+    def flatten(h):  # (N, C, D, H, W) -> (N, C*D, 1, H, W)
+        return h.reshape(h.shape[0], -1, 1, *h.shape[3:])
+
+    h = flatten(x) if spec.concat_after == 0 else x
+    for i, (layer, w) in enumerate(zip(spec.layers, params)):
+        pad = PadPolicy(spatial=layer.spatial_pad, temporal=layer.temporal_pad)
+        h = conv_forward_loop(h, w, pad, stride=layer.stride)
+        if layer.activation == "relu":
+            h = np.maximum(h, 0.0)
+        if spec.concat_after == i + 1:
+            h = flatten(h)
+    return h
+
+
 def conv2d_forward_loop(image: np.ndarray, kernel: np.ndarray, bias: float) -> np.ndarray:
     """Plain 2D valid correlation of a single-channel image, four nested loops."""
     img = np.asarray(image, dtype=np.float64)

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .bicubic import resize_plane
-from .frames import Frame, VideoClip
+from .frames import VideoClip
 from .model import LayerSpec, ModelSpec, backward_stack, forward_stack
 from .tensor_core import DEFAULT_DTYPE
 from .training import fit
@@ -179,30 +179,20 @@ def make_sf_dataset(clips_a: list[VideoClip], clips_b: list[VideoClip],
     return samples
 
 
-def sf_predictions(params, spec: ModelSpec,
-                   samples: list[tuple[SFInput, SceneLabel]],
-                   batch_size: int = 256) -> np.ndarray:
-    preds = []
-    for lo in range(0, len(samples), batch_size):
-        chunk = [s for s, _ in samples[lo:lo + batch_size]]
-        preds.append(np.argmax(sf_logits(params, spec, chunk), axis=1))
-    return np.concatenate(preds) if preds else np.zeros(0, dtype=int)
-
-
 def sf_accuracy(params, spec: ModelSpec, samples) -> float:
     if not samples:
         raise ValueError("no samples to score")
-    preds = sf_predictions(params, spec, samples)
-    truth = np.array([lab.value for _, lab in samples])
-    return float(np.mean(preds == truth))
+    counts = confusion_matrix(params, spec, samples)
+    return float(np.trace(counts) / counts.sum())
 
 
-def confusion_matrix(params, spec: ModelSpec, samples) -> np.ndarray:
-    """counts[true, predicted] over the five classes."""
-    preds = sf_predictions(params, spec, samples)
+def confusion_matrix(params, spec: ModelSpec, samples, batch_size: int = 256) -> np.ndarray:
+    """counts[true, predicted] over the five classes, batch_size samples per pass."""
     counts = np.zeros((5, 5), dtype=np.int64)
-    for (_, lab), p in zip(samples, preds):
-        counts[lab.value, int(p)] += 1
+    for lo in range(0, len(samples), batch_size):
+        chunk = samples[lo:lo + batch_size]
+        preds = np.argmax(sf_logits(params, spec, [s for s, _ in chunk]), axis=1)
+        np.add.at(counts, ([lab.value for _, lab in chunk], preds), 1)
     return counts
 
 

@@ -14,10 +14,12 @@ import numpy as np
 
 from .bicubic import resize_plane
 from .checkpoint import save_checkpoint
-from .frames import VideoClip
-from .model import LayerSpec, ModelSpec, backward_stack, forward_stack, zero_params
-from .tensor_core import (DEFAULT_DTYPE, ConvWeights, TemporalPad,
-                          pixel_shuffle, pixel_unshuffle)
+from .frames import Frame, VideoClip
+from .metrics import psnr
+from .model import (LayerSpec, ModelSpec, backward_stack, forward, forward_stack,
+                    zero_params)
+from .tensor_core import (DEFAULT_DTYPE, ConvWeights, PadPolicy, TemporalPad,
+                          conv_forward, pixel_shuffle, pixel_unshuffle)
 
 DEFAULT_LR = 5e-4
 DEFAULT_BATCH = 32
@@ -191,11 +193,6 @@ def _batch_tensors(samples, idx):
     return x, t
 
 
-def _bicubic_base(sample: WindowSample) -> np.ndarray:
-    p = sample.hr_target.shape[-1]
-    return resize_plane(sample.lr_frames[2], p, p).astype(DEFAULT_DTYPE)
-
-
 def sr_batch_step(params, spec: ModelSpec, x, bases, target, form: str = "mean"):
     """Forward + loss + parameter gradients for one batch.
 
@@ -210,16 +207,10 @@ def sr_batch_step(params, spec: ModelSpec, x, bases, target, form: str = "mean")
 
 
 def val_psnr(params, spec: ModelSpec, samples, border: int) -> float:
-    """Mean PSNR of the clamped predictions over the samples, skipping
-    infinite values (exact predictions)."""
-    from .metrics import psnr
-    from .frames import Frame
-
-    vals = []
-    for s in samples:
-        out, _ = forward_stack(params, spec, s.lr_frames[None, None])
-        pred = np.clip(pixel_shuffle(out, spec.scale)[0, 0, 0] + _bicubic_base(s), 0.0, 1.0)
-        vals.append(psnr(Frame(pred), Frame(s.hr_target), border=border))
+    """Mean PSNR of the model's upscaled middle frames over the samples,
+    skipping infinite values (exact predictions)."""
+    vals = [psnr(forward(params, spec, [Frame(p) for p in s.lr_frames]), Frame(s.hr_target),
+                 border=border) for s in samples]
     finite = [v for v in vals if math.isfinite(v)]
     return float(np.mean(finite)) if finite else math.inf
 
@@ -290,7 +281,8 @@ def train(spec: ModelSpec, samples: list[WindowSample], *, loss_form: str = "mea
     out_path, log_path, checkpoint_every, max_steps, meta). Validation is
     the mean PSNR on val_samples with the scale as border.
     """
-    bases_all = [_bicubic_base(s) for s in samples]
+    bases_all = [resize_plane(s.lr_frames[2], *s.hr_target.shape).astype(DEFAULT_DTYPE)
+                 for s in samples]
 
     def batch_loss(params, idx):
         x, target = _batch_tensors(samples, idx)
@@ -381,14 +373,18 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 def grad_check(spec: ModelSpec, seed: int = 0, tolerance: float = 1e-3,
                dtype=np.float32, name: str = "spec", fault: int | None = None) -> GradCheckReport:
     """Compare every analytic parameter and input gradient of the layer
-    stack against central differences.
+    stack against central differences, taken on a float64 replica of the
+    parameters so the reference is limited by truncation error, not by the
+    forward dtype; the float32 run then measures only the rounding of the
+    analytic backward path.
 
-    A probe that flips any ReLU between its two evaluations straddles a
-    kink, where the finite difference does not estimate the gradient; such
-    probes are skipped and counted in the report. The difference quotients
-    are always taken on a float64 replica of the parameters so the reference
-    is limited by truncation error, not by the forward dtype; the float32
-    run then measures only the rounding of the analytic backward path.
+    Each tensor's probes run as one batch along N, +eps items then their
+    -eps twins. Input and bias probes are unit directions; a kernel tap
+    moves its layer's preactivation by eps times the window under that tap
+    (gathered by one convolution with a one-hot filter bank), and the stack
+    runs on from that layer. A probe that flips any ReLU between its two
+    evaluations straddles a kink, where the finite difference does not
+    estimate the gradient; such probes are skipped and counted.
 
     `fault` corrupts that layer's analytic bias gradient first, a
     self-diagnostic proving the comparison actually bites.
@@ -410,44 +406,40 @@ def grad_check(spec: ModelSpec, seed: int = 0, tolerance: float = 1e-3,
                 for w in params]
     x64 = x.astype(np.float64)
     target64 = target.astype(np.float64)
-
-    def loss_and_masks():
-        o, cs = forward_stack(params64, spec, x64, want_caches=True)
-        return loss_mse(o, target64, form="sum")[0], [pre > 0 for _, pre in cs]
+    _, caches64 = forward_stack(params64, spec, x64, want_caches=True)
 
     eps = 1e-5
     report = []
     skipped = 0
 
-    def central(arr):
+    def check(label, analytic, base, directions, start=None):
+        # central differences of the loss along each direction from base
+        # (the stack input, or layer `start`'s preactivation)
         nonlocal skipped
-        fd = np.zeros(arr.shape, dtype=np.float64)
-        valid = np.ones(arr.shape, dtype=bool)
-        flat, fdf, vf = arr.reshape(-1), fd.reshape(-1), valid.reshape(-1)
-        for j in range(flat.size):
-            keep = flat[j]
-            flat[j] = keep + eps
-            hi, masks_hi = loss_and_masks()
-            flat[j] = keep - eps
-            lo, masks_lo = loss_and_masks()
-            flat[j] = keep
-            if all(np.array_equal(a, b) for a, b in zip(masks_hi, masks_lo)):
-                fdf[j] = (hi - lo) / (2.0 * eps)
-            else:
-                vf[j] = False
-                skipped += 1
-        return fd, valid
+        p = len(directions)
+        batch = np.concatenate([base + eps * directions, base - eps * directions])
+        o, cs = forward_stack(params64, spec, batch, want_caches=True, start=start)
+        loss = 0.5 * np.sum(((o - target64) ** 2).reshape(2 * p, -1), axis=1)
+        kink = np.zeros(p, dtype=bool)
+        for _, pre in cs:
+            mask = (pre > 0).reshape(2 * p, -1)
+            kink |= (mask[:p] != mask[p:]).any(axis=1)
+        skipped += int(kink.sum())
+        fd, ok = (loss[:p] - loss[p:]) / (2.0 * eps), ~kink
+        # with every probe on a kink nothing is comparable; surface as a failure
+        report.append((label, _rel_err(analytic.reshape(-1)[ok], fd[ok]) if ok.any() else math.inf))
 
-    def compare(analytic, fd, valid):
-        if not valid.any():
-            return math.inf  # nothing comparable; surface as a failure
-        return _rel_err(np.asarray(analytic)[valid], fd[valid])
-
-    for i, w in enumerate(params64):
-        fd_k, ok_k = central(w.kernel)
-        fd_b, ok_b = central(w.bias)
-        report.append((f"layer {i} kernel", compare(grads[i].kernel, fd_k, ok_k)))
-        report.append((f"layer {i} bias", compare(grads[i].bias, fd_b, ok_b)))
-    fd_x, ok_x = central(x64)
-    report.append(("input", compare(gx, fd_x, ok_x)))
+    for i, (layer, w) in enumerate(zip(spec.layers, params64)):
+        x_in, pre = caches64[i]
+        out_g, taps = w.kernel.shape[0], w.kernel[0].size
+        bank = ConvWeights(np.eye(taps).reshape((taps,) + w.kernel.shape[1:]), np.zeros(taps))
+        pad = PadPolicy(spatial=layer.spatial_pad, temporal=layer.temporal_pad)
+        windows = conv_forward(x_in, bank, pad, layer.stride)[0]
+        unit = np.eye(out_g).reshape(out_g, out_g, 1, 1, 1)
+        # direction o*taps + j puts tap j's window on output group o
+        kernel_dirs = (unit[:, None] * windows[None, :, None]).reshape((-1,) + pre.shape[1:])
+        bias_dirs = np.broadcast_to(unit, (out_g,) + pre.shape[1:])
+        check(f"layer {i} kernel", grads[i].kernel, pre, kernel_dirs, start=i)
+        check(f"layer {i} bias", grads[i].bias, pre, bias_dirs, start=i)
+    check("input", gx, x64, np.eye(x64.size).reshape((x64.size,) + x64.shape[1:]))
     return GradCheckReport(name, np.dtype(dtype).name, tolerance, report, skipped)

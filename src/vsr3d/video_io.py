@@ -34,8 +34,11 @@ def detect_format(path: str) -> str:
 
 
 def to_bytes(plane: np.ndarray) -> bytes:
-    """[0,1] floats to 8-bit, rounding halves up."""
-    q = np.floor(np.asarray(plane, dtype=np.float64) * 255.0 + 0.5)
+    """[0,1] floats to 8-bit, rounding halves up; NaN or inf is refused."""
+    p = np.asarray(plane, dtype=np.float64)
+    if not np.isfinite(p).all():
+        raise ValueError("cannot write a plane with non-finite samples")
+    q = np.floor(p * 255.0 + 0.5)
     return np.clip(q, 0, 255).astype(np.uint8).tobytes()
 
 

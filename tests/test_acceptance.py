@@ -20,11 +20,10 @@ from vsr3d.frames import Frame, VideoClip
 from vsr3d.metrics import psnr, ssim
 from vsr3d.model import (ARCH_NAMES, LayerSpec, ModelSpec, build_architecture,
                          count_parameters, forward, forward_stack)
-from vsr3d.reference import conv_forward_loop
+from vsr3d.reference import conv_forward_loop, forward_stack_loop
 from vsr3d.scene import (SceneLabel, build_sf_net, make_sf_dataset,
                          replace_frames, train_sf)
-from vsr3d.tensor_core import (ConvWeights, PadPolicy, TemporalPad,
-                               conv_forward, relu)
+from vsr3d.tensor_core import ConvWeights, PadPolicy, TemporalPad, conv_forward
 from vsr3d.training import (DatasetRecipe, extract_dataset, grad_check,
                             miniature_spec, train, xavier_init)
 from vsr3d.video_io import read_clip, write_clip
@@ -174,22 +173,6 @@ def _stack_concat_specs():
     ]
 
 
-def _chained_loop(params, spec, x):
-    h = x
-    if spec.concat_after == 0:
-        n, c, dd, hh, ww = h.shape
-        h = h.reshape(n, c * dd, 1, hh, ww)
-    for i, (layer, w) in enumerate(zip(spec.layers, params)):
-        pad = PadPolicy(spatial=layer.spatial_pad, temporal=layer.temporal_pad)
-        h = conv_forward_loop(h, w, pad, stride=layer.stride)
-        if layer.activation == "relu":
-            h = relu(h)
-        if spec.concat_after == i + 1:
-            n, c, dd, hh, ww = h.shape
-            h = h.reshape(n, c * dd, 1, hh, ww)
-    return h
-
-
 def test_04_vectorized_conv_matches_loop_oracle():
     pads = [TemporalPad.ZERO, TemporalPad.DUPLICATE, TemporalPad.NONE]
     worst = 0.0
@@ -217,7 +200,7 @@ def test_04_vectorized_conv_matches_loop_oracle():
                   for w in xavier_init(spec, case)]
         x = rng.random((1, 1, 5, 6, 7)).astype(np.float32)
         fast, _ = forward_stack(params, spec, x)
-        diff = np.max(np.abs(fast - _chained_loop(params, spec, x)))
+        diff = np.max(np.abs(fast - forward_stack_loop(params, spec, x)))
         worst = max(worst, float(diff))
     assert worst < 1e-5, f"worst |fast - loop| = {worst:.2e}"
 

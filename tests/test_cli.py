@@ -197,6 +197,19 @@ class TestUpscale:
         assert err.count("\n") == 1 and "layer 5 holds non-finite weights" in err
         assert not out.exists()
 
+    def test_overflowing_model_output_is_runtime_error(self, clips, tmp_path, capsys):
+        # finite weights, so the checkpoint loads, whose activations overflow
+        spec = build_architecture("v1", 2)
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint([ConvWeights(w.kernel * np.float32(1e12), w.bias)
+                         for w in xavier_init(spec, 0)], spec, {}, str(ckpt))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["upscale", str(clips["small"]), str(tmp_path / "o.y4m"),
+                       "--checkpoint", str(ckpt)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "non-finite" in err
+
     def test_dump_features(self, clips, tmp_path, capsys):
         ckpt = tmp_path / "zero.ckpt"
         zero_checkpoint(ckpt)
@@ -303,6 +316,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "10/10 checks passed" in out
         assert "FAIL" not in out
+
+    def test_crashing_gradient_check_is_a_failed_check(self, monkeypatch, capsys):
+        import vsr3d.cli as cli
+
+        def boom(spec, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "grad_check", boom)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("FAIL gradient check raised RuntimeError: boom") == 5
+        assert out.endswith("5/10 checks passed\n")
 
 
 # (flag, dest, nargs) of every argument of every subcommand; positionals

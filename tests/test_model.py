@@ -7,8 +7,8 @@ from vsr3d.model import (ARCH_NAMES, LayerSpec, ModelSpec, backward_stack,
                          build_architecture, count_parameters, dump_feature_maps,
                          forward, forward_multiscale, forward_stack,
                          stack_windows, zero_params)
-from vsr3d.reference import conv_forward_loop
-from vsr3d.tensor_core import ConvWeights, PadPolicy, TemporalPad
+from vsr3d.reference import forward_stack_loop
+from vsr3d.tensor_core import ConvWeights, TemporalPad
 
 EXPECTED_WEIGHTS = {
     "cnn2d": 115_020,
@@ -120,16 +120,19 @@ class TestForwardStack:
 
         got, _ = forward_stack(params, spec, x)
 
-        ref = x
-        for i, (layer, w) in enumerate(zip(layers, params)):
-            pad = PadPolicy(spatial=1, temporal=layer.temporal_pad)
-            ref = conv_forward_loop(ref, w, pad)
-            if layer.activation == "relu":
-                ref = np.maximum(ref, 0.0)
-            if i + 1 == 2:
-                n, c, d, h, wdt = ref.shape
-                ref = ref.reshape(n, c * d, 1, h, wdt)
+        ref = forward_stack_loop(params, spec, x)
         assert np.max(np.abs(got - ref)) < 1e-10
+
+    @pytest.mark.parametrize("arch", ["cnn2d", "v1"])
+    def test_resuming_from_a_preactivation_matches_the_whole_stack(self, arch):
+        spec = build_architecture(arch, 2)
+        params = random_params(spec, seed=5)
+        x = stack_windows([random_window(8, 8, seed=6)])
+        whole, caches = forward_stack(params, spec, x, want_caches=True)
+        for i, (_, pre) in enumerate(caches):
+            out, tail = forward_stack(params, spec, pre, want_caches=True, start=i)
+            assert np.array_equal(out, whole)
+            assert len(tail) == len(spec.layers) - i and tail[0][1] is pre
 
     def test_backward_shapes_roundtrip(self):
         spec = build_architecture("v1", 2)

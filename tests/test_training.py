@@ -359,6 +359,22 @@ class TestGradCheck:
         worst_label = max(report.per_tensor, key=lambda t: t[1])[0]
         assert worst_label == "layer 2 bias"
 
+    def test_kernel_gradient_fault_is_caught_and_named(self, monkeypatch):
+        # the kernel probes run through the one-hot window bank, not the
+        # bias path that `fault=` corrupts
+        import vsr3d.training as training
+        real = training.backward_stack
+
+        def off_by_one_tap(*args):
+            grads, gx = real(*args)
+            grads[1].kernel[0, 0, 1, 1, 1] += 1.0
+            return grads, gx
+        monkeypatch.setattr(training, "backward_stack", off_by_one_tap)
+        report = grad_check(miniature_spec("v1"), seed=0, tolerance=1e-6,
+                            dtype=np.float64, name="v1")
+        assert not report.passed
+        assert max(report.per_tensor, key=lambda t: t[1])[0] == "layer 1 kernel"
+
     def test_full_training_gradient_matches_finite_differences(self):
         # the whole pipeline: stack + pixel shuffle + bicubic base + loss
         spec = miniature_spec("full")

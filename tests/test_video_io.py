@@ -23,6 +23,11 @@ class TestQuantization:
     def test_out_of_range_clamped(self):
         assert to_bytes(np.array([[-0.2, 1.7]])) == bytes([0, 255])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            to_bytes(np.array([[0.5, bad]]))
+
 
 class TestRawYuv:
     def test_roundtrip_within_quantization(self, tmp_path):
