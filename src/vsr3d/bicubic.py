@@ -14,10 +14,12 @@ import numpy as np
 from .frames import Frame
 
 _SUPPORT = 2.0  # half-width of the cubic kernel
+CUBIC_A = -0.5
 
 
-def cubic(t: np.ndarray, a: float = -0.5) -> np.ndarray:
-    """Piecewise cubic: (a+2)|t|^3-(a+3)|t|^2+1 inside |t|<=1, the a-branch to 2."""
+def cubic(t: np.ndarray) -> np.ndarray:
+    """Piecewise cubic, a = CUBIC_A: (a+2)|t|^3-(a+3)|t|^2+1 to |t|=1, the a-branch to 2."""
+    a = CUBIC_A
     t = np.abs(np.asarray(t, dtype=np.float64))
     t2 = t * t
     t3 = t2 * t
@@ -28,7 +30,6 @@ def cubic(t: np.ndarray, a: float = -0.5) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BicubicKernel:
-    a: float = -0.5
     antialias: bool = True
 
     def weights(self, n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
@@ -51,7 +52,7 @@ class BicubicKernel:
         taps = int(np.ceil(width)) + 2
         left = np.floor(u - width / 2.0).astype(np.int64)
         idx = left[:, None] + np.arange(taps, dtype=np.int64)[None, :]
-        wts = cubic(kscale * (u[:, None] - idx), self.a)
+        wts = cubic(kscale * (u[:, None] - idx))
         wts /= wts.sum(axis=1, keepdims=True)
         return idx, wts
 
@@ -77,14 +78,13 @@ def resize_plane(plane, out_h: int, out_w: int, kernel: BicubicKernel | None = N
     return np.clip(p, 0.0, 1.0)
 
 
-def bicubic_resize(frame: Frame, out_w: int, out_h: int, kernel: BicubicKernel | None = None) -> Frame:
+def bicubic_resize(frame: Frame, out_w: int, out_h: int) -> Frame:
     """Resize a frame's luma to out_w x out_h. Chroma is not carried over;
     it travels through upscale_chroma so the two paths stay independent."""
-    return Frame(resize_plane(frame.luma, out_h, out_w, kernel))
+    return Frame(resize_plane(frame.luma, out_h, out_w))
 
 
-def upscale_chroma(frame: Frame, scale: float, hr_luma=None,
-                   kernel: BicubicKernel | None = None) -> Frame:
+def upscale_chroma(frame: Frame, scale: float, hr_luma=None) -> Frame:
     """Bicubic-resize the chroma planes by `scale`, leaving luma unfiltered.
 
     The luma slot of the result is `hr_luma` when given (the full-resolution
@@ -99,10 +99,10 @@ def upscale_chroma(frame: Frame, scale: float, hr_luma=None,
     if (ch, cw) != (-(-round(frame.height * scale) // 2), -(-round(frame.width * scale) // 2)):
         raise ValueError("luma geometry does not match the requested chroma scale")
     u, v = frame.chroma
-    return Frame(luma, (resize_plane(u, ch, cw, kernel), resize_plane(v, ch, cw, kernel)))
+    return Frame(luma, (resize_plane(u, ch, cw), resize_plane(v, ch, cw)))
 
 
-def degrade_clip(clip, scale: int, kernel: BicubicKernel | None = None):
+def degrade_clip(clip, scale: int):
     """LR version of a clip: crop luma to a multiple of scale, then shrink.
 
     Standard degradation for training data and for training-free baselines;
@@ -112,6 +112,6 @@ def degrade_clip(clip, scale: int, kernel: BicubicKernel | None = None):
 
     h = clip.height - clip.height % scale
     w = clip.width - clip.width % scale
-    frames = [Frame(resize_plane(f.luma[:h, :w], h // scale, w // scale, kernel))
+    frames = [Frame(resize_plane(f.luma[:h, :w], h // scale, w // scale))
               for f in clip.frames]
     return VideoClip(frames, clip.frame_rate)

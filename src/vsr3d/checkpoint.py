@@ -10,13 +10,13 @@ save replaces the destination atomically, so an interrupted save leaves the
 previous checkpoint intact.
 """
 
-import os
 import re
 
 import numpy as np
 
 from .model import LayerSpec, ModelSpec
 from .tensor_core import ConvWeights, TemporalPad
+from .video_io import atomic_write
 
 MAGIC = b"3DSR1"
 
@@ -81,21 +81,13 @@ def save_checkpoint(params, spec: ModelSpec, meta: dict, path: str):
         if "\n" in value:
             raise CheckpointError(f"meta value for {key!r} spans lines")
         lines.append(f"{key} = {value}")
-    # written beside the destination so os.replace stays on one file system
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC + b"\n")
-            fh.write(("\n".join(lines) + "\nend\n").encode("utf-8"))
-            for i, w in enumerate(params):
-                _require_finite(w, i, path)
-                fh.write(np.ascontiguousarray(w.kernel, dtype="<f4").tobytes())
-                fh.write(np.ascontiguousarray(w.bias, dtype="<f4").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(MAGIC + b"\n")
+        fh.write(("\n".join(lines) + "\nend\n").encode("utf-8"))
+        for i, w in enumerate(params):
+            _require_finite(w, i, path)
+            fh.write(np.ascontiguousarray(w.kernel, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(w.bias, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path: str):

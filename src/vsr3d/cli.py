@@ -74,21 +74,6 @@ def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(os.path.normpath(path)))[0]
 
 
-def _output_format(cfg: RunConfig, path: str):
-    """Like detection on input, but an extension-less new path means a PGM
-    directory that does not exist yet."""
-    if cfg.format:
-        return cfg.format
-    from .video_io import detect_format
-    try:
-        detect_format(path)
-        return None  # writer will detect the same way
-    except ClipFormatError:
-        if "." not in os.path.basename(os.path.normpath(path)):
-            return "pgmdir"
-        raise
-
-
 def _write_csv(cfg: RunConfig, text: str, what: str = ""):
     """Write text to --csv when given, naming what was written if `what`."""
     if cfg.csv_path:
@@ -154,6 +139,12 @@ def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
     rs = cfg.scale
     sf, dump_centre = None, None
     if cfg.method == "bicubic":
+        unused = ["--" + key.replace("_", "-")
+                  for key in ("checkpoint", "sf_checkpoint", "dump_features")
+                  if getattr(cfg, key)]
+        if unused:
+            raise ConfigError(f"--method bicubic runs no model; drop {', '.join(unused)}")
+
         def runner(window):
             return bicubic_resize(window[2], window[2].width * rs, window[2].height * rs)
     else:
@@ -182,7 +173,7 @@ def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
             sr = upscale_chroma(src, rs, hr_luma=sr.luma)
         out_frames.append(sr)
     write_clip(VideoClip(out_frames, frame_rate=clip.frame_rate), out_path,
-               fmt=_output_format(cfg, out_path))
+               fmt=cfg.format or None)
     print(f"{len(out_frames)} frames -> {out_path} "
           f"({out_frames[0].width}x{out_frames[0].height})")
     return 0

@@ -76,8 +76,8 @@ class VideoClip:
     def height(self) -> int:
         return self.frames[0].height
 
-    def window(self, center: int, size: int = 5) -> list[Frame]:
-        """Frames centred on `center`; indices past either end replicate the edge frame."""
-        half = size // 2
+    def window(self, center: int) -> list[Frame]:
+        """The five frames centred on `center`; indices past either end replicate
+        the edge frame."""
         last = len(self.frames) - 1
-        return [self.frames[min(max(center + k, 0), last)] for k in range(-half, half + 1)]
+        return [self.frames[min(max(center + k, 0), last)] for k in range(-2, 3)]

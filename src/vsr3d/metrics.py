@@ -73,11 +73,11 @@ def ssim(a: Frame, b: Frame, border: int = 0) -> float:
     return float(np.mean(num / den))
 
 
-def format_metric(value: float, places: int = 4) -> str:
-    """CSV cell for a metric value; +inf prints as the literal 'inf'."""
+def format_metric(value: float) -> str:
+    """CSV cell for a metric value, four decimals; +inf prints as the literal 'inf'."""
     if math.isinf(value):
         return "inf"
-    return f"{value:.{places}f}"
+    return f"{value:.4f}"
 
 
 def metrics_csv(rows) -> str:

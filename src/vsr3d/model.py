@@ -157,9 +157,9 @@ def count_parameters(spec: ModelSpec, include_bias: bool = False) -> int:
     return total
 
 
-def zero_params(spec: ModelSpec, dtype=DEFAULT_DTYPE) -> list[ConvWeights]:
-    return [ConvWeights(np.zeros((l.out_groups, l.in_groups) + l.kernel, dtype=dtype),
-                        np.zeros(l.out_groups, dtype=dtype))
+def zero_params(spec: ModelSpec) -> list[ConvWeights]:
+    return [ConvWeights(np.zeros((l.out_groups, l.in_groups) + l.kernel, dtype=DEFAULT_DTYPE),
+                        np.zeros(l.out_groups, dtype=DEFAULT_DTYPE))
             for l in spec.layers]
 
 

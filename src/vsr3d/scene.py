@@ -22,6 +22,7 @@ SF_WIDTH = 48
 SF_HEIGHT = 27
 SF_LR = 1e-3
 SF_BATCH = 64
+_SCORE_CHUNK = 256   # samples per classifier pass when scoring
 
 
 class SceneLabel(Enum):
@@ -186,11 +187,11 @@ def sf_accuracy(params, spec: ModelSpec, samples) -> float:
     return float(np.trace(counts) / counts.sum())
 
 
-def confusion_matrix(params, spec: ModelSpec, samples, batch_size: int = 256) -> np.ndarray:
-    """counts[true, predicted] over the five classes, batch_size samples per pass."""
+def confusion_matrix(params, spec: ModelSpec, samples) -> np.ndarray:
+    """counts[true, predicted] over the five classes."""
     counts = np.zeros((5, 5), dtype=np.int64)
-    for lo in range(0, len(samples), batch_size):
-        chunk = samples[lo:lo + batch_size]
+    for lo in range(0, len(samples), _SCORE_CHUNK):
+        chunk = samples[lo:lo + _SCORE_CHUNK]
         preds = np.argmax(sf_logits(params, spec, [s for s, _ in chunk]), axis=1)
         np.add.at(counts, ([lab.value for _, lab in chunk], preds), 1)
     return counts
@@ -213,11 +214,11 @@ class SFTrainResult:
 
 
 def train_sf(spec: ModelSpec, samples: list[tuple[SFInput, SceneLabel]], *,
-             batch_size: int = SF_BATCH, lr: float = SF_LR, weight_decay: float = 0.0,
+             batch_size: int = SF_BATCH, lr: float = SF_LR,
              val_samples=None, **loop) -> SFTrainResult:
     """Cross-entropy training of the scene classifier through `training.fit`,
     the loop the SR net trains through too, which takes the remaining loop
-    options. Validation is the accuracy on val_samples."""
+    options. No weight decay; validation is the accuracy on val_samples."""
     if spec.kind != "sf":
         raise ValueError("train_sf needs an SF spec")
 
@@ -234,5 +235,5 @@ def train_sf(spec: ModelSpec, samples: list[tuple[SFInput, SceneLabel]], *,
 
     return SFTrainResult(*fit(spec, len(samples), batch_loss,
                               validate if val_samples else None, batch_size=batch_size,
-                              lr=lr, weight_decay=weight_decay, val_column="val_accuracy",
+                              lr=lr, weight_decay=0.0, val_column="val_accuracy",
                               **loop))

@@ -76,22 +76,14 @@ class ConvWeights:
             raise ValueError(
                 f"bias length {self.bias.shape} does not match {self.kernel.shape[0]} out groups")
 
-    @property
-    def out_groups(self) -> int:
-        return self.kernel.shape[0]
 
-    @property
-    def in_groups(self) -> int:
-        return self.kernel.shape[1]
-
-
-def tensor5d(data, dtype=None) -> np.ndarray:
-    """Coerce array-like data to a contiguous rank-5 tensor.
+def tensor5d(data) -> np.ndarray:
+    """Coerce array-like data to a contiguous rank-5 DEFAULT_DTYPE tensor.
 
     Missing leading axes are added as extent-1 axes, so a (H, W) image becomes
     (1, 1, 1, H, W).
     """
-    arr = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
+    arr = np.asarray(data, dtype=DEFAULT_DTYPE)
     if arr.ndim > 5:
         raise ValueError(f"rank {arr.ndim} exceeds 5")
     arr = arr.reshape((1,) * (5 - arr.ndim) + arr.shape)
@@ -100,40 +92,24 @@ def tensor5d(data, dtype=None) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def temporal_extrapolate(x: np.ndarray, policy: TemporalPad, per_side: int) -> np.ndarray:
-    """Grow the depth axis by per_side slices at each end.
-
-    ZERO inserts all-zero slices, DUPLICATE copies the outermost slices.
-    """
-    if policy is TemporalPad.NONE:
-        raise ValueError("temporal_extrapolate needs ZERO or DUPLICATE")
-    if per_side < 1:
-        raise ValueError(f"per_side must be >= 1, got {per_side}")
-    n_b, c, d, h, w = x.shape
-    out = np.zeros((n_b, c, d + 2 * per_side, h, w), dtype=x.dtype)
-    out[:, :, per_side:per_side + d] = x
-    if policy is TemporalPad.DUPLICATE:
-        out[:, :, :per_side] = x[:, :, :1]
-        out[:, :, per_side + d:] = x[:, :, -1:]
-    return out
+def _temporal_per_side(kernel_depth: int, pad: PadPolicy) -> int:
+    """Depth slices added at each end: (kernel_depth - 1) // 2 under ZERO or
+    DUPLICATE, so a depth-3 filter preserves the depth extent."""
+    if pad.temporal is TemporalPad.NONE:
+        return 0
+    if kernel_depth % 2 == 0:
+        raise ValueError("temporal padding requires an odd kernel depth")
+    return (kernel_depth - 1) // 2
 
 
 def pad_input(x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> np.ndarray:
-    """Apply a PadPolicy for a kernel of the given depth.
-
-    Temporal padding amount is (kernel_depth - 1) // 2 per side so a depth-3
-    filter preserves the depth extent.
-    """
-    out = x
-    if pad.temporal is not TemporalPad.NONE:
-        if kernel_depth % 2 == 0:
-            raise ValueError("temporal padding requires an odd kernel depth")
-        per_side = (kernel_depth - 1) // 2
-        if per_side > 0:
-            out = temporal_extrapolate(out, pad.temporal, per_side)
-    if pad.spatial > 0:
-        s = pad.spatial
-        out = np.pad(out, ((0, 0), (0, 0), (0, 0), (s, s), (s, s)))
+    """Apply a PadPolicy for a kernel of the given depth in one zero-padded
+    copy; DUPLICATE then fills the added depth slices with the edge slices."""
+    t, s = _temporal_per_side(kernel_depth, pad), pad.spatial
+    out = np.pad(x, ((0, 0), (0, 0), (t, t), (s, s), (s, s)))
+    if pad.temporal is TemporalPad.DUPLICATE and t:
+        out[:, :, :t] = out[:, :, t:t + 1]
+        out[:, :, -t:] = out[:, :, -t - 1:-t]
     return out
 
 
@@ -249,8 +225,6 @@ def pixel_shuffle(x: np.ndarray, scale: int) -> np.ndarray:
         raise ValueError(f"scale must be >= 1, got {scale}")
     if c % (scale * scale) != 0:
         raise ValueError(f"{c} channels not divisible by scale^2 = {scale * scale}")
-    if scale == 1:
-        return x.copy()
     g = c // (scale * scale)
     out = x.reshape(n_b, g, scale, scale, h, w)
     out = out.transpose(0, 1, 4, 2, 5, 3)
@@ -266,24 +240,18 @@ def pixel_unshuffle(x: np.ndarray, scale: int) -> np.ndarray:
         raise ValueError(f"scale must be >= 1, got {scale}")
     if h % scale != 0 or w % scale != 0:
         raise ValueError(f"extents {(h, w)} not divisible by scale {scale}")
-    if scale == 1:
-        return x.copy()
     out = x.reshape(n_b, g, h // scale, scale, w // scale, scale)
     out = out.transpose(0, 1, 3, 5, 2, 4)
     return np.ascontiguousarray(out.reshape(n_b, g * scale * scale, 1, h // scale, w // scale))
 
 
 def _unpad_gradient(grad_xp: np.ndarray, x_shape, kernel_depth: int, pad: PadPolicy) -> np.ndarray:
-    d = x_shape[2]
-    per_side = 0
-    if pad.temporal is not TemporalPad.NONE:
-        per_side = (kernel_depth - 1) // 2
-    s = pad.spatial
-    h, w = x_shape[3], x_shape[4]
-    core = grad_xp[:, :, per_side:per_side + d, s:s + h, s:s + w]
-    if pad.temporal is TemporalPad.DUPLICATE and per_side > 0:
+    d, h, w = x_shape[2:]
+    t, s = _temporal_per_side(kernel_depth, pad), pad.spatial
+    core = grad_xp[:, :, t:t + d, s:s + h, s:s + w]
+    if pad.temporal is TemporalPad.DUPLICATE and t:
         core = core.copy()
-        core[:, :, 0] += grad_xp[:, :, :per_side, s:s + h, s:s + w].sum(axis=2)
-        core[:, :, -1] += grad_xp[:, :, per_side + d:, s:s + h, s:s + w].sum(axis=2)
+        core[:, :, 0] += grad_xp[:, :, :t, s:s + h, s:s + w].sum(axis=2)
+        core[:, :, -1] += grad_xp[:, :, t + d:, s:s + h, s:s + w].sum(axis=2)
         return core
     return np.ascontiguousarray(core)

@@ -8,6 +8,7 @@ lexicographic filename order.
 
 import os
 import re
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,6 +19,23 @@ FORMATS = ("y4m", "rawyuv420", "pgmdir")
 
 class ClipFormatError(ValueError):
     """Malformed header, truncated payload, or unusable geometry."""
+
+
+@contextmanager
+def atomic_write(path: str):
+    """Binary file handle whose contents replace `path` only if the block
+    completes; on any failure `path` is left as it was and nothing else
+    remains."""
+    # written beside the destination so os.replace stays on one file system
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def detect_format(path: str) -> str:
@@ -184,26 +202,24 @@ def _chroma_bytes(frame: Frame) -> bytes:
 
 
 def write_clip(clip: VideoClip, path: str, fmt: str | None = None):
+    """Write a clip; a Y4M or raw YUV file appears only once every frame is
+    written, while a PGM directory is written one frame file at a time."""
     fmt = fmt or detect_format(path)
-    if fmt == "y4m":
-        _check_even(clip.width, clip.height)
-        num, den = clip.frame_rate
-        with open(path, "wb") as fh:
-            fh.write(f"YUV4MPEG2 W{clip.width} H{clip.height} F{num}:{den} "
-                     f"Ip A1:1 C420\n".encode("ascii"))
-            for f in clip.frames:
-                fh.write(b"FRAME\n")
-                fh.write(to_bytes(f.luma))
-                fh.write(_chroma_bytes(f))
-    elif fmt == "rawyuv420":
-        _check_even(clip.width, clip.height)
-        with open(path, "wb") as fh:
-            for f in clip.frames:
-                fh.write(to_bytes(f.luma))
-                fh.write(_chroma_bytes(f))
-    elif fmt == "pgmdir":
+    if fmt == "pgmdir":
         os.makedirs(path, exist_ok=True)
         for i, f in enumerate(clip.frames):
             write_pgm(f.luma, os.path.join(path, f"{i:06d}.pgm"))
-    else:
+        return
+    if fmt not in FORMATS:
         raise ClipFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    _check_even(clip.width, clip.height)
+    header, delimiter = b"", b""
+    if fmt == "y4m":
+        num, den = clip.frame_rate
+        header = (f"YUV4MPEG2 W{clip.width} H{clip.height} F{num}:{den} "
+                  f"Ip A1:1 C420\n").encode("ascii")
+        delimiter = b"FRAME\n"
+    with atomic_write(path) as fh:
+        fh.write(header)
+        for f in clip.frames:
+            fh.write(delimiter + to_bytes(f.luma) + _chroma_bytes(f))

@@ -203,12 +203,28 @@ class TestUpscale:
         ckpt = tmp_path / "huge.ckpt"
         save_checkpoint([ConvWeights(w.kernel * np.float32(1e12), w.bias)
                          for w in xavier_init(spec, 0)], spec, {}, str(ckpt))
+        out = tmp_path / "o.y4m"
         with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["upscale", str(clips["small"]), str(tmp_path / "o.y4m"),
-                       "--checkpoint", str(ckpt)])
+            rc = main(["upscale", str(clips["small"]), str(out), "--checkpoint", str(ckpt)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and "non-finite" in err
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == [ckpt]  # no temp file either
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--sf-checkpoint", "--dump-features"])
+    def test_bicubic_refuses_model_inputs(self, clips, tmp_path, capsys, flag):
+        out = tmp_path / "o.y4m"
+        assert main(["upscale", str(clips["small"]), str(out), "--method", "bicubic",
+                     flag, str(tmp_path / "bogus")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:") and flag in err
+        assert not out.exists()
+
+    def test_bicubic_to_extensionless_path_writes_pgm_frames(self, clips, tmp_path, capsys):
+        out = tmp_path / "frames"
+        assert main(["upscale", str(clips["small"]), str(out), "--method", "bicubic"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [f"{i:06d}.pgm" for i in range(7)]
 
     def test_dump_features(self, clips, tmp_path, capsys):
         ckpt = tmp_path / "zero.ckpt"

@@ -10,11 +10,11 @@ from vsr3d.tensor_core import (
     TemporalPad,
     conv_backward,
     conv_forward,
+    pad_input,
     pixel_shuffle,
     pixel_unshuffle,
     relu,
     relu_backward,
-    temporal_extrapolate,
     tensor5d,
 )
 
@@ -232,7 +232,7 @@ class TestTemporalExtrapolate:
     def test_zero_policy_inserts_zero_slices(self):
         rng = np.random.default_rng(30)
         x = rng.random((1, 2, 5, 3, 3)).astype(np.float32)
-        out = temporal_extrapolate(x, TemporalPad.ZERO, 1)
+        out = pad_input(x, 3, PadPolicy(temporal=TemporalPad.ZERO))
         assert out.shape[2] == 7
         assert not out[:, :, 0].any() and not out[:, :, 6].any()
         np.testing.assert_array_equal(out[:, :, 1:6], x)
@@ -240,19 +240,19 @@ class TestTemporalExtrapolate:
     def test_duplicate_policy_copies_outermost(self):
         rng = np.random.default_rng(31)
         x = rng.random((1, 1, 5, 3, 3)).astype(np.float32)
-        out = temporal_extrapolate(x, TemporalPad.DUPLICATE, 1)
+        out = pad_input(x, 3, PadPolicy(temporal=TemporalPad.DUPLICATE))
         np.testing.assert_array_equal(out[:, :, 0], x[:, :, 0])
         np.testing.assert_array_equal(out[:, :, 6], x[:, :, 4])
 
     def test_constant_tensor_stays_constant_under_duplicate(self):
         x = np.full((1, 1, 5, 2, 2), 0.7, dtype=np.float32)
-        out = temporal_extrapolate(x, TemporalPad.DUPLICATE, 1)
+        out = pad_input(x, 3, PadPolicy(temporal=TemporalPad.DUPLICATE))
         np.testing.assert_array_equal(out, np.full((1, 1, 7, 2, 2), 0.7, dtype=np.float32))
 
-    def test_none_policy_rejected(self):
-        with pytest.raises(ValueError):
-            temporal_extrapolate(np.zeros((1, 1, 2, 2, 2), dtype=np.float32),
-                                 TemporalPad.NONE, 1)
+    @pytest.mark.parametrize("policy", [TemporalPad.ZERO, TemporalPad.DUPLICATE])
+    def test_even_kernel_depth_rejected(self, policy):
+        with pytest.raises(ValueError, match="odd kernel depth"):
+            pad_input(np.zeros((1, 1, 2, 2, 2), dtype=np.float32), 2, PadPolicy(temporal=policy))
 
 
 class TestPixelShuffle:

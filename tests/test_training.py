@@ -352,16 +352,24 @@ class TestGradCheck:
         assert report.passed, report.summary()
         assert report.skipped == 0
 
-    def test_fault_injection_is_caught_and_named(self):
+    def test_fault_injection_is_caught_and_named(self, monkeypatch):
+        import vsr3d.training as training
+        real = training.backward_stack
+
+        def biased_layer_2(*args):
+            grads, gx = real(*args)
+            grads[2].bias[...] += 1.0
+            return grads, gx
+        monkeypatch.setattr(training, "backward_stack", biased_layer_2)
         report = grad_check(miniature_spec("v1"), seed=0, tolerance=1e-6,
-                            dtype=np.float64, name="v1", fault=2)
+                            dtype=np.float64, name="v1")
         assert not report.passed
         worst_label = max(report.per_tensor, key=lambda t: t[1])[0]
         assert worst_label == "layer 2 bias"
 
     def test_kernel_gradient_fault_is_caught_and_named(self, monkeypatch):
         # the kernel probes run through the one-hot window bank, not the
-        # bias path that `fault=` corrupts
+        # bias path the test above corrupts
         import vsr3d.training as training
         real = training.backward_stack
 
