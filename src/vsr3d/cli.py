@@ -134,6 +134,9 @@ def _window_logits(sf, window) -> np.ndarray:
     return sf_logits(params, spec, [sf_input_from_window(window)])[0]
 
 
+# activations that overflow surface once, as write_clip's refusal of
+# non-finite samples, not as numpy warnings printed before it
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
     clip = _read(cfg, in_path)
     rs = cfg.scale
@@ -250,6 +253,7 @@ def cmd_sf_train(cfg: RunConfig) -> int:
                       lr=cfg.sf_lr, seed=cfg.seed, val_samples=val_set,
                       val_every=cfg.val_every, out_path=cfg.out_path,
                       log_path=cfg.log_path or None,
+                      checkpoint_every=cfg.checkpoint_every, max_steps=cfg.max_steps,
                       meta={"arch": f"sf{cfg.sf_layers}"})
     print(f"held-out accuracy {result.final_val_accuracy:.4f} on {len(val_set)} samples")
     text = confusion_csv(confusion_matrix(result.params, spec, val_set))

@@ -202,8 +202,10 @@ def forward_stack(params, spec: ModelSpec, x: np.ndarray, want_caches: bool = Fa
     return x, caches
 
 
-def backward_stack(params, spec: ModelSpec, caches, grad_out: np.ndarray):
-    """Gradients of a scalar loss wrt every parameter and the stack input."""
+def backward_stack(params, spec: ModelSpec, caches, grad_out: np.ndarray,
+                   input_grad: bool = True):
+    """Gradients of a scalar loss wrt every parameter and, with `input_grad`,
+    the stack input (else None: training needs only the parameters')."""
     trace = spec.depth_trace()
     grads: list = [None] * len(spec.layers)
     g = grad_out
@@ -216,8 +218,9 @@ def backward_stack(params, spec: ModelSpec, caches, grad_out: np.ndarray):
         if layer.activation == "relu":
             g = relu_backward(pre, g)
         pad = PadPolicy(spatial=layer.spatial_pad, temporal=layer.temporal_pad)
-        g, grads[i] = conv_backward(x_in, params[i], pad, g, layer.stride)
-    if spec.concat_after == 0:
+        g, grads[i] = conv_backward(x_in, params[i], pad, g, layer.stride,
+                                    input_grad=input_grad or i > 0)
+    if input_grad and spec.concat_after == 0:
         n, cd, _, h, w = g.shape
         g = g.reshape(n, 1, cd, h, w)
     return grads, g

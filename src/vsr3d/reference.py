@@ -45,6 +45,61 @@ def conv_forward_loop(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     return out
 
 
+def conv_backward_loop(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
+                       grad_out: np.ndarray, stride: tuple[int, int] = (1, 1)):
+    """Input, kernel and bias gradients of sum(conv_forward_loop * grad_out),
+    one scalar term at a time: every (output element, tap) pair adds its
+    share to the padded input's gradient and to the kernel's; the padded
+    input's gradient is then cropped, and under DUPLICATE the added depth
+    slices fold onto the edge slices they copy.
+
+    Accumulates in float64; returns (grad_x, grad_kernel, grad_bias).
+    """
+    kernel = np.asarray(weights.kernel, dtype=np.float64)
+    go = np.asarray(grad_out, dtype=np.float64)
+    out_g, in_g, kd, kh, kw = kernel.shape
+    sh, sw = stride
+    xp = _pad_loop(np.asarray(x, dtype=np.float64), kd, pad)
+    n_b, _, do, ho, wo = go.shape
+
+    grad_xp = np.zeros_like(xp)
+    grad_kernel = np.zeros_like(kernel)
+    grad_bias = np.zeros(out_g, dtype=np.float64)
+    for n in range(n_b):
+        for o in range(out_g):
+            for z in range(do):
+                for y in range(ho):
+                    for xo in range(wo):
+                        g = go[n, o, z, y, xo]
+                        grad_bias[o] += g
+                        for c in range(in_g):
+                            for a in range(kd):
+                                for b in range(kh):
+                                    for e in range(kw):
+                                        at = (n, c, z + a, y * sh + b, xo * sw + e)
+                                        grad_kernel[o, c, a, b, e] += g * xp[at]
+                                        grad_xp[at] += g * kernel[o, c, a, b, e]
+
+    d, h, w = x.shape[2:]
+    t = (xp.shape[2] - d) // 2
+    s = pad.spatial
+    grad_x = np.zeros(x.shape, dtype=np.float64)
+    for n in range(n_b):
+        for c in range(in_g):
+            for z in range(d):
+                for y in range(h):
+                    for xo in range(w):
+                        acc = grad_xp[n, c, t + z, s + y, s + xo]
+                        if pad.temporal is TemporalPad.DUPLICATE:
+                            for k in range(t):
+                                if z == 0:
+                                    acc += grad_xp[n, c, k, s + y, s + xo]
+                                if z == d - 1:
+                                    acc += grad_xp[n, c, t + d + k, s + y, s + xo]
+                        grad_x[n, c, z, y, xo] = acc
+    return grad_x, grad_kernel, grad_bias
+
+
 def forward_stack_loop(params, spec, x: np.ndarray) -> np.ndarray:
     """The layer stack of a ModelSpec chained from conv_forward_loop, with
     ReLU as np.maximum and the depth flatten as a C-order reshape."""

@@ -10,19 +10,34 @@ Convolution is correlation-style, stride 1 on the depth axis, with an optional
 spatial stride used by strided 2D layers. Gradients are hand-derived per
 operation; there is no autograd graph.
 
-The forward is im2col + GEMM (Chellapilla, Puri and Simard 2006) with a
-slice-major gather: the (C, kH, kW) windows of every padded depth slice are
-copied once into a (N, D'*C*kH*kW, positions) column buffer. The kD slices
-under output slice z are then one contiguous row block, so each output slice
-is a single GEMM whose result is already in (N, O, H, W) order, and every
-output element is one contraction over kD*C*kH*kW terms. Splitting that
-contraction into kD partial GEMMs summed afterwards adds a float32 rounding
+All three GEMM passes of a layer run on one slice-major column gather
+(im2col, Chellapilla, Puri and Simard 2006): for a band of one sample's
+output rows, the (C, kH, kW) windows of every padded depth slice are copied
+once into a (D'*C*kH*kW, positions) buffer, so the kD slices under output
+slice z are one contiguous row block.
+
+- The forward is one GEMM per output slice and band, written in place in
+  (O, H, W) order.
+- The kernel gradient is one GEMM per output slice and band, the output
+  gradient (O, P) times the block transposed, accumulated over bands.
+- The input gradient is the forward of the zero-dilated, padded output
+  gradient with the kernel flipped on all three axes and its in/out axes
+  swapped (the transposed-convolution identity, Dumoulin and Visin 2016).
+  Under DUPLICATE it covers the added depth slices too, which then fold onto
+  the edge slices they copy.
+
+Every output element of a forward is one contraction over kD*C*kH*kW terms.
+Splitting it into kD partial GEMMs summed afterwards adds a float32 rounding
 step that the finite-difference gradient check does not tolerate.
 
-The backward keeps a loop over the kD*kH*kW taps with two small matmuls each:
-a column-based backward over the same buffer (two GEMMs plus a col2im
-scatter) measured within 6% of it on the padded 32->32 layers and slower on
-the unpadded 32->32 and the 96->4 layers.
+A band is sized by bytes, so that the gather's writes are still in cache
+when the GEMMs read them back, and by a floor on the positions each GEMM
+covers, below which the GEMMs run short of their full rate (a forty-pixel-wide
+training patch would otherwise get bands of 480 positions). Bands never span
+samples: each GEMM covers one sample anyway, and one buffer reused for every
+band stays mapped and cached, where a batch-wide band would not. For the
+32-channel layers band size does not change a result; the GEMM of a layer
+with few output groups can round differently at some band widths.
 """
 
 import enum
@@ -33,11 +48,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_DTYPE = np.float32
 
-# Upper bound on conv_forward's column buffer, which holds every padded depth
-# slice's windows for a band of output rows; larger inputs are processed in
-# bands of rows sized to fit (identical results: a band only limits which
-# output positions one GEMM covers, never how an element is summed).
-_WINDOW_BUDGET_BYTES = 256 * 1024 * 1024
+# Column-buffer band sizing: the bytes one band of output rows may take, and
+# the fewest output positions a band's GEMMs cover (the floor wins).
+_WINDOW_BUDGET_BYTES = 4 * 1024 * 1024
+_MIN_BAND_POSITIONS = 1024
 
 
 class TemporalPad(enum.Enum):
@@ -113,6 +127,49 @@ def pad_input(x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> np.ndarray:
     return out
 
 
+def _out_extents(padded_shape, kernel_shape, stride) -> tuple[int, int, int]:
+    """(D, H, W) of a valid correlation over already padded extents."""
+    (dp, hp, wp), (kd, kh, kw), (sh, sw) = padded_shape[2:], kernel_shape[2:], stride
+    return dp - kd + 1, (hp - kh) // sh + 1, (wp - kw) // sw + 1
+
+
+def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: tuple[int, int], ho: int, wo: int):
+    """Yield (n, y0, y1, cols) for bands of output rows [y0, y1) of sample n
+    of a padded input: cols is (D'*C*kH*kW, (y1-y0)*wo), one row block of
+    C*kH*kW per padded depth slice, each copied run reading along one row of
+    W. Every band is a view of one buffer, valid until the next is yielded."""
+    _, in_g, dp = xp.shape[:3]
+    sh, sw = stride
+    row_bytes = dp * in_g * kh * kw * wo * xp.dtype.itemsize
+    rows = min(ho, max(_WINDOW_BUDGET_BYTES // row_bytes, -(-_MIN_BAND_POSITIONS // wo), 1))
+    buf = np.empty((dp, in_g, kh, kw, rows, wo), dtype=xp.dtype)
+    cols = buf.reshape(-1, rows * wo)
+    for n in range(xp.shape[0]):
+        for y0 in range(0, ho, rows):
+            y1 = min(y0 + rows, ho)
+            band = xp[n, :, :, y0 * sh:(y1 - 1) * sh + kh]
+            win = sliding_window_view(band, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+            np.copyto(buf[..., :y1 - y0, :], win.transpose(1, 0, 4, 5, 2, 3))
+            yield n, y0, y1, cols[:, :(y1 - y0) * wo]
+
+
+def _correlate(xp: np.ndarray, kernel: np.ndarray, stride: tuple[int, int]) -> np.ndarray:
+    """Valid correlation of a padded input with a filter bank, without bias:
+    one GEMM per output slice and band, written in place."""
+    out_g, in_g, kd, kh, kw = kernel.shape
+    do, ho, wo = _out_extents(xp.shape, kernel.shape, stride)
+    per_slice = in_g * kh * kw
+    # (O, kD*C*kH*kW): the row order of kd consecutive slices of `cols`
+    kmat = kernel.transpose(0, 2, 1, 3, 4).reshape(out_g, -1)
+    out = np.empty((xp.shape[0], out_g, do, ho, wo), dtype=xp.dtype)
+    planes = out.reshape(xp.shape[0], out_g, do, ho * wo)
+    for n, y0, y1, cols in _column_bands(xp, kh, kw, stride, ho, wo):
+        for z in range(do):
+            np.matmul(kmat, cols[z * per_slice:(z + kd) * per_slice],
+                      out=planes[n, :, z, y0 * wo:y1 * wo])
+    return out
+
+
 def conv_forward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
                  stride: tuple[int, int] = (1, 1)) -> np.ndarray:
     """Correlate a (N, C, D, H, W) tensor with a bank of 3D filters.
@@ -122,84 +179,63 @@ def conv_forward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     padded extents.
     """
     kernel, bias = weights.kernel, weights.bias
-    out_g, in_g, kd, kh, kw = kernel.shape
+    out_g, in_g = kernel.shape[:2]
     if x.ndim != 5:
         raise ValueError(f"input must be rank 5, got shape {x.shape}")
     if x.shape[1] != in_g:
         raise ValueError(f"input has {x.shape[1]} groups, kernel expects {in_g}")
-    sh, sw = stride
-    if sh < 1 or sw < 1:
+    if min(stride) < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-
-    xp = pad_input(x, kd, pad)
-    n_b, _, dp, hp, wp = xp.shape
-    if dp < kd or hp < kh or wp < kw:
+    xp = pad_input(x, kernel.shape[2], pad)
+    if any(p < k for p, k in zip(xp.shape[2:], kernel.shape[2:])):
         raise ValueError(
-            f"kernel {kernel.shape[2:]} larger than padded input {(dp, hp, wp)}")
-    do = dp - kd + 1
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
-
-    # (O, kD*C*kH*kW): the row order of kd consecutive slices of `cols`
-    kmat = kernel.transpose(0, 2, 1, 3, 4).reshape(out_g, -1)
-    out = np.empty((n_b, out_g, do, ho, wo), dtype=x.dtype)
-
-    per_slice = in_g * kh * kw
-    row_bytes = n_b * dp * per_slice * wo * xp.dtype.itemsize
-    rows_per_chunk = max(1, _WINDOW_BUDGET_BYTES // max(1, row_bytes))
-    for y0 in range(0, ho, rows_per_chunk):
-        y1 = min(y0 + rows_per_chunk, ho)
-        rows = y1 - y0
-        band = xp[:, :, :, y0 * sh:(y1 - 1) * sh + kh]
-        win = sliding_window_view(band, (kh, kw), axis=(3, 4))[:, :, :, ::sh, ::sw]
-        # (N, dp*C*kH*kW, rows*wo); each copied run reads along one row of W
-        cols = win.transpose(0, 2, 1, 5, 6, 3, 4).reshape(n_b, dp * per_slice, rows * wo)
-        for z in range(do):
-            block = cols[:, z * per_slice:(z + kd) * per_slice]
-            out[:, :, z, y0:y1] = (kmat @ block).reshape(n_b, out_g, rows, wo)
+            f"kernel {kernel.shape[2:]} larger than padded input {xp.shape[2:]}")
+    out = _correlate(xp, kernel, stride)
     out += bias.astype(x.dtype).reshape(1, out_g, 1, 1, 1)
     return out
 
 
 def conv_backward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
-                  grad_out: np.ndarray,
-                  stride: tuple[int, int] = (1, 1)) -> tuple[np.ndarray, ConvWeights]:
+                  grad_out: np.ndarray, stride: tuple[int, int] = (1, 1),
+                  input_grad: bool = True) -> tuple[np.ndarray | None, ConvWeights]:
     """Exact gradients of a summed scalar loss through conv_forward.
 
-    Returns (grad wrt input, ConvWeights holding kernel/bias gradients).
-    Zero-padded positions contribute nothing to the input gradient; duplicated
-    temporal slices fold their gradient back onto the edge slices.
+    Returns (grad wrt input, or None without `input_grad`; ConvWeights
+    holding kernel/bias gradients). Zero-padded positions contribute nothing
+    to the input gradient; duplicated temporal slices fold their gradient
+    back onto the edge slices.
     """
     kernel = weights.kernel
     out_g, in_g, kd, kh, kw = kernel.shape
-    sh, sw = stride
     xp = pad_input(x, kd, pad)
-    n_b, _, dp, hp, wp = xp.shape
-    do = dp - kd + 1
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
+    do, ho, wo = _out_extents(xp.shape, kernel.shape, stride)
+    n_b = x.shape[0]
     if grad_out.shape != (n_b, out_g, do, ho, wo):
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match output {(n_b, out_g, do, ho, wo)}")
 
     grad_bias = grad_out.sum(axis=(0, 2, 3, 4), dtype=grad_out.dtype)
-    grad_kernel = np.zeros_like(kernel)
-    grad_xp = np.zeros_like(xp)
+    per_slice = in_g * kh * kw
+    grad_kmat = np.zeros((out_g, kd * per_slice), dtype=kernel.dtype)
+    go_planes = grad_out.reshape(n_b, out_g, do, ho * wo)
+    for n, y0, y1, cols in _column_bands(xp, kh, kw, stride, ho, wo):
+        for z in range(do):
+            go = go_planes[n, :, z, y0 * wo:y1 * wo]
+            grad_kmat += go @ cols[z * per_slice:(z + kd) * per_slice].T
+    grad_kernel = np.ascontiguousarray(
+        grad_kmat.reshape(out_g, kd, in_g, kh, kw).transpose(0, 2, 1, 3, 4))
 
-    go = grad_out.reshape(n_b, out_g, -1)
-    for a in range(kd):
-        for b in range(kh):
-            for g in range(kw):
-                sl = (slice(None), slice(None), slice(a, a + do),
-                      slice(b, b + (ho - 1) * sh + 1, sh),
-                      slice(g, g + (wo - 1) * sw + 1, sw))
-                xs = np.ascontiguousarray(xp[sl]).reshape(n_b, in_g, -1)
-                # (O, C) contraction over batch and every output position
-                grad_kernel[:, :, a, b, g] = np.matmul(go, xs.transpose(0, 2, 1)).sum(axis=0)
-                tap = np.matmul(kernel[:, :, a, b, g].T, go)
-                grad_xp[sl] += tap.reshape(n_b, in_g, do, ho, wo)
-
-    grad_x = _unpad_gradient(grad_xp, x.shape, kd, pad)
+    grad_x = None
+    if input_grad:
+        # input depth slices the correlation covers: all padded ones under
+        # DUPLICATE (folded below), else the unpadded ones
+        d, h, w = x.shape[2:]
+        t, s = _temporal_per_side(kd, pad), pad.spatial
+        first, depth = (0, d + 2 * t) if pad.temporal is TemporalPad.DUPLICATE else (t, d)
+        spread = _dilate_into(grad_out, (depth + kd - 1, h + kh - 1, w + kw - 1),
+                              (kd - 1 - first, kh - 1 - s, kw - 1 - s), (1,) + tuple(stride))
+        flipped = kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+        grad_x = _unpad_gradient(_correlate(spread, flipped, (1, 1)), kd, pad)
     return grad_x, ConvWeights(grad_kernel, grad_bias)
 
 
@@ -245,13 +281,28 @@ def pixel_unshuffle(x: np.ndarray, scale: int) -> np.ndarray:
     return np.ascontiguousarray(out.reshape(n_b, g * scale * scale, 1, h // scale, w // scale))
 
 
-def _unpad_gradient(grad_xp: np.ndarray, x_shape, kernel_depth: int, pad: PadPolicy) -> np.ndarray:
-    d, h, w = x_shape[2:]
-    t, s = _temporal_per_side(kernel_depth, pad), pad.spatial
-    core = grad_xp[:, :, t:t + d, s:s + h, s:s + w]
-    if pad.temporal is TemporalPad.DUPLICATE and t:
-        core = core.copy()
-        core[:, :, 0] += grad_xp[:, :, :t, s:s + h, s:s + w].sum(axis=2)
-        core[:, :, -1] += grad_xp[:, :, t + d:, s:s + h, s:s + w].sum(axis=2)
-        return core
-    return np.ascontiguousarray(core)
+def _dilate_into(g: np.ndarray, extents, offsets, strides) -> np.ndarray:
+    """Zeros of (N, C) + extents holding g[:, :, i, j, k] at offset + index *
+    stride on each of the last three axes; entries that land outside are
+    dropped, as they reach only padded input positions."""
+    out = np.zeros(g.shape[:2] + tuple(extents), dtype=g.dtype)
+    src, dst = [slice(None)] * 2, [slice(None)] * 2
+    for n, size, off, st in zip(g.shape[2:], extents, offsets, strides):
+        i0 = max(0, -(off // st))
+        count = max(0, min(n, (size - 1 - off) // st + 1) - i0)
+        src.append(slice(i0, i0 + count))
+        dst.append(slice(off + i0 * st, off + (i0 + count) * st, st))
+    out[tuple(dst)] = g[tuple(src)]
+    return out
+
+
+def _unpad_gradient(grad: np.ndarray, kernel_depth: int, pad: PadPolicy) -> np.ndarray:
+    """Fold the gradient of DUPLICATE's added depth slices onto the edge
+    slices they copy and drop them; other policies pass through."""
+    t = _temporal_per_side(kernel_depth, pad)
+    if pad.temporal is not TemporalPad.DUPLICATE or not t:
+        return grad
+    core = grad[:, :, t:-t].copy()
+    core[:, :, 0] += grad[:, :, :t].sum(axis=2)
+    core[:, :, -1] += grad[:, :, -t:].sum(axis=2)
+    return core

@@ -201,7 +201,8 @@ def sr_batch_step(params, spec: ModelSpec, x, bases, target, form: str = "mean")
     out, caches = forward_stack(params, spec, x, want_caches=True)
     pred = pixel_shuffle(out, spec.scale) + bases
     loss, grad = loss_mse(pred, target, form)
-    grads, _ = backward_stack(params, spec, caches, pixel_unshuffle(grad, spec.scale))
+    grads, _ = backward_stack(params, spec, caches, pixel_unshuffle(grad, spec.scale),
+                              input_grad=False)
     return loss, grads
 
 

@@ -29,7 +29,11 @@ def atomic_write(path: str):
     # written beside the destination so os.replace stays on one file system
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
+        fh = open(tmp, "wb")
+    except OSError as exc:  # name the file the caller asked for
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

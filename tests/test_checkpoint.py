@@ -109,3 +109,12 @@ class TestNonFiniteAndAtomicSave:
         open(bad, "wb").write(blob[:-4] + np.float32(value).astype("<f4").tobytes())
         with pytest.raises(CheckpointError, match="layer 5 holds non-finite"):
             load_checkpoint(bad)
+
+
+def test_save_to_missing_directory_names_the_destination(tmp_path):
+    spec = build_architecture("v1", 2)
+    path = tmp_path / "nodir" / "model.ckpt"
+    with pytest.raises(FileNotFoundError) as info:
+        save_checkpoint(random_params(spec, seed=22), spec, {}, str(path))
+    assert info.value.filename == str(path)
+    assert str(info.value) == f"[Errno 2] No such file or directory: '{path}'"

@@ -212,6 +212,31 @@ class TestUpscale:
         assert not out.exists()
         assert list(tmp_path.iterdir()) == [ckpt]  # no temp file either
 
+    def test_overflowing_activations_print_one_error_line(self, clips, tmp_path):
+        # in a fresh interpreter numpy's floating-point warnings reach stderr
+        spec = build_architecture("v1", 2)
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint([ConvWeights(w.kernel * np.float32(1e12), w.bias)
+                         for w in xavier_init(spec, 0)], spec, {}, str(ckpt))
+        out = tmp_path / "o.y4m"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vsr3d.cli", "upscale", str(clips["small"]), str(out),
+             "--checkpoint", str(ckpt)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert not out.exists()
+
+    def test_missing_output_directory_names_the_destination(self, clips, tmp_path, capsys):
+        out = tmp_path / "nodir" / "o.y4m"
+        assert main(["upscale", str(clips["small"]), str(out), "--method", "bicubic"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
     @pytest.mark.parametrize("flag", ["--checkpoint", "--sf-checkpoint", "--dump-features"])
     def test_bicubic_refuses_model_inputs(self, clips, tmp_path, capsys, flag):
         out = tmp_path / "o.y4m"
@@ -321,6 +346,26 @@ class TestSceneLane:
         assert main(["upscale", str(clips["spliced"]), str(out),
                      "--checkpoint", str(sr), "--sf-checkpoint", str(sf_ckpt)]) == 0
         assert "20 frames" in capsys.readouterr().out
+
+    def test_sf_train_honours_config_step_keys(self, clips, tmp_path, monkeypatch):
+        # sf-train has no flags for these keys; a --config file sets them
+        import vsr3d.training as training
+        real, saved = training.save_checkpoint, []
+
+        def recording(params, spec, meta, path):
+            saved.append(meta["step"])
+            real(params, spec, meta, path)
+        monkeypatch.setattr(training, "save_checkpoint", recording)
+        cfg = tmp_path / "sf.cfg"
+        cfg.write_text("max_steps = 2\ncheckpoint_every = 1\n")
+        log = tmp_path / "sf_log.csv"
+        assert main(["sf-train", "--config", str(cfg), "--scenes-a", str(clips["pool_a"]),
+                     "--scenes-b", str(clips["pool_b"]), "--layers", "2",
+                     "--per-class", "5", "--epochs", "2", "--batch-size", "8",
+                     "--out", str(tmp_path / "t.ckpt"), "--log", str(log)]) == 0
+        # a checkpoint after each of the two steps, then the final one
+        assert saved == [1, 2, 2]
+        assert [row.split(",")[0] for row in log.read_text().splitlines()[1:]] == ["1", "2"]
 
     def test_sf_train_needs_both_pools(self, clips, capsys):
         assert main(["sf-train", "--scenes-a", str(clips["pool_a"])]) == 2

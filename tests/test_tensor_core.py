@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsr3d import reference, tensor_core
 from vsr3d.tensor_core import (
@@ -44,6 +46,26 @@ def central_diff(f, arr, eps):
         flat[i] = orig
         grad.reshape(-1)[i] = (hi - lo) / (2 * eps)
     return grad
+
+
+def count_bands(monkeypatch, budget, floor):
+    """Shrink the column bands and record how many bands each gather yields."""
+    monkeypatch.setattr(tensor_core, "_WINDOW_BUDGET_BYTES", budget)
+    monkeypatch.setattr(tensor_core, "_MIN_BAND_POSITIONS", floor)
+    real, gathers = tensor_core._column_bands, []
+
+    def counting(*args):
+        gathers.append(0)
+        for band in real(*args):
+            gathers[-1] += 1
+            yield band
+    monkeypatch.setattr(tensor_core, "_column_bands", counting)
+    return gathers
+
+
+def assert_close_to_largest(fast, slow, rel):
+    """Every entry within rel times the oracle's largest magnitude."""
+    np.testing.assert_allclose(fast, slow, rtol=0, atol=rel * max(np.abs(slow).max(), 1e-30))
 
 
 def max_rel_err(a, b):
@@ -106,6 +128,19 @@ class TestConvForward:
         pad = PadPolicy(spatial=1, temporal=temporal)
         np.testing.assert_allclose(conv_forward(x, w, pad, stride=stride),
                                    reference.conv_forward_loop(x, w, pad, stride=stride),
+                                   atol=1e-5)
+
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)])
+    @pytest.mark.parametrize("temporal", list(TemporalPad))
+    def test_banded_path_matches_loop_oracle(self, monkeypatch, temporal, stride):
+        # one output row of one sample per band: the byte budget and the
+        # position floor both shrunk
+        gathers = count_bands(monkeypatch, 1, 1)
+        x, w = random_case(31, n=2, cin=1, cout=2, d=3, h=15, w=6)
+        pad = PadPolicy(spatial=1, temporal=temporal)
+        out = conv_forward(x, w, pad, stride=stride)
+        assert gathers == [2 * out.shape[3]] and out.shape[3] >= 2
+        np.testing.assert_allclose(out, reference.conv_forward_loop(x, w, pad, stride=stride),
                                    atol=1e-5)
 
     @pytest.mark.parametrize("stride", [(2, 2), (2, 1), (1, 3)])
@@ -195,10 +230,73 @@ class TestConvBackward:
         assert max_rel_err(gx, central_diff(loss, x, eps)) < 1e-3
         assert max_rel_err(gw.kernel, central_diff(loss, w.kernel, eps)) < 1e-3
 
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)])
+    @pytest.mark.parametrize("temporal", list(TemporalPad))
+    def test_banded_gradients_match_loop_oracle(self, monkeypatch, temporal, stride):
+        gathers = count_bands(monkeypatch, 1, 1)
+        x, w = random_case(16, n=2, cin=2, cout=3, d=3, h=7, w=5)
+        pad = PadPolicy(spatial=1, temporal=temporal)
+        g = np.random.default_rng(17).standard_normal(
+            conv_forward(x, w, pad, stride=stride).shape).astype(np.float32)
+        gathers.clear()
+        gx, gw = conv_backward(x, w, pad, g, stride=stride)
+        # the kernel gradient's gather and the input gradient's each span
+        # several bands of each sample
+        assert len(gathers) == 2 and min(gathers) >= 2 * 2
+        want_x, want_k, want_b = reference.conv_backward_loop(x, w, pad, g, stride=stride)
+        assert_close_to_largest(gx, want_x, 1e-5)
+        assert_close_to_largest(gw.kernel, want_k, 1e-5)
+        assert_close_to_largest(gw.bias, want_b, 1e-5)
+
+    def test_input_gradient_skipped_on_request(self):
+        x, w = random_case(18)
+        pad = PadPolicy(spatial=1, temporal=TemporalPad.ZERO)
+        g = np.ones_like(conv_forward(x, w, pad))
+        gx, gw = conv_backward(x, w, pad, g, input_grad=False)
+        assert gx is None
+        np.testing.assert_array_equal(gw.kernel, conv_backward(x, w, pad, g)[1].kernel)
+
     def test_grad_out_shape_mismatch_raises(self):
         x, w = random_case(15)
         with pytest.raises(ValueError, match="grad_out"):
             conv_backward(x, w, NO_PAD, np.zeros((1, 2, 1, 1, 1), dtype=np.float32))
+
+
+@st.composite
+def conv_cases(draw):
+    temporal = draw(st.sampled_from(list(TemporalPad)))
+    kd = draw(st.sampled_from([1, 3] if temporal is not TemporalPad.NONE else [1, 2, 3]))
+    kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    s = draw(st.integers(0, 2))
+    t = (kd - 1) // 2 if temporal is not TemporalPad.NONE else 0
+    d = draw(st.integers(max(1, kd - 2 * t), 4))
+    h = draw(st.integers(max(1, kh - 2 * s), 6))
+    w = draw(st.integers(max(1, kw - 2 * s), 6))
+    x, weights = random_case(draw(st.integers(0, 2 ** 16)), n=draw(st.integers(1, 2)),
+                             cin=draw(st.integers(1, 3)), cout=draw(st.integers(1, 3)),
+                             d=d, h=h, w=w, kd=kd, kh=kh, kw=kw, dtype=np.float64)
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    bands = (draw(st.sampled_from([1, 256, 4 * 1024 * 1024])), draw(st.sampled_from([1, 8, 1024])))
+    return x, weights, PadPolicy(spatial=s, temporal=temporal), stride, bands
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(conv_cases())
+def test_forward_and_backward_match_loop_oracles(case):
+    # random shapes, kernels, strides, spatial pads, temporal policies and band sizes
+    x, w, pad, stride, (budget, floor) = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor_core, "_WINDOW_BUDGET_BYTES", budget)
+        mp.setattr(tensor_core, "_MIN_BAND_POSITIONS", floor)
+        out = conv_forward(x, w, pad, stride=stride)
+        g = np.random.default_rng(x.size).standard_normal(out.shape)
+        gx, gw = conv_backward(x, w, pad, g, stride=stride)
+    np.testing.assert_allclose(out, reference.conv_forward_loop(x, w, pad, stride=stride),
+                               rtol=0, atol=1e-12)
+    want_x, want_k, want_b = reference.conv_backward_loop(x, w, pad, g, stride=stride)
+    np.testing.assert_allclose(gx, want_x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gw.kernel, want_k, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gw.bias, want_b, rtol=0, atol=1e-12)
 
 
 class TestRelu:
