@@ -5,9 +5,17 @@ coordinate mapping u = (i + 0.5) * (nIn / nOut) - 0.5, kernel support widened
 by the inverse scale when shrinking (antialias), per-output-sample weights
 renormalised to sum to 1, out-of-range taps clamped to the edge sample, and
 the final plane clipped to [0, 1]. All arithmetic is float64 internally.
+
+Each axis is one banded GEMM: per block of _BLOCK outputs, the taps are
+folded (clamped edge taps summed) into a small dense matrix over the span of
+input rows or columns they touch, and the block is one matmul over that span
+(cache blocking, Goto and van de Geijn 2008). Only these per-block bands are
+kept, cached per (n_in, n_out, kernel). SSIM's Gaussian window runs through
+the same filter as valid-mode taps.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,6 +23,7 @@ from .frames import Frame
 
 _SUPPORT = 2.0  # half-width of the cubic kernel
 CUBIC_A = -0.5
+_BLOCK = 32      # outputs per GEMM block
 
 
 def cubic(t: np.ndarray) -> np.ndarray:
@@ -57,13 +66,35 @@ class BicubicKernel:
         return idx, wts
 
 
-def _resample_axis(plane: np.ndarray, n_out: int, kernel: BicubicKernel, axis: int) -> np.ndarray:
-    n_in = plane.shape[axis]
+@lru_cache(maxsize=64)
+def _bands(n_in: int, n_out: int, kernel) -> tuple:
+    """(first output, first input, dense weights) per block of _BLOCK outputs."""
     idx, wts = kernel.weights(n_in, n_out)
-    taken = np.take(plane, np.clip(idx, 0, n_in - 1), axis=axis)
-    if axis == 0:
-        return np.einsum("otw,ot->ow", taken, wts)
-    return np.einsum("hot,ot->ho", taken, wts)
+    idx = np.clip(idx, 0, n_in - 1)
+    bands = []
+    for lo in range(0, n_out, _BLOCK):
+        i, w = idx[lo:lo + _BLOCK], wts[lo:lo + _BLOCK]
+        first = int(i.min())
+        dense = np.zeros((len(i), int(i.max()) + 1 - first))
+        np.add.at(dense, (np.arange(len(i))[:, None], i - first), w)
+        dense.flags.writeable = False
+        bands.append((lo, first, dense))
+    return tuple(bands)
+
+
+def _tap_filter(plane: np.ndarray, n_out: int, kernel, axis: int) -> np.ndarray:
+    """Apply the taps of any hashable `kernel` with BicubicKernel's weights()
+    contract along `axis` of a float64 plane."""
+    shape = list(plane.shape)
+    n_in, shape[axis] = shape[axis], n_out
+    out = np.empty(shape)
+    for lo, first, dense in _bands(n_in, n_out, kernel):
+        hi, span = lo + dense.shape[0], slice(first, first + dense.shape[1])
+        if axis == 0:
+            np.matmul(dense, plane[span], out=out[lo:hi])
+        else:
+            np.matmul(plane[:, span], dense.T, out=out[:, lo:hi])
+    return out
 
 
 def resize_plane(plane, out_h: int, out_w: int, kernel: BicubicKernel | None = None) -> np.ndarray:
@@ -73,9 +104,8 @@ def resize_plane(plane, out_h: int, out_w: int, kernel: BicubicKernel | None = N
     p = np.asarray(plane, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError(f"expected a 2D plane, got shape {p.shape}")
-    p = _resample_axis(p, out_h, kernel, axis=0)
-    p = _resample_axis(p, out_w, kernel, axis=1)
-    return np.clip(p, 0.0, 1.0)
+    p = _tap_filter(_tap_filter(p, out_h, kernel, axis=0), out_w, kernel, axis=1)
+    return np.clip(p, 0.0, 1.0, out=p)
 
 
 def bicubic_resize(frame: Frame, out_w: int, out_h: int) -> Frame:

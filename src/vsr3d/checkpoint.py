@@ -10,6 +10,7 @@ save replaces the destination atomically, so an interrupted save leaves the
 previous checkpoint intact.
 """
 
+import math
 import re
 
 import numpy as np
@@ -52,8 +53,11 @@ def _parse_layer_line(text: str) -> LayerSpec:
     kv = dict(p.split("=", 1) for p in parts[1:])
     kd, kh, kw = (int(v) for v in kv["kernel"].split("x"))
     sh, sw = (int(v) for v in kv["stride"].split("x"))
-    return LayerSpec(parts[0], int(kv["in"]), int(kv["out"]), (kd, kh, kw),
-                     TemporalPad(kv["tpad"]), kv["act"], (sh, sw), int(kv["spad"]))
+    sizes = (int(kv["in"]), int(kv["out"]), kd, kh, kw, sh, sw)
+    if min(sizes) < 1 or int(kv["spad"]) < 0:
+        raise ValueError(f"sizes and strides must be positive in {text!r}")
+    return LayerSpec(parts[0], *sizes[:2], (kd, kh, kw), TemporalPad(kv["tpad"]), kv["act"],
+                     (sh, sw), int(kv["spad"]))
 
 
 def _require_finite(w: ConvWeights, i: int, path: str):
@@ -99,8 +103,12 @@ def load_checkpoint(path: str):
     sep = blob.find(b"\nend\n", len(MAGIC))
     if sep < 0:
         raise TruncatedError(f"{path}: header never terminates")
+    try:
+        header = blob[len(MAGIC) + 1: sep + 1].decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CheckpointError(f"{path}: header is not UTF-8 text") from e
     fields: dict[str, str] = {}
-    for raw in blob[len(MAGIC) + 1: sep + 1].decode("utf-8").splitlines():
+    for raw in header.splitlines():
         key, eq, value = raw.partition(" = ")
         if not eq:
             raise CheckpointError(f"{path}: malformed header line {raw!r}")
@@ -113,13 +121,15 @@ def load_checkpoint(path: str):
                          int(fields["scale"]), int(fields["input_frames"]), fields["kind"])
     except KeyError as e:
         raise CheckpointError(f"{path}: header misses {e}") from e
+    except ValueError as e:  # a field that does not parse or a spec that cannot be built
+        raise CheckpointError(f"{path}: malformed header: {e}") from e
     meta = {k: v for k, v in fields.items()
             if k not in _STRUCT_KEYS and not re.fullmatch(r"layer_\d+", k)}
     pos = sep + len(b"\nend\n")
     params = []
     for i, layer in enumerate(layers):
         shape = (layer.out_groups, layer.in_groups) + layer.kernel
-        kn = int(np.prod(shape)) * 4
+        kn = math.prod(shape) * 4   # Python ints: a huge header cannot wrap
         bn = layer.out_groups * 4
         if len(blob) - pos < kn + bn:
             raise TruncatedError(f"{path}: blob for layer {i} is cut short")

@@ -185,12 +185,12 @@ def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
 # ---------------------------------------------------------------------------
 # evaluate
 
-def _metric_rows(name, ref, cand, border):
-    if len(ref) != len(cand):
-        raise ValueError(f"frame count mismatch: reference {len(ref)}, candidate {len(cand)}")
+def _metric_rows(name, pairs, border):
     rows = []
-    for i, (rf, cf) in enumerate(zip(ref, cand)):
-        rows.append((name, i, psnr(rf, cf, border=border), ssim(rf, cf, border=border)))
+    for rf, cf in pairs:  # no enumerate: its reused tuple would hold the last pair
+        rows.append((name, len(rows), psnr(rf, cf, border=border),
+                     ssim(rf, cf, border=border)))
+        del rf, cf  # freed before the next pair is made
     return rows
 
 
@@ -198,16 +198,20 @@ def cmd_evaluate(cfg: RunConfig, ref_path: str, cand_path: str | None) -> int:
     ref = _read(cfg, ref_path)
     if cand_path:
         cand = _read(cfg, cand_path)
+        if len(ref) != len(cand):
+            raise ValueError(f"frame count mismatch: reference {len(ref)}, "
+                             f"candidate {len(cand)}")
+        pairs = zip(ref, cand)
         name = _stem(cand_path)
     elif cfg.method == "bicubic":
         lr = degrade_clip(ref, cfg.scale)
         h, w = lr.height * cfg.scale, lr.width * cfg.scale
-        ref = VideoClip([Frame(f.luma[:h, :w]) for f in ref], frame_rate=ref.frame_rate)
-        cand = VideoClip([bicubic_resize(f, w, h) for f in lr], frame_rate=ref.frame_rate)
+        # cropped, upsampled and scored one frame at a time
+        pairs = ((Frame(f.luma[:h, :w]), bicubic_resize(g, w, h)) for f, g in zip(ref, lr))
         name = _stem(ref_path)
     else:
         raise ConfigError("evaluate needs a candidate clip or --method bicubic")
-    rows = _metric_rows(name, ref, cand, cfg.border)
+    rows = _metric_rows(name, pairs, cfg.border)
     print(f"{'frame':>5}  {'psnr_db':>9}  {'ssim':>7}")
     for _, i, p, s in rows:
         print(f"{i:>5}  {format_metric(p):>9}  {format_metric(s):>7}")

@@ -12,6 +12,7 @@ rather than silently dropped so typos cannot disable an option. Command-line
 flags win over file values, which win over the defaults below.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .scene import SF_BATCH, SF_LR
@@ -144,7 +145,11 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     cfg = RunConfig()
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            file_values = parse_config_text(fh.read(), source=path)
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:
+                raise ConfigError(f"{path}: not UTF-8 text") from None
+        file_values = parse_config_text(text, source=path)
         for key, value in file_values.items():
             setattr(cfg, key, value)
     for key, value in (overrides or {}).items():
@@ -177,6 +182,9 @@ def _validate(cfg: RunConfig):
                        "lr_patch_size"):
         if getattr(cfg, field_name) < 0:
             raise ConfigError(f"{field_name} cannot be negative")
-    if cfg.lr <= 0 or cfg.sf_lr <= 0 or cfg.weight_decay < 0:
-        raise ConfigError("learning rates must be positive and weight_decay non-negative")
+    # written so that NaN fails too
+    if not (0 < cfg.lr < math.inf and 0 < cfg.sf_lr < math.inf
+            and 0 <= cfg.weight_decay < math.inf):
+        raise ConfigError("learning rates must be positive and weight_decay non-negative, "
+                          "all finite")
     cfg.clip_size()

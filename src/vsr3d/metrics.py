@@ -3,19 +3,28 @@
 PSNR is 10*log10(1/MSE) on [0,1] data, +inf when the planes agree exactly.
 SSIM is the mean of local scores under an 11x11 Gaussian window (sigma 1.5,
 K1=0.01, K2=0.03, dynamic range 1), windows slid over every valid position.
+The window is separable: in strips of _STRIP output rows, converted to
+float64 one strip at a time, four maps are filtered one axis at a time
+through the resampler's banded GEMM (valid taps i..i+10 for output i): the
+two planes, their product, and the sum of their squares, since only
+var_a + var_b enters the score and the filter is linear. The per-pixel
+score is then formed in place. Full-frame maps were slower: a 720p float64
+map is 7 MB, and every fresh one costs its page faults.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from .bicubic import _tap_filter
 from .frames import Frame
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
+_STRIP = 64   # SSIM output rows per pass, so the moment maps stay cache-sized
 
 
 def _cropped_luma(a: Frame, b: Frame, border: int) -> tuple[np.ndarray, np.ndarray]:
@@ -27,13 +36,13 @@ def _cropped_luma(a: Frame, b: Frame, border: int) -> tuple[np.ndarray, np.ndarr
     if a.height <= 2 * border or a.width <= 2 * border:
         raise ValueError(f"border {border} leaves no pixels on a {a.width}x{a.height} frame")
     sl = slice(border, -border) if border else slice(None)
-    return (np.asarray(a.luma[sl, sl], dtype=np.float64),
-            np.asarray(b.luma[sl, sl], dtype=np.float64))
+    return a.luma[sl, sl], b.luma[sl, sl]
 
 
 def psnr(a: Frame, b: Frame, border: int = 0) -> float:
     pa, pb = _cropped_luma(a, b, border)
-    mse = float(np.mean((pa - pb) ** 2))
+    diff = np.subtract(pa, pb, dtype=np.float64)
+    mse = float(np.mean(np.square(diff, out=diff)))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)
@@ -46,10 +55,17 @@ def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.nd
     return win / win.sum()
 
 
-def _filter_valid(img: np.ndarray, g1d: np.ndarray) -> np.ndarray:
-    # separable valid-mode correlation, one axis at a time
-    out = sliding_window_view(img, g1d.size, axis=0) @ g1d
-    return sliding_window_view(out, g1d.size, axis=1) @ g1d
+@dataclass(frozen=True)
+class _ValidWindow:
+    """The separable SSIM Gaussian as resampling taps: output i reads
+    inputs i..i+SSIM_WINDOW-1."""
+
+    def weights(self, n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+        r = np.arange(SSIM_WINDOW, dtype=np.float64) - (SSIM_WINDOW - 1) / 2.0
+        g = np.exp(-(r * r) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
+        g /= g.sum()  # separable factors of gaussian_window()
+        idx = np.arange(n_out)[:, None] + np.arange(SSIM_WINDOW)
+        return idx, np.broadcast_to(g, idx.shape)
 
 
 def ssim(a: Frame, b: Frame, border: int = 0) -> float:
@@ -58,19 +74,45 @@ def ssim(a: Frame, b: Frame, border: int = 0) -> float:
         raise ValueError(
             f"cropped frame {pa.shape[1]}x{pa.shape[0]} is smaller than the "
             f"{SSIM_WINDOW}x{SSIM_WINDOW} window")
-    r = np.arange(SSIM_WINDOW, dtype=np.float64) - (SSIM_WINDOW - 1) / 2.0
-    g = np.exp(-(r * r) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
-    g /= g.sum()  # separable factors of gaussian_window()
+    h, w = (n - SSIM_WINDOW + 1 for n in pa.shape)
+    total = 0.0
+    for lo in range(0, h, _STRIP):
+        rows = slice(lo, min(lo + _STRIP, h) + SSIM_WINDOW - 1)
+        total += _ssim_sum(np.asarray(pa[rows], dtype=np.float64),
+                           np.asarray(pb[rows], dtype=np.float64))
+    return float(total / (h * w))
+
+
+def _ssim_sum(pa: np.ndarray, pb: np.ndarray) -> float:
+    """Sum of the local SSIM scores over every valid window of two strips."""
+    h, w = (n - SSIM_WINDOW + 1 for n in pa.shape)
+
+    def blur(img):
+        return _tap_filter(_tap_filter(img, h, _ValidWindow(), 0), w, _ValidWindow(), 1)
+
     c1 = (SSIM_K1 * 1.0) ** 2
     c2 = (SSIM_K2 * 1.0) ** 2
-    mu_a = _filter_valid(pa, g)
-    mu_b = _filter_valid(pb, g)
-    var_a = _filter_valid(pa * pa, g) - mu_a * mu_a
-    var_b = _filter_valid(pb * pb, g) - mu_b * mu_b
-    cov = _filter_valid(pa * pb, g) - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+    mu_a, mu_b = blur(pa), blur(pb)
+    num = mu_a * mu_b
+    mu_a *= mu_a
+    mu_b *= mu_b
+    mu_a += mu_b       # mu_a^2 + mu_b^2 from here on
+    sq = pa * pa
+    sq += pb * pb
+    var = blur(sq)     # var_a + var_b + c2
+    var -= mu_a
+    var += c2
+    cov = blur(np.multiply(pa, pb, out=sq))   # 2 cov + c2
+    cov -= num
+    cov *= 2.0
+    cov += c2
+    num *= 2.0         # (2 mu_a mu_b + c1)(2 cov + c2)
+    num += c1
+    num *= cov
+    mu_a += c1         # over (mu_a^2 + mu_b^2 + c1)(var_a + var_b + c2)
+    mu_a *= var
+    num /= mu_a
+    return float(num.sum())
 
 
 def format_metric(value: float) -> str:

@@ -5,8 +5,14 @@ unrelated scenes. A shallow five-class 2D-CNN locates the cut (after frame
 1..4, or nowhere) on heavily downscaled luma, and `replace_frames` rewrites
 the cross-scene frames with the nearest frame on the middle frame's side of
 the boundary, so the SR net only ever sees one scene.
+
+Consecutive windows share four of their five frames, so each frame's luma is
+shrunk once: `sf_input_from_window` keeps the last five shrunk planes in a
+ring keyed by the identity of the luma array (frames are immutable, and the
+ring holds each array, so its id cannot be reused while the entry lives).
 """
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +29,7 @@ SF_HEIGHT = 27
 SF_LR = 1e-3
 SF_BATCH = 64
 _SCORE_CHUNK = 256   # samples per classifier pass when scoring
+_SHRUNK = deque(maxlen=5)   # (luma array, its 27x48 plane), newest last
 
 
 class SceneLabel(Enum):
@@ -62,8 +69,14 @@ def sf_input_from_window(window) -> SFInput:
             raise ValueError(
                 f"{f.width}x{f.height} frame is smaller than the "
                 f"{SF_WIDTH}x{SF_HEIGHT} classifier input")
-    planes = np.stack([resize_plane(f.luma, SF_HEIGHT, SF_WIDTH) for f in window])
-    return SFInput(planes.astype(DEFAULT_DTYPE))
+    planes = []
+    for f in window:
+        plane = next((p for src, p in _SHRUNK if src is f.luma), None)
+        if plane is None:
+            plane = resize_plane(f.luma, SF_HEIGHT, SF_WIDTH)
+            _SHRUNK.append((f.luma, plane))
+        planes.append(plane)
+    return SFInput(np.stack(planes).astype(DEFAULT_DTYPE))
 
 
 def build_sf_net(layers: int = 3) -> ModelSpec:

@@ -8,6 +8,7 @@ lexicographic filename order.
 
 import os
 import re
+import shutil
 from contextlib import contextmanager
 
 import numpy as np
@@ -68,6 +69,17 @@ def _from_u8(buf: bytes, h: int, w: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.uint8).reshape(h, w).astype(np.float32) / 255.0
 
 
+def _header_int(text, what: str) -> int:
+    """A positive header integer; anything else is a ClipFormatError."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ClipFormatError(f"{what} must be a positive integer, got {text!r}")
+    return value
+
+
 def _check_even(w: int, h: int):
     if w % 2 or h % 2:
         raise ClipFormatError(f"4:2:0 needs even geometry, got {w}x{h}")
@@ -112,14 +124,14 @@ def _read_y4m(path: str) -> VideoClip:
         rate = (30, 1)
         for tok in tokens[1:]:
             if tok.startswith("W"):
-                w = int(tok[1:])
+                w = _header_int(tok[1:], "Y4M width")
             elif tok.startswith("H"):
-                h = int(tok[1:])
+                h = _header_int(tok[1:], "Y4M height")
             elif tok.startswith("F"):
                 m = re.fullmatch(r"F(\d+):(\d+)", tok)
-                if not m:
+                rate = (int(m.group(1)), int(m.group(2))) if m else (0, 0)
+                if 0 in rate:
                     raise ClipFormatError(f"bad frame rate token {tok!r}")
-                rate = (int(m.group(1)), int(m.group(2)))
             elif tok.startswith("C") and not tok[1:].startswith("420"):
                 raise ClipFormatError(f"unsupported chroma mode {tok!r} (only 4:2:0)")
         if w <= 0 or h <= 0:
@@ -132,6 +144,8 @@ def _read_rawyuv(path: str, size: tuple[int, int] | None) -> VideoClip:
     if size is None:
         raise ClipFormatError("raw YUV420 needs an explicit geometry (--size WxH)")
     w, h = size
+    if w < 1 or h < 1:
+        raise ClipFormatError(f"raw YUV420 geometry must be positive, got {w}x{h}")
     _check_even(w, h)
     with open(path, "rb") as fh:
         return _read_yuv_frames(fh, w, h, (30, 1), delimited=False)
@@ -163,7 +177,8 @@ def _read_pgm(path: str) -> np.ndarray:
     pos += 1  # single whitespace after maxval
     if fields[0] != b"P5":
         raise ClipFormatError(f"{path}: not a binary PGM (P5)")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    w, h, maxval = (_header_int(f, f"{path}: PGM {what}")
+                    for f, what in zip(fields[1:], ("width", "height", "maxval")))
     if maxval != 255:
         raise ClipFormatError(f"{path}: only maxval 255 is supported, got {maxval}")
     if len(data) - pos < w * h:
@@ -175,7 +190,11 @@ def _read_pgmdir(path: str) -> VideoClip:
     names = sorted(n for n in os.listdir(path) if n.lower().endswith(".pgm"))
     if not names:
         raise ClipFormatError(f"no .pgm files in {path}")
-    return VideoClip([Frame(_read_pgm(os.path.join(path, n))) for n in names])
+    frames = [Frame(_read_pgm(os.path.join(path, n))) for n in names]
+    try:
+        return VideoClip(frames)
+    except ValueError as exc:  # frames of different geometries
+        raise ClipFormatError(f"{path}: {exc}") from None
 
 
 def read_clip(path: str, fmt: str | None = None, size: tuple[int, int] | None = None) -> VideoClip:
@@ -205,14 +224,29 @@ def _chroma_bytes(frame: Frame) -> bytes:
     return bytes([128]) * (2 * n)  # neutral chroma for luma-only sources
 
 
+def _write_pgmdir(clip: VideoClip, path: str):
+    # frames go to a temp directory beside the destination and are moved in
+    # only once the last is written; other files in the destination stay
+    tmp = f"{os.path.normpath(path)}.{os.getpid()}.tmp"
+    os.makedirs(tmp)
+    try:
+        names = [f"{i:06d}.pgm" for i in range(len(clip))]
+        for name, f in zip(names, clip.frames):
+            write_pgm(f.luma, os.path.join(tmp, name))
+        os.makedirs(path, exist_ok=True)
+        for name in names:
+            os.replace(os.path.join(tmp, name), os.path.join(path, name))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def write_clip(clip: VideoClip, path: str, fmt: str | None = None):
-    """Write a clip; a Y4M or raw YUV file appears only once every frame is
-    written, while a PGM directory is written one frame file at a time."""
+    """Write a clip. It appears only once every frame is written: a Y4M or
+    raw YUV file replaces the destination in one step, and a PGM directory's
+    frame files are moved into it after the last one is written."""
     fmt = fmt or detect_format(path)
     if fmt == "pgmdir":
-        os.makedirs(path, exist_ok=True)
-        for i, f in enumerate(clip.frames):
-            write_pgm(f.luma, os.path.join(path, f"{i:06d}.pgm"))
+        _write_pgmdir(clip, path)
         return
     if fmt not in FORMATS:
         raise ClipFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")

@@ -118,3 +118,25 @@ def test_save_to_missing_directory_names_the_destination(tmp_path):
         save_checkpoint(random_params(spec, seed=22), spec, {}, str(path))
     assert info.value.filename == str(path)
     assert str(info.value) == f"[Errno 2] No such file or directory: '{path}'"
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"kernel=3x3x3", b"kernel=1x3"),
+    (b"scale = 2", b"scale = x"),
+    (b"in=1 ", b"in=-1 "),
+    (b"stride=1x1", b"stride=0x1"),
+    (b"tpad=zero", b"tpad=sideways"),
+    (b"act=relu", b"act"),
+    (b"layer_count = 6", b"layer_count = 7"),
+    (b"kind = sr", b"kind = \xff"),
+    (b"kernel=3x3x3", b"kernel=3x3000000000x3000000000"),
+])
+def test_malformed_header_field_is_checkpoint_error(saved, tmp_path, old, new):
+    _, _, path = saved
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    assert old in blob
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob.replace(old, new, 1))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(bad))

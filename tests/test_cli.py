@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,15 @@ class TestUpscale:
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert not out.exists()
 
+    def test_zero_frame_rate_is_refused(self, tmp_path, capsys):
+        clip = tmp_path / "z.y4m"
+        clip.write_bytes(b"YUV4MPEG2 W16 H8 F30:0 C420\nFRAME\n" + bytes(16 * 8 * 3 // 2))
+        out = tmp_path / "o.y4m"
+        assert main(["upscale", str(clip), str(out), "--method", "bicubic"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "F30:0" in err
+        assert not out.exists()
+
     def test_missing_output_directory_names_the_destination(self, clips, tmp_path, capsys):
         out = tmp_path / "nodir" / "o.y4m"
         assert main(["upscale", str(clips["small"]), str(out), "--method", "bicubic"]) == 1
@@ -280,6 +290,21 @@ class TestEvaluate:
         assert len(body) == 1 + 14
         mean_line = capsys.readouterr().out.splitlines()[-2]
         assert float(mean_line.split()[1]) > 25.0  # smooth texture upscales well
+
+    def test_bicubic_scores_one_candidate_frame_at_a_time(self, clips, monkeypatch, capsys):
+        import vsr3d.cli as cli
+        made, most_alive = [], []
+        upsample = cli.bicubic_resize
+
+        def tracked(frame, out_w, out_h):
+            out = upsample(frame, out_w, out_h)
+            made.append(weakref.ref(out))
+            most_alive.append(sum(ref() is not None for ref in made))
+            return out
+
+        monkeypatch.setattr(cli, "bicubic_resize", tracked)
+        assert main(["evaluate", str(clips["hr"]), "--method", "bicubic"]) == 0
+        assert len(made) == 14 and max(most_alive) == 1
 
     def test_frame_count_mismatch(self, clips, capsys):
         assert main(["evaluate", str(clips["hr"]), str(clips["small"])]) == 1

@@ -65,10 +65,19 @@ class TestLoad:
         "lr = 0",
         "size = wide",
         "size = 10x-3",
+        "lr = nan",
+        "sf_lr = inf",
+        "weight_decay = nan",
     ])
     def test_invalid_values_rejected(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"seed = \xff\n")
         with pytest.raises(ConfigError):
             load_config(str(path))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vsr3d import bicubic, metrics
 from vsr3d.bicubic import bicubic_resize
 from vsr3d.frames import Frame
 from vsr3d.metrics import format_metric, gaussian_window, metrics_csv, psnr, ssim
@@ -77,6 +78,20 @@ class TestSsim:
         a, b = textured(20, 15, seed), textured(20, 15, seed + 10)
         want = ssim_window_loop(a.luma, b.luma, gaussian_window())
         assert ssim(a, b) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("border", [0, 3])
+    def test_matches_window_oracle_across_blocks_and_strips(self, small_blocks, monkeypatch,
+                                                            border):
+        monkeypatch.setattr(metrics, "_STRIP", 7)
+        a, b = textured(30, 26, 4), textured(30, 26, 14)
+        sl = slice(border, -border) if border else slice(None)
+        want = ssim_window_loop(a.luma[sl, sl], b.luma[sl, sl], gaussian_window())
+        assert ssim(a, b, border=border) == pytest.approx(want, abs=1e-12)
+        h, w = 20 - 2 * border, 16 - 2 * border   # valid windows
+        assert h in (20, 14)   # strips of 7, 7, 6 rows and of 7, 7
+        window = metrics._ValidWindow()
+        assert len(bicubic._bands(7 + 10, 7, window)) == 2
+        assert len(bicubic._bands(w + 10, w, window)) == -(-w // small_blocks) > 1
 
     def test_negated_pattern_scores_negative(self):
         yy, xx = np.mgrid[0:16, 0:16]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vsr3d import bicubic
 from vsr3d.bicubic import BicubicKernel, bicubic_resize, degrade_clip, resize_plane, upscale_chroma
 from vsr3d.frames import Frame, VideoClip
 from vsr3d.reference import resize_matrix
@@ -84,6 +85,29 @@ class TestResizePlane:
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
             resize_plane(np.zeros((3, 3, 3)), 2, 2)
+
+
+class TestBands:
+    """The banded GEMM against the dense oracle, with blocks of 5 outputs."""
+
+    @pytest.mark.parametrize("antialias", [True, False])
+    @pytest.mark.parametrize("n_in,n_out", [(23, 1), (23, 9), (9, 23), (40, 17), (17, 40),
+                                            (21, 21)])
+    def test_matches_dense_oracle_across_blocks(self, small_blocks, antialias, n_in, n_out):
+        kernel = BicubicKernel(antialias=antialias)
+        p = np.random.default_rng(n_in * 64 + n_out).random((n_in, n_in + 3))
+        got = resize_plane(p, n_out, n_out + 2, kernel)
+        want = dense_resize(p, n_out, n_out + 2, kernel)
+        assert np.max(np.abs(got - want)) < 1e-12
+        for extent_in, extent_out in ((n_in, n_out), (n_in + 3, n_out + 2)):
+            bands = bicubic._bands(extent_in, extent_out, kernel)
+            assert len(bands) == -(-extent_out // small_blocks)
+
+    def test_bands_cover_only_touched_inputs(self, small_blocks):
+        # an 8x enlargement: each block of 5 outputs reads a few inputs, not all 12
+        bands = bicubic._bands(12, 96, BicubicKernel())
+        assert len(bands) == 20
+        assert max(dense.shape[1] for _, _, dense in bands) <= 7
 
 
 class TestChroma:

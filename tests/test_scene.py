@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from vsr3d import scene
+from vsr3d.bicubic import resize_plane
 from vsr3d.checkpoint import load_checkpoint
 from vsr3d.frames import Frame, VideoClip
 from vsr3d.model import LayerSpec, ModelSpec, count_parameters, zero_params
@@ -139,6 +141,26 @@ class TestClassifyWindow:
     def test_window_length_checked(self):
         with pytest.raises(ValueError, match="five-frame"):
             sf_input_from_window([Frame(np.zeros((27, 48), dtype=np.float32))] * 4)
+
+
+class TestShrinkOncePerFrame:
+    def test_each_frame_is_shrunk_once(self, monkeypatch):
+        calls = []
+
+        def counting(plane, out_h, out_w):
+            calls.append(plane)
+            return resize_plane(plane, out_h, out_w)
+
+        monkeypatch.setattr(scene, "resize_plane", counting)
+        clip = scene_pool(7, 0.5, frames=25)[0]
+        inputs = [sf_input_from_window(clip.window(c)) for c in range(len(clip))]
+        assert len(calls) == 25
+        assert all(a is f.luma for a, f in zip(calls, clip))
+        assert len(scene._SHRUNK) <= 5
+        for c, got in enumerate(inputs):
+            want = np.stack([resize_plane(f.luma, SF_HEIGHT, SF_WIDTH)
+                             for f in clip.window(c)]).astype(np.float32)
+            assert np.array_equal(got.planes, want)
 
 
 class TestReplaceFrames:

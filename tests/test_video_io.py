@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,67 @@ class TestDetect:
         assert detect_format(str(tmp_path)) == "pgmdir"
         with pytest.raises(ClipFormatError):
             detect_format("clip.mp4")
+
+
+class TestHeaderErrors:
+    """A malformed header fails as ClipFormatError, never as a bare
+    ValueError or as a clip without pixels."""
+
+    @pytest.mark.parametrize("header", [b"P5 -2 2 255\n", b"P5 2 0 255\n", b"P5 two 2 255\n",
+                                        b"P5 2 2 x\n"])
+    def test_bad_pgm_header(self, tmp_path, header):
+        d = tmp_path / "frames"
+        d.mkdir()
+        (d / "000.pgm").write_bytes(header + bytes(16))
+        with pytest.raises(ClipFormatError):
+            read_clip(str(d))
+
+    def test_pgm_frames_of_two_geometries(self, tmp_path):
+        d = tmp_path / "frames"
+        d.mkdir()
+        (d / "000.pgm").write_bytes(b"P5 2 2 255\n" + bytes(4))
+        (d / "001.pgm").write_bytes(b"P5 4 2 255\n" + bytes(8))
+        with pytest.raises(ClipFormatError):
+            read_clip(str(d))
+
+    @pytest.mark.parametrize("token", [b"Wabc", b"W", b"H8.5", b"F30:0", b"F0:1"])
+    def test_bad_y4m_token(self, tmp_path, token):
+        fields = {b"W": b"W16", b"H": b"H8", b"F": b"F30:1"}
+        fields[token[:1]] = token
+        p = tmp_path / "bad.y4m"
+        p.write_bytes(b"YUV4MPEG2 " + b" ".join(fields.values()) + b" C420\nFRAME\n"
+                      + bytes(16 * 8 * 3 // 2))
+        with pytest.raises(ClipFormatError):
+            read_clip(str(p))
+
+
+class TestPgmDirOutput:
+    def failing_clip(self):
+        # frame 2 cannot be quantized, so the write fails after two frames
+        planes = [np.full((4, 6), 0.25), np.full((4, 6), 0.5), np.full((4, 6), np.nan)]
+        return VideoClip([Frame(p) for p in planes])
+
+    def test_failed_write_leaves_no_directory(self, tmp_path):
+        d = tmp_path / "frames"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_clip(self.failing_clip(), str(d))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_existing_directory_as_it_was(self, tmp_path):
+        d = tmp_path / "frames"
+        write_clip(VideoClip([Frame(np.full((4, 6), 0.75))] * 4), str(d))
+        before = {p.name: p.read_bytes() for p in d.iterdir()}
+        with pytest.raises(ValueError, match="non-finite"):
+            write_clip(self.failing_clip(), str(d))
+        assert {p.name: p.read_bytes() for p in d.iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["frames"]
+
+    def test_complete_write_replaces_frames_and_keeps_other_files(self, tmp_path):
+        d = tmp_path / "frames"
+        d.mkdir()
+        (d / "000000.pgm").write_bytes(b"stale")
+        (d / "notes.txt").write_bytes(b"mine")
+        write_clip(VideoClip([Frame(np.full((4, 6), 0.5))] * 2), str(d) + os.sep)
+        assert sorted(p.name for p in d.iterdir()) == ["000000.pgm", "000001.pgm", "notes.txt"]
+        assert len(read_clip(str(d))) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["frames"]
