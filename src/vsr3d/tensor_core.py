@@ -12,23 +12,32 @@ operation; there is no autograd graph.
 
 All three GEMM passes of a layer run on one slice-major column gather
 (im2col, Chellapilla, Puri and Simard 2006): for a band of one sample's
-output rows, the (C, kH, kW) windows of every padded depth slice are copied
-once into a (D'*C*kH*kW, positions) buffer, so the kD slices under output
+output rows, the (C, kH, kW) windows of every stored depth slice are copied
+once into a (D*C*kH*kW, positions) buffer, so the stored slices under output
 slice z are one contiguous row block.
+
+ZERO temporal padding is not stored: its zero depth slices become tap bounds.
+Of the kD taps of output slice z, only those landing on stored slices enter
+its GEMM, a contiguous range of kernel columns against the matching row
+block, so no GEMM multiplies a padded zero slice and the gather copies each
+stored slice once. DUPLICATE's added slices hold data and stay stored.
 
 - The forward is one GEMM per output slice and band, written in place in
   (O, H, W) order.
 - The kernel gradient is one GEMM per output slice and band, the output
-  gradient (O, P) times the block transposed, accumulated over bands.
-- The input gradient is the forward of the zero-dilated, padded output
-  gradient with the kernel flipped on all three axes and its in/out axes
-  swapped (the transposed-convolution identity, Dumoulin and Visin 2016).
-  Under DUPLICATE it covers the added depth slices too, which then fold onto
-  the edge slices they copy.
+  gradient (O, P) times the block transposed, accumulated over bands into
+  the kernel columns of the taps the block covers.
+- The input gradient is the forward of the zero-dilated output gradient with
+  the kernel flipped on all three axes and its in/out axes swapped (the
+  transposed-convolution identity, Dumoulin and Visin 2016). The zero depth
+  slices that identity adds to each end of the output gradient are tap
+  bounds too. Under DUPLICATE it covers the added depth slices, which then
+  fold onto the edge slices they copy.
 
-Every output element of a forward is one contraction over kD*C*kH*kW terms.
-Splitting it into kD partial GEMMs summed afterwards adds a float32 rounding
-step that the finite-difference gradient check does not tolerate.
+Every output element of a forward is one contraction over its taps'
+C*kH*kW terms. Splitting it into kD partial GEMMs summed afterwards adds a
+float32 rounding step that the finite-difference gradient check does not
+tolerate.
 
 A band is sized by bytes, so that the gather's writes are still in cache
 when the GEMMs read them back, and by a floor on the positions each GEMM
@@ -127,16 +136,38 @@ def pad_input(x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> np.ndarray:
     return out
 
 
-def _out_extents(padded_shape, kernel_shape, stride) -> tuple[int, int, int]:
-    """(D, H, W) of a valid correlation over already padded extents."""
+def _pad_stored(x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> tuple[np.ndarray, int]:
+    """(padded input, t): the copy the gather reads, and the t zero depth
+    slices per end that ZERO leaves implicit for _correlate's tap bounds."""
+    if pad.temporal is TemporalPad.ZERO:
+        t = _temporal_per_side(kernel_depth, pad)
+        return pad_input(x, kernel_depth, PadPolicy(pad.spatial)), t
+    return pad_input(x, kernel_depth, pad), 0
+
+
+def _out_extents(padded_shape, kernel_shape, stride, t: int) -> tuple[int, int, int]:
+    """(D, H, W) of a valid correlation over already padded extents, with t
+    implicit zero slices at each depth end."""
     (dp, hp, wp), (kd, kh, kw), (sh, sw) = padded_shape[2:], kernel_shape[2:], stride
-    return dp - kd + 1, (hp - kh) // sh + 1, (wp - kw) // sw + 1
+    return dp + 2 * t - kd + 1, (hp - kh) // sh + 1, (wp - kw) // sw + 1
+
+
+def _tap_blocks(do: int, kd: int, stored: int, t: int, per_slice: int):
+    """Per output slice z, (z, kernel columns, column rows) of the taps
+    [max(0, t-z), min(kd, stored+t-z)) that land on stored depth slices,
+    when t zero slices per depth end are implicit."""
+    blocks = []
+    for z in range(do):
+        k0, k1 = max(0, t - z), min(kd, stored + t - z)
+        blocks.append((z, slice(k0 * per_slice, k1 * per_slice),
+                       slice((z + k0 - t) * per_slice, (z + k1 - t) * per_slice)))
+    return blocks
 
 
 def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: tuple[int, int], ho: int, wo: int):
     """Yield (n, y0, y1, cols) for bands of output rows [y0, y1) of sample n
-    of a padded input: cols is (D'*C*kH*kW, (y1-y0)*wo), one row block of
-    C*kH*kW per padded depth slice, each copied run reading along one row of
+    of a padded input: cols is (D*C*kH*kW, (y1-y0)*wo), one row block of
+    C*kH*kW per stored depth slice, each copied run reading along one row of
     W. Every band is a view of one buffer, valid until the next is yielded."""
     _, in_g, dp = xp.shape[:3]
     sh, sw = stride
@@ -153,20 +184,21 @@ def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: tuple[int, int], ho:
             yield n, y0, y1, cols[:, :(y1 - y0) * wo]
 
 
-def _correlate(xp: np.ndarray, kernel: np.ndarray, stride: tuple[int, int]) -> np.ndarray:
-    """Valid correlation of a padded input with a filter bank, without bias:
-    one GEMM per output slice and band, written in place."""
+def _correlate(xp: np.ndarray, kernel: np.ndarray, stride: tuple[int, int],
+               t: int) -> np.ndarray:
+    """Valid correlation of a padded input, extended by t implicit zero
+    slices at each depth end, with a filter bank, without bias: one GEMM per
+    output slice and band over the taps on stored slices, written in place."""
     out_g, in_g, kd, kh, kw = kernel.shape
-    do, ho, wo = _out_extents(xp.shape, kernel.shape, stride)
-    per_slice = in_g * kh * kw
+    do, ho, wo = _out_extents(xp.shape, kernel.shape, stride, t)
     # (O, kD*C*kH*kW): the row order of kd consecutive slices of `cols`
     kmat = kernel.transpose(0, 2, 1, 3, 4).reshape(out_g, -1)
+    blocks = _tap_blocks(do, kd, xp.shape[2], t, in_g * kh * kw)
     out = np.empty((xp.shape[0], out_g, do, ho, wo), dtype=xp.dtype)
     planes = out.reshape(xp.shape[0], out_g, do, ho * wo)
     for n, y0, y1, cols in _column_bands(xp, kh, kw, stride, ho, wo):
-        for z in range(do):
-            np.matmul(kmat, cols[z * per_slice:(z + kd) * per_slice],
-                      out=planes[n, :, z, y0 * wo:y1 * wo])
+        for z, taps, rows in blocks:
+            np.matmul(kmat[:, taps], cols[rows], out=planes[n, :, z, y0 * wo:y1 * wo])
     return out
 
 
@@ -186,11 +218,11 @@ def conv_forward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
         raise ValueError(f"input has {x.shape[1]} groups, kernel expects {in_g}")
     if min(stride) < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    xp = pad_input(x, kernel.shape[2], pad)
-    if any(p < k for p, k in zip(xp.shape[2:], kernel.shape[2:])):
-        raise ValueError(
-            f"kernel {kernel.shape[2:]} larger than padded input {xp.shape[2:]}")
-    out = _correlate(xp, kernel, stride)
+    xp, t = _pad_stored(x, kernel.shape[2], pad)
+    padded = (xp.shape[2] + 2 * t,) + xp.shape[3:]
+    if any(p < k for p, k in zip(padded, kernel.shape[2:])):
+        raise ValueError(f"kernel {kernel.shape[2:]} larger than padded input {padded}")
+    out = _correlate(xp, kernel, stride, t)
     out += bias.astype(x.dtype).reshape(1, out_g, 1, 1, 1)
     return out
 
@@ -207,8 +239,8 @@ def conv_backward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     """
     kernel = weights.kernel
     out_g, in_g, kd, kh, kw = kernel.shape
-    xp = pad_input(x, kd, pad)
-    do, ho, wo = _out_extents(xp.shape, kernel.shape, stride)
+    xp, t = _pad_stored(x, kd, pad)
+    do, ho, wo = _out_extents(xp.shape, kernel.shape, stride, t)
     n_b = x.shape[0]
     if grad_out.shape != (n_b, out_g, do, ho, wo):
         raise ValueError(
@@ -218,24 +250,25 @@ def conv_backward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     per_slice = in_g * kh * kw
     grad_kmat = np.zeros((out_g, kd * per_slice), dtype=kernel.dtype)
     go_planes = grad_out.reshape(n_b, out_g, do, ho * wo)
+    blocks = _tap_blocks(do, kd, xp.shape[2], t, per_slice)
     for n, y0, y1, cols in _column_bands(xp, kh, kw, stride, ho, wo):
-        for z in range(do):
-            go = go_planes[n, :, z, y0 * wo:y1 * wo]
-            grad_kmat += go @ cols[z * per_slice:(z + kd) * per_slice].T
+        for z, taps, rows in blocks:
+            grad_kmat[:, taps] += go_planes[n, :, z, y0 * wo:y1 * wo] @ cols[rows].T
     grad_kernel = np.ascontiguousarray(
         grad_kmat.reshape(out_g, kd, in_g, kh, kw).transpose(0, 2, 1, 3, 4))
 
     grad_x = None
     if input_grad:
-        # input depth slices the correlation covers: all padded ones under
-        # DUPLICATE (folded below), else the unpadded ones
-        d, h, w = x.shape[2:]
-        t, s = _temporal_per_side(kd, pad), pad.spatial
-        first, depth = (0, d + 2 * t) if pad.temporal is TemporalPad.DUPLICATE else (t, d)
-        spread = _dilate_into(grad_out, (depth + kd - 1, h + kh - 1, w + kw - 1),
-                              (kd - 1 - first, kh - 1 - s, kw - 1 - s), (1,) + tuple(stride))
+        # the correlation covers padded depth slices from `first` on: all of
+        # them under DUPLICATE (folded below), else the unpadded ones; the
+        # kd-1-first zero slices it needs at each end of grad_out stay implicit
+        h, w = x.shape[3:]
+        s = pad.spatial
+        first = 0 if pad.temporal is TemporalPad.DUPLICATE else _temporal_per_side(kd, pad)
+        spread = _dilate_into(grad_out, (h + kh - 1, w + kw - 1), (kh - 1 - s, kw - 1 - s),
+                              stride)
         flipped = kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-        grad_x = _unpad_gradient(_correlate(spread, flipped, (1, 1)), kd, pad)
+        grad_x = _unpad_gradient(_correlate(spread, flipped, (1, 1), kd - 1 - first), kd, pad)
     return grad_x, ConvWeights(grad_kernel, grad_bias)
 
 
@@ -245,8 +278,9 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Pass gradient where x > 0; the subgradient at exactly 0 is 0."""
-    return np.where(x > 0, grad_out, 0).astype(grad_out.dtype)
+    """Pass gradient where x > 0; the subgradient at exactly 0 is 0. The
+    Python scalar 0 takes grad_out's dtype, so no cast is needed."""
+    return np.where(x > 0, grad_out, 0)
 
 
 def pixel_shuffle(x: np.ndarray, scale: int) -> np.ndarray:
@@ -282,12 +316,12 @@ def pixel_unshuffle(x: np.ndarray, scale: int) -> np.ndarray:
 
 
 def _dilate_into(g: np.ndarray, extents, offsets, strides) -> np.ndarray:
-    """Zeros of (N, C) + extents holding g[:, :, i, j, k] at offset + index *
-    stride on each of the last three axes; entries that land outside are
-    dropped, as they reach only padded input positions."""
-    out = np.zeros(g.shape[:2] + tuple(extents), dtype=g.dtype)
-    src, dst = [slice(None)] * 2, [slice(None)] * 2
-    for n, size, off, st in zip(g.shape[2:], extents, offsets, strides):
+    """Zeros of (N, C, D) + extents holding g[:, :, :, j, k] at offset +
+    index * stride on each of the two spatial axes; entries that land
+    outside are dropped, as they reach only padded input positions."""
+    out = np.zeros(g.shape[:3] + tuple(extents), dtype=g.dtype)
+    src, dst = [slice(None)] * 3, [slice(None)] * 3
+    for n, size, off, st in zip(g.shape[3:], extents, offsets, strides):
         i0 = max(0, -(off // st))
         count = max(0, min(n, (size - 1 - off) // st + 1) - i0)
         src.append(slice(i0, i0 + count))

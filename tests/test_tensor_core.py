@@ -262,6 +262,70 @@ class TestConvBackward:
             conv_backward(x, w, NO_PAD, np.zeros((1, 2, 1, 1, 1), dtype=np.float32))
 
 
+def record_stored_depths(monkeypatch):
+    """Record the stored depth of every input the column gather reads."""
+    real, depths = tensor_core._column_bands, []
+
+    def recording(xp, *args):
+        depths.append(xp.shape[2])
+        yield from real(xp, *args)
+    monkeypatch.setattr(tensor_core, "_column_bands", recording)
+    return depths
+
+
+class TestTapBounds:
+    """ZERO's depth slices and the input gradient's depth padding are tap
+    bounds: the gather reads only stored slices."""
+
+    def test_zero_forward_and_kernel_gradient_gather_stored_depth(self, monkeypatch):
+        depths = record_stored_depths(monkeypatch)
+        x, w = random_case(50, d=5)
+        pad = PadPolicy(spatial=1, temporal=TemporalPad.ZERO)
+        out = conv_forward(x, w, pad)
+        conv_backward(x, w, pad, np.ones_like(out), input_grad=False)
+        assert depths == [5, 5]
+
+    def test_none_input_gradient_gathers_output_depth(self, monkeypatch):
+        # L5-shaped: five frames in, three out; the input gradient reads the
+        # three slices of grad_out, not them plus kD-1 zero slices per end
+        depths = record_stored_depths(monkeypatch)
+        x, w = random_case(51, d=5)
+        pad = PadPolicy(spatial=1, temporal=TemporalPad.NONE)
+        conv_backward(x, w, pad, np.ones_like(conv_forward(x, w, pad)))
+        assert depths == [5, 5, 3]
+
+    @pytest.mark.parametrize("kd", [3, 5])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("temporal", list(TemporalPad))
+    def test_shallow_depths_match_loop_oracles_float64(self, temporal, d, kd):
+        # every output slice has taps cut by both depth ends; NONE takes the
+        # kd-1 extra input slices that give it the same output depth d
+        depth = d + kd - 1 if temporal is TemporalPad.NONE else d
+        x, w = random_case(52 + d + kd, n=2, cin=2, cout=3, d=depth, h=5, w=4, kd=kd,
+                           dtype=np.float64)
+        pad = PadPolicy(spatial=1, temporal=temporal)
+        out = conv_forward(x, w, pad)
+        assert out.shape[2] == d
+        g = np.random.default_rng(53).standard_normal(out.shape)
+        gx, gw = conv_backward(x, w, pad, g)
+        np.testing.assert_allclose(out, reference.conv_forward_loop(x, w, pad),
+                                   rtol=0, atol=1e-12)
+        want_x, want_k, want_b = reference.conv_backward_loop(x, w, pad, g)
+        np.testing.assert_allclose(gx, want_x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gw.kernel, want_k, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gw.bias, want_b, rtol=0, atol=1e-12)
+
+    def test_none_shallower_than_kernel_raises(self):
+        x, w = random_case(54, d=2)
+        with pytest.raises(ValueError, match="larger than padded input"):
+            conv_forward(x, w, PadPolicy(spatial=1, temporal=TemporalPad.NONE))
+
+    def test_zero_single_slice_accepted(self):
+        x, w = random_case(55, d=1)
+        out = conv_forward(x, w, PadPolicy(spatial=1, temporal=TemporalPad.ZERO))
+        assert out.shape == (1, 2, 1, 6, 6)
+
+
 @st.composite
 def conv_cases(draw):
     temporal = draw(st.sampled_from(list(TemporalPad)))
@@ -312,6 +376,20 @@ class TestRelu:
     def test_gradient_zero_at_exact_zero(self):
         x = np.zeros(3, dtype=np.float32)
         assert not relu_backward(x, np.ones_like(x)).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_keeps_dtype_and_masks_nan(self, dtype):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((2, 3, 4, 5, 6)).astype(dtype)
+        x[0, 0, 0, 0, :3] = [np.nan, 0.0, -0.0]
+        g = rng.standard_normal(x.shape).astype(dtype)
+        g[1, 0, 0, 0, 0] = -0.0
+        out = relu_backward(x, g)
+        assert out.dtype == dtype
+        assert out[0, 0, 0, 0, 0] == 0
+        expected = np.where(x > 0, g, 0).astype(g.dtype)
+        np.testing.assert_array_equal(out.view(f"u{out.itemsize}"),
+                                      expected.view(f"u{out.itemsize}"))
 
     def test_finite_differences_away_from_zero(self):
         rng = np.random.default_rng(20)
