@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 
-from .model import LayerSpec, ModelSpec
+from .model import INPUT_FRAMES, LayerSpec, ModelSpec
 from .tensor_core import ConvWeights, TemporalPad
 from .video_io import atomic_write
 
@@ -70,7 +70,7 @@ def save_checkpoint(params, spec: ModelSpec, meta: dict, path: str):
         "format = 1",
         f"kind = {spec.kind}",
         f"scale = {spec.scale}",
-        f"input_frames = {spec.input_frames}",
+        f"input_frames = {INPUT_FRAMES}",
         f"concat_after = {'none' if spec.concat_after is None else spec.concat_after}",
         f"pixel_shuffle = {PIXEL_SHUFFLE_NOTE}",
         f"concat_order = {CONCAT_NOTE}",
@@ -116,9 +116,11 @@ def load_checkpoint(path: str):
     try:
         n_layers = int(fields["layer_count"])
         layers = [_parse_layer_line(fields[f"layer_{i}"]) for i in range(n_layers)]
+        if int(fields["input_frames"]) != INPUT_FRAMES:
+            raise ValueError("the sliding window is fixed at five frames")
         concat = fields["concat_after"]
         spec = ModelSpec(layers, None if concat == "none" else int(concat),
-                         int(fields["scale"]), int(fields["input_frames"]), fields["kind"])
+                         int(fields["scale"]), fields["kind"])
     except KeyError as e:
         raise CheckpointError(f"{path}: header misses {e}") from e
     except ValueError as e:  # a field that does not parse or a spec that cannot be built

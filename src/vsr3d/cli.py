@@ -195,6 +195,9 @@ def _metric_rows(name, pairs, border):
 
 
 def cmd_evaluate(cfg: RunConfig, ref_path: str, cand_path: str | None) -> int:
+    if cand_path and cfg.method == "bicubic":
+        raise ConfigError("--method bicubic scores the reference's own bicubic upscale; "
+                          "drop the candidate clip")
     ref = _read(cfg, ref_path)
     if cand_path:
         cand = _read(cfg, cand_path)

@@ -1,8 +1,8 @@
 """Frame and clip containers.
 
 A Frame is a luma plane in [0, 1] plus optional 4:2:0 chroma; a VideoClip is an
-ordered list of same-geometry frames. Both are treated as immutable by every
-operation in the package.
+ordered list of same-geometry frames. A frame holds read-only copies of its
+planes, so nothing writes into them once the frame is built.
 """
 
 from dataclasses import dataclass, field
@@ -13,10 +13,13 @@ from .tensor_core import DEFAULT_DTYPE
 
 
 def _clamped_plane(data) -> np.ndarray:
-    plane = np.asarray(data, dtype=DEFAULT_DTYPE)
+    """A read-only clamped copy of `data`, made in one pass, so a plane never
+    changes after its frame is built (scene.py memoizes on plane identity)."""
+    plane = np.clip(data, 0.0, 1.0, dtype=DEFAULT_DTYPE)
     if plane.ndim != 2:
         raise ValueError(f"plane must be 2D, got shape {plane.shape}")
-    return np.clip(plane, 0.0, 1.0)
+    plane.flags.writeable = False
+    return plane
 
 
 @dataclass

@@ -18,6 +18,7 @@ from .tensor_core import (DEFAULT_DTYPE, ConvWeights, PadPolicy, TemporalPad,
                           relu_backward, tensor5d)
 
 ARCH_NAMES = ("cnn2d", "v1", "v2", "v3", "full")
+INPUT_FRAMES = 5   # the sliding window every network reads
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,10 @@ class LayerSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
+    def pad(self) -> PadPolicy:
+        return PadPolicy(spatial=self.spatial_pad, temporal=self.temporal_pad)
+
+    @property
     def weight_count(self) -> int:
         kd, kh, kw = self.kernel
         return self.in_groups * self.out_groups * kd * kh * kw
@@ -53,7 +58,6 @@ class ModelSpec:
     layers: tuple[LayerSpec, ...]
     concat_after: int | None
     scale: int = 2
-    input_frames: int = 5
     kind: str = "sr"
 
     def __post_init__(self):
@@ -62,12 +66,12 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if not self.layers:
             raise ValueError("a model needs at least one layer")
-        if self.input_frames != 5:
-            raise ValueError("the sliding window is fixed at five frames")
         if self.scale < 1:
             raise ValueError("scale must be >= 1")
         if self.concat_after is not None and not 0 <= self.concat_after <= len(self.layers):
             raise ValueError("concat_after out of range")
+        chans, depth = (INPUT_FRAMES, 1) if self.concat_after == 0 else (1, INPUT_FRAMES)
+        trace = []
         for i, layer in enumerate(self.layers):
             want_2d = self.concat_after is not None and i >= self.concat_after
             if (layer.kind == "conv2d") != want_2d:
@@ -76,36 +80,26 @@ class ModelSpec:
                     f"given concat_after={self.concat_after}")
             if (layer.activation == "none") != (i == len(self.layers) - 1):
                 raise ValueError("exactly the final layer must have no activation")
-        chans, depth, trace = self._propagate()
-        last = self.layers[-1]
-        if self.kind == "sr":
-            if depth != 1:
-                raise ValueError(f"temporal depth must reach 1 at the output, trace {trace}")
-            if last.out_groups != self.scale * self.scale:
-                raise ValueError(
-                    f"final layer emits {last.out_groups} groups, expected scale^2 = "
-                    f"{self.scale * self.scale}")
-        object.__setattr__(self, "_depth_trace", tuple(trace))
-
-    def _propagate(self) -> tuple[int, int, list[int]]:
-        chans, depth = 1, self.input_frames
-        if self.concat_after == 0:
-            chans, depth = chans * depth, 1
-        trace = []
-        for i, layer in enumerate(self.layers):
             if layer.in_groups != chans:
                 raise ValueError(
                     f"layer {i} expects {layer.in_groups} input groups but receives {chans}")
-            kd = layer.kernel[0]
             if layer.temporal_pad is TemporalPad.NONE:
-                depth = depth - kd + 1
+                depth = depth - layer.kernel[0] + 1
             if depth < 1:
                 raise ValueError(f"temporal depth exhausted at layer {i}")
             chans = layer.out_groups
             trace.append(depth)
             if i + 1 == self.concat_after:
                 chans, depth = chans * depth, 1
-        return chans, depth, trace
+        if self.kind == "sr":
+            if depth != 1:
+                raise ValueError(f"temporal depth must reach 1 at the output, trace {trace}")
+            last = self.layers[-1].out_groups
+            if last != self.scale * self.scale:
+                raise ValueError(
+                    f"final layer emits {last} groups, expected scale^2 = "
+                    f"{self.scale * self.scale}")
+        object.__setattr__(self, "_depth_trace", tuple(trace))
 
     def depth_trace(self) -> tuple[int, ...]:
         """Temporal depth after each layer (before any flatten)."""
@@ -193,8 +187,7 @@ def forward_stack(params, spec: ModelSpec, x: np.ndarray, want_caches: bool = Fa
         x = _flatten_depth(x)
     for i in range(start or 0, len(spec.layers)):
         layer = spec.layers[i]
-        pad = PadPolicy(spatial=layer.spatial_pad, temporal=layer.temporal_pad)
-        pre = x if i == start else conv_forward(x, params[i], pad, layer.stride)
+        pre = x if i == start else conv_forward(x, params[i], layer.pad, layer.stride)
         caches.append((x, pre) if want_caches else None)
         x = relu(pre) if layer.activation == "relu" else pre
         if i + 1 == spec.concat_after:
@@ -206,19 +199,15 @@ def backward_stack(params, spec: ModelSpec, caches, grad_out: np.ndarray,
                    input_grad: bool = True):
     """Gradients of a scalar loss wrt every parameter and, with `input_grad`,
     the stack input (else None: training needs only the parameters')."""
-    trace = spec.depth_trace()
     grads: list = [None] * len(spec.layers)
     g = grad_out
     for i in reversed(range(len(spec.layers))):
         layer = spec.layers[i]
         x_in, pre = caches[i]
-        if i + 1 == spec.concat_after:
-            n, cd, _, h, w = g.shape
-            g = g.reshape(n, layer.out_groups, trace[i], h, w)
+        g = g.reshape(pre.shape)  # undoes the depth flatten after layer concat_after
         if layer.activation == "relu":
             g = relu_backward(pre, g)
-        pad = PadPolicy(spatial=layer.spatial_pad, temporal=layer.temporal_pad)
-        g, grads[i] = conv_backward(x_in, params[i], pad, g, layer.stride,
+        g, grads[i] = conv_backward(x_in, params[i], layer.pad, g, layer.stride,
                                     input_grad=input_grad or i > 0)
     if input_grad and spec.concat_after == 0:
         n, cd, _, h, w = g.shape
@@ -236,13 +225,13 @@ def forward(params, spec: ModelSpec, window) -> Frame:
     """Upscale the middle frame of a five-frame window."""
     if spec.kind != "sr":
         raise ValueError("forward needs an SR spec")
-    if len(window) != spec.input_frames:
-        raise ValueError(f"expected {spec.input_frames} frames, got {len(window)}")
+    if len(window) != INPUT_FRAMES:
+        raise ValueError(f"expected {INPUT_FRAMES} frames, got {len(window)}")
     if any((f.height, f.width) != (window[0].height, window[0].width) for f in window):
         raise ValueError("window frames disagree on geometry")
     out, _ = forward_stack(params, spec, stack_windows([window]))
     residual = pixel_shuffle(out, spec.scale)[0, 0, 0]
-    middle = window[spec.input_frames // 2]
+    middle = window[INPUT_FRAMES // 2]
     base = bicubic_resize(middle, middle.width * spec.scale, middle.height * spec.scale)
     return Frame(np.clip(base.luma + residual, 0.0, 1.0))
 

@@ -259,16 +259,15 @@ def conv_backward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
 
     grad_x = None
     if input_grad:
-        # the correlation covers padded depth slices from `first` on: all of
-        # them under DUPLICATE (folded below), else the unpadded ones; the
-        # kd-1-first zero slices it needs at each end of grad_out stay implicit
+        # the correlation covers the stored depth slices, which under
+        # DUPLICATE include the added ones (folded below); the kd-1-t zero
+        # slices it needs at each end of grad_out stay implicit
         h, w = x.shape[3:]
         s = pad.spatial
-        first = 0 if pad.temporal is TemporalPad.DUPLICATE else _temporal_per_side(kd, pad)
         spread = _dilate_into(grad_out, (h + kh - 1, w + kw - 1), (kh - 1 - s, kw - 1 - s),
                               stride)
         flipped = kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-        grad_x = _unpad_gradient(_correlate(spread, flipped, (1, 1), kd - 1 - first), kd, pad)
+        grad_x = _unpad_gradient(_correlate(spread, flipped, (1, 1), kd - 1 - t), kd, pad)
     return grad_x, ConvWeights(grad_kernel, grad_bias)
 
 

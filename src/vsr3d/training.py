@@ -7,7 +7,7 @@ treated as a single scene, so extracted windows never straddle a cut.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
@@ -16,10 +16,9 @@ from .bicubic import resize_plane
 from .checkpoint import save_checkpoint
 from .frames import Frame, VideoClip
 from .metrics import psnr
-from .model import (LayerSpec, ModelSpec, backward_stack, forward, forward_stack,
-                    zero_params)
-from .tensor_core import (DEFAULT_DTYPE, ConvWeights, PadPolicy, TemporalPad,
-                          conv_forward, pixel_shuffle, pixel_unshuffle)
+from .model import (INPUT_FRAMES, ModelSpec, backward_stack, build_architecture, forward,
+                    forward_stack, zero_params)
+from .tensor_core import DEFAULT_DTYPE, ConvWeights, conv_forward, pixel_shuffle, pixel_unshuffle
 
 DEFAULT_LR = 5e-4
 DEFAULT_BATCH = 32
@@ -307,34 +306,18 @@ def write_log(rows, path: str, val_column: str = "val_psnr_db"):
 # ---------------------------------------------------------------------------
 # gradient verification
 
-_MINI_WIDTH = {  # narrow stand-ins preserving each architecture's structure
-    "cnn2d": ([("conv2d", 5, 6), ("conv2d", 6, 6), ("conv2d", 6, 6),
-               ("conv2d", 6, 6), ("conv2d", 6, 5), ("conv2d", 5, 4)], 0),
-    "v1": ([("conv3d", 1, 4), ("conv3d", 4, 4), ("conv3d", 4, 3),
-            ("conv2d", 15, 6), ("conv2d", 6, 4), ("conv2d", 4, 4)], 3),
-    "v2": ([("conv3d", 1, 4), ("conv3d", 4, 4), ("conv3d", 4, 4), ("conv3d", 4, 3),
-            ("conv2d", 15, 6), ("conv2d", 6, 4)], 4),
-    "v3": ([("conv3d", 1, 4), ("conv3d", 4, 4), ("conv3d", 4, 4), ("conv3d", 4, 4),
-            ("conv3d", 4, 3), ("conv2d", 15, 4)], 5),
-    "full": ([("conv3d", 1, 4), ("conv3d", 4, 4), ("conv3d", 4, 4), ("conv3d", 4, 4),
-              ("conv3d", 4, 4, TemporalPad.NONE), ("conv2d", 12, 4)], 5),
-}
-
-
 def miniature_spec(name: str) -> ModelSpec:
-    """A few-channel replica of one reference architecture, cheap enough for
+    """Reference architecture `name` at scale 2 with every layer but the
+    last narrowed to at most 4 groups: the same structure, cheap enough for
     exhaustive finite differences."""
-    rows, concat = _MINI_WIDTH[name]
-    layers = []
-    for i, row in enumerate(rows):
-        kind, cin, cout = row[:3]
-        act = "none" if i == len(rows) - 1 else "relu"
-        if kind == "conv2d":
-            layers.append(LayerSpec("conv2d", cin, cout, (1, 3, 3), TemporalPad.NONE, act))
-        else:
-            tpad = row[3] if len(row) > 3 else TemporalPad.ZERO
-            layers.append(LayerSpec("conv3d", cin, cout, (3, 3, 3), tpad, act))
-    return ModelSpec(layers, concat_after=concat, scale=2)
+    spec = build_architecture(name, 2)
+    trace, last = spec.depth_trace(), len(spec.layers) - 1
+    chans, layers = (INPUT_FRAMES if spec.concat_after == 0 else 1), []
+    for i, layer in enumerate(spec.layers):
+        out = layer.out_groups if i == last else min(layer.out_groups, 4)
+        layers.append(replace(layer, in_groups=chans, out_groups=out))
+        chans = out * trace[i] if i + 1 == spec.concat_after else out
+    return replace(spec, layers=layers)
 
 
 @dataclass
@@ -391,7 +374,7 @@ def grad_check(spec: ModelSpec, seed: int = 0, tolerance: float = 1e-3,
               for k in xavier_init(spec, seed)]
     for w in params:  # nonzero biases so their gradients are exercised off the origin
         w.bias[...] = (0.05 * rng.standard_normal(w.bias.shape)).astype(dtype)
-    x = rng.uniform(0.1, 0.9, (1, 1, spec.input_frames, 6, 6)).astype(dtype)
+    x = rng.uniform(0.1, 0.9, (1, 1, INPUT_FRAMES, 6, 6)).astype(dtype)
     out, caches = forward_stack(params, spec, x, want_caches=True)
     target = rng.uniform(0.0, 1.0, out.shape).astype(dtype)
     _, grad = loss_mse(out, target, form="sum")
@@ -428,8 +411,7 @@ def grad_check(spec: ModelSpec, seed: int = 0, tolerance: float = 1e-3,
         x_in, pre = caches64[i]
         out_g, taps = w.kernel.shape[0], w.kernel[0].size
         bank = ConvWeights(np.eye(taps).reshape((taps,) + w.kernel.shape[1:]), np.zeros(taps))
-        pad = PadPolicy(spatial=layer.spatial_pad, temporal=layer.temporal_pad)
-        windows = conv_forward(x_in, bank, pad, layer.stride)[0]
+        windows = conv_forward(x_in, bank, layer.pad, layer.stride)[0]
         unit = np.eye(out_g).reshape(out_g, out_g, 1, 1, 1)
         # direction o*taps + j puts tap j's window on output group o
         kernel_dirs = (unit[:, None] * windows[None, :, None]).reshape((-1,) + pre.shape[1:])

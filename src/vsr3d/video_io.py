@@ -16,6 +16,8 @@ import numpy as np
 from .frames import Frame, VideoClip
 
 FORMATS = ("y4m", "rawyuv420", "pgmdir")
+# 8-bit 4:2:0 under each chroma siting the Y4M spec names
+_Y4M_420_TAGS = ("C420", "C420jpeg", "C420paldv", "C420mpeg2")
 
 
 class ClipFormatError(ValueError):
@@ -132,7 +134,7 @@ def _read_y4m(path: str) -> VideoClip:
                 rate = (int(m.group(1)), int(m.group(2))) if m else (0, 0)
                 if 0 in rate:
                     raise ClipFormatError(f"bad frame rate token {tok!r}")
-            elif tok.startswith("C") and not tok[1:].startswith("420"):
+            elif tok.startswith("C") and tok not in _Y4M_420_TAGS:
                 raise ClipFormatError(f"unsupported chroma mode {tok!r} (only 4:2:0)")
         if w <= 0 or h <= 0:
             raise ClipFormatError("header lacks W/H geometry")

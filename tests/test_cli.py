@@ -198,6 +198,17 @@ class TestUpscale:
         assert err.count("\n") == 1 and "layer 5 holds non-finite weights" in err
         assert not out.exists()
 
+    def test_other_window_length_is_runtime_error(self, clips, tmp_path, capsys):
+        ckpt = tmp_path / "four.ckpt"
+        zero_checkpoint(ckpt)
+        ckpt.write_bytes(ckpt.read_bytes().replace(b"input_frames = 5", b"input_frames = 4", 1))
+        out = tmp_path / "o.y4m"
+        assert main(["upscale", str(clips["small"]), str(out),
+                     "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "fixed at five frames" in err
+        assert not out.exists()
+
     def test_overflowing_model_output_is_runtime_error(self, clips, tmp_path, capsys):
         # finite weights, so the checkpoint loads, whose activations overflow
         spec = build_architecture("v1", 2)
@@ -312,6 +323,14 @@ class TestEvaluate:
 
     def test_needs_candidate_or_method(self, clips, capsys):
         assert main(["evaluate", str(clips["hr"])]) == 2
+
+    def test_bicubic_refuses_candidate_clip(self, clips, tmp_path, capsys):
+        csv = tmp_path / "m.csv"
+        assert main(["evaluate", str(clips["small"]), str(clips["small"]), "--method",
+                     "bicubic", "--scale", "3", "--csv", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "candidate" in captured.err
+        assert captured.out == "" and not csv.exists()
 
 
 @pytest.fixture(scope="module")

@@ -150,6 +150,30 @@ class TestFrameTypes:
         f = Frame(np.array([[-1.0, 0.5], [2.0, 1.0]]))
         assert f.luma.min() >= 0.0 and f.luma.max() <= 1.0
 
+    def test_planes_are_read_only(self):
+        f = Frame(np.zeros((4, 4)), (np.zeros((2, 2)), np.zeros((2, 2))))
+        for plane in (f.luma,) + f.chroma:
+            with pytest.raises(ValueError):
+                plane[0, 0] = 1.0
+
+    def test_float32_input_is_not_mutated(self):
+        data = np.array([[-1.0, 0.5], [2.0, 1.0]], dtype=np.float32)
+        f = Frame(data)
+        assert data.tolist() == [[-1.0, 0.5], [2.0, 1.0]]
+        assert f.luma is not data and data.flags.writeable
+
+    def test_float64_input_makes_one_float32_copy(self):
+        import tracemalloc
+        data = np.random.default_rng(0).uniform(-0.5, 1.5, (256, 512))
+        tracemalloc.start()
+        try:
+            f = Frame(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.luma.dtype == np.float32
+        assert peak < 1.5 * f.luma.nbytes
+
     def test_chroma_extents_checked(self):
         with pytest.raises(ValueError):
             Frame(np.zeros((8, 8)), (np.zeros((3, 4)), np.zeros((4, 4))))

@@ -5,7 +5,7 @@ import pytest
 
 from vsr3d.bicubic import resize_plane
 from vsr3d.frames import Frame, VideoClip
-from vsr3d.model import LayerSpec, ModelSpec, build_architecture, forward_stack
+from vsr3d.model import ARCH_NAMES, LayerSpec, ModelSpec, build_architecture, forward_stack
 from vsr3d.tensor_core import ConvWeights, TemporalPad, pixel_shuffle
 from vsr3d.training import (DatasetRecipe, OptimState, adam_step, extract_dataset,
                             fit, grad_check, init_optim, loss_mse, miniature_spec,
@@ -330,6 +330,20 @@ class TestFit:
             fit(spec, 8, loop, epochs=5, batch_size=2, out_path=out, checkpoint_every=1)
         from vsr3d.checkpoint import load_checkpoint
         assert load_checkpoint(out)[2]["step"] == "2"
+
+
+class TestMiniatures:
+    @pytest.mark.parametrize("name", ARCH_NAMES)
+    def test_miniature_keeps_the_architecture(self, name):
+        mini, real = miniature_spec(name), build_architecture(name, 2)
+        assert len(mini.layers) == len(real.layers)
+        for m, r in zip(mini.layers, real.layers):
+            assert (m.kind, m.kernel, m.temporal_pad, m.stride, m.activation) == \
+                (r.kind, r.kernel, r.temporal_pad, r.stride, r.activation)
+        assert mini.concat_after == real.concat_after
+        assert mini.depth_trace() == real.depth_trace()
+        assert all(m.out_groups <= 4 for m in mini.layers[:-1])
+        assert mini.layers[-1].out_groups == real.layers[-1].out_groups
 
 
 class TestGradCheck:

@@ -104,6 +104,18 @@ class TestY4m:
         with pytest.raises(ClipFormatError):
             read_clip(str(p))
 
+    def test_high_bit_depth_420_rejected_at_the_header(self, tmp_path):
+        p = tmp_path / "c420p10.y4m"
+        p.write_bytes(b"YUV4MPEG2 W4 H4 F30:1 C420p10\nFRAME\n" + bytes(48))
+        with pytest.raises(ClipFormatError, match="unsupported chroma mode 'C420p10'"):
+            read_clip(str(p))
+
+    def test_420_siting_tags_read(self, tmp_path):
+        p = tmp_path / "jpeg.y4m"
+        p.write_bytes(b"YUV4MPEG2 W4 H4 F30:1 C420jpeg\nFRAME\n" + bytes(24))
+        clip = read_clip(str(p))
+        assert (clip.width, clip.height, len(clip)) == (4, 4, 1)
+
     def test_truncated_payload_rejected(self, tmp_path):
         p = tmp_path / "trunc.y4m"
         p.write_bytes(b"YUV4MPEG2 W16 H8 F30:1 C420\nFRAME\n" + bytes(10))
