@@ -194,10 +194,14 @@ def _metric_rows(name, pairs, border):
     return rows
 
 
-def cmd_evaluate(cfg: RunConfig, ref_path: str, cand_path: str | None) -> int:
+def cmd_evaluate(cfg: RunConfig, ref_path: str, cand_path: str | None,
+                 scale_flag: int | None = None) -> int:
     if cand_path and cfg.method == "bicubic":
         raise ConfigError("--method bicubic scores the reference's own bicubic upscale; "
                           "drop the candidate clip")
+    if cand_path and scale_flag is not None:
+        raise ConfigError(f"--scale {scale_flag} sets the bicubic baseline's factor; "
+                          "a candidate clip is scored as given")
     ref = _read(cfg, ref_path)
     if cand_path:
         cand = _read(cfg, cand_path)
@@ -322,7 +326,11 @@ def _check_stack_oracle():
     x = np.random.default_rng(5).random((1, 1, 5, 6, 6)).astype(np.float32)
     fast, _ = forward_stack(params, spec, x)
     err = float(np.max(np.abs(fast - forward_stack_loop(params, spec, x))))
-    return err < 1e-5, f"max |diff| {err:.2e}"
+    # the no-cache stack runs in place in padded buffers; the caching one
+    # keeps every activation, and their outputs must be the same bits
+    same = np.array_equal(fast, forward_stack(params, spec, x, want_caches=True)[0])
+    return err < 1e-5 and same, (f"max |diff| {err:.2e}, "
+                                 f"{'equal to' if same else 'differs from'} the caching stack")
 
 
 def _check_replacement():
@@ -442,7 +450,7 @@ def main(argv=None) -> int:
         if args.command == "upscale":
             return cmd_upscale(cfg, args.input, args.output)
         if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.reference, args.candidate)
+            return cmd_evaluate(cfg, args.reference, args.candidate, args.scale)
         if args.command == "scene":
             return cmd_scene(cfg, args.input)
         if args.command == "sf-train":

@@ -5,6 +5,10 @@ temporal axis is flattened into channels (group-major: the depth slices of
 group 0 come first). SR specs end in scale^2 output groups that pixel-shuffle
 into the residual added to the bicubic-upscaled middle frame; classifier
 ("sf") specs end in one logit group per class.
+
+Inference (forward_stack without caches) holds one padded input buffer and
+one layer output at a time; training asks for caches and keeps each layer's
+(input, preactivation) pair for backward_stack.
 """
 
 from dataclasses import dataclass
@@ -14,8 +18,8 @@ import numpy as np
 from .bicubic import bicubic_resize
 from .frames import Frame
 from .tensor_core import (DEFAULT_DTYPE, ConvWeights, PadPolicy, TemporalPad,
-                          conv_backward, conv_forward, pixel_shuffle, relu,
-                          relu_backward, tensor5d)
+                          conv_backward, conv_forward, conv_padded, pad_into,
+                          padded_shape, pixel_shuffle, relu, relu_backward, tensor5d)
 
 ARCH_NAMES = ("cnn2d", "v1", "v2", "v3", "full")
 INPUT_FRAMES = 5   # the sliding window every network reads
@@ -179,20 +183,51 @@ def forward_stack(params, spec: ModelSpec, x: np.ndarray, want_caches: bool = Fa
     With `start`, x is instead layer `start`'s preactivation and the stack
     runs on from there, which lets gradient checks probe one layer at a time.
     Returns (out, caches); caches hold the (input, preactivation) pair of
-    each layer run when requested, for backward_stack.
+    each layer run when requested, for backward_stack, and are empty
+    otherwise.
     """
     check_params(params, spec)
+    if not want_caches:
+        return _forward_padded(params, spec, x, start), []
     caches = []
     if spec.concat_after == 0 and start is None:
         x = _flatten_depth(x)
     for i in range(start or 0, len(spec.layers)):
         layer = spec.layers[i]
         pre = x if i == start else conv_forward(x, params[i], layer.pad, layer.stride)
-        caches.append((x, pre) if want_caches else None)
+        caches.append((x, pre))
         x = relu(pre) if layer.activation == "relu" else pre
         if i + 1 == spec.concat_after:
             x = _flatten_depth(x)
     return x, caches
+
+
+def _forward_padded(params, spec: ModelSpec, x: np.ndarray, start: int | None) -> np.ndarray:
+    """forward_stack without caches, in as few activations as it can hold.
+
+    Each layer's input is kept in the padded layout that layer reads, and
+    each layer's ReLU writes its preactivation straight into the next
+    layer's padded buffer, which is the buffer the layer has just read
+    whenever the shapes match. A 32->32 layer then holds its padded input
+    and its preactivation, not also a padded copy and a ReLU output.
+    """
+    layers, buf = spec.layers, None
+    act, rectify = x, start is not None and layers[start].activation == "relu"
+    for i in range(0 if start is None else start + 1, len(layers)):
+        layer = layers[i]
+        kd = layer.kernel[0]
+        if i == spec.concat_after:
+            act = _flatten_depth(act)
+        shape = padded_shape(act.shape, kd, layer.pad)
+        if buf is None or buf.shape != shape:
+            buf = None  # let the old buffer go before the new one is made
+            buf = np.empty(shape, dtype=act.dtype)
+        pad_into(buf, act, kd, layer.pad, rectify)
+        del act  # held in buf now; free it before the layer's output is made
+        act = conv_padded(buf, params[i], layer.pad, layer.stride)
+        rectify = layer.activation == "relu"
+    # the last layer has no activation
+    return _flatten_depth(act) if spec.concat_after == len(layers) else act
 
 
 def backward_stack(params, spec: ModelSpec, caches, grad_out: np.ndarray,

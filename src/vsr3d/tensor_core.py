@@ -22,6 +22,13 @@ its GEMM, a contiguous range of kernel columns against the matching row
 block, so no GEMM multiplies a padded zero slice and the gather copies each
 stored slice once. DUPLICATE's added slices hold data and stay stored.
 
+That stored layout is padded_shape's; pad_into writes an input into a
+buffer of it (spatial border zeroed, DUPLICATE's slices copied), and
+conv_padded runs a layer on such a buffer. Inference keeps every layer's
+input in this layout and has each layer's ReLU write through pad_into into
+the next layer's buffer, so conv_forward's own padded copy is for single
+calls and training.
+
 - The forward is one GEMM per output slice and band, written in place in
   (O, H, W) order.
 - The kernel gradient is one GEMM per output slice and band, the output
@@ -125,30 +132,70 @@ def _temporal_per_side(kernel_depth: int, pad: PadPolicy) -> int:
     return (kernel_depth - 1) // 2
 
 
+def _stored_pads(kernel_depth: int, pad: PadPolicy) -> tuple[int, int, int]:
+    """(d, s, t) of the layout the gather reads: d depth slices stored at each
+    end (DUPLICATE's copies), s spatial zeros per side, and t zero depth
+    slices per end left implicit for _correlate's tap bounds (ZERO's)."""
+    t = _temporal_per_side(kernel_depth, pad)
+    if pad.temporal is TemporalPad.DUPLICATE:
+        return t, pad.spatial, 0
+    return 0, pad.spatial, t
+
+
+def padded_shape(shape, kernel_depth: int, pad: PadPolicy) -> tuple[int, ...]:
+    """Shape of the layout conv_padded reads for an input of `shape`."""
+    d, s, _ = _stored_pads(kernel_depth, pad)
+    n, c, depth, h, w = shape
+    return n, c, depth + 2 * d, h + 2 * s, w + 2 * s
+
+
+def pad_into(buf: np.ndarray, x: np.ndarray, kernel_depth: int, pad: PadPolicy,
+             rectify: bool = False) -> np.ndarray:
+    """Write x, or max(0, x) with `rectify`, into buf (shaped by padded_shape)
+    in the layout conv_padded reads: x inside, zeros on the spatial border,
+    and DUPLICATE's copies of the edge slices. Every element is written, so
+    buf may be fresh or may hold an earlier layer's input. Returns buf."""
+    d, s, _ = _stored_pads(kernel_depth, pad)
+    _, _, dp, hp, wp = buf.shape
+    inner = buf[:, :, d:dp - d, s:hp - s, s:wp - s]
+    if rectify:
+        np.maximum(x, 0, out=inner)
+    else:
+        np.copyto(inner, x)
+    buf[..., :s, :] = buf[..., hp - s:, :] = 0
+    buf[..., :s] = buf[..., wp - s:] = 0
+    _copy_edges(buf, d)
+    return buf
+
+
+def _copy_edges(buf: np.ndarray, d: int):
+    """Fill d added depth slices at each end with the edge slice beside them."""
+    if d:
+        buf[:, :, :d] = buf[:, :, d:d + 1]
+        buf[:, :, -d:] = buf[:, :, -d - 1:-d]
+
+
 def pad_input(x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> np.ndarray:
     """Apply a PadPolicy for a kernel of the given depth in one zero-padded
-    copy; DUPLICATE then fills the added depth slices with the edge slices."""
+    copy, ZERO's depth slices included; DUPLICATE then fills the added depth
+    slices with the edge slices."""
     t, s = _temporal_per_side(kernel_depth, pad), pad.spatial
     out = np.pad(x, ((0, 0), (0, 0), (t, t), (s, s), (s, s)))
-    if pad.temporal is TemporalPad.DUPLICATE and t:
-        out[:, :, :t] = out[:, :, t:t + 1]
-        out[:, :, -t:] = out[:, :, -t - 1:-t]
+    _copy_edges(out, t if pad.temporal is TemporalPad.DUPLICATE else 0)
     return out
 
 
 def _pad_stored(x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> tuple[np.ndarray, int]:
     """(padded input, t): the copy the gather reads, and the t zero depth
     slices per end that ZERO leaves implicit for _correlate's tap bounds."""
-    if pad.temporal is TemporalPad.ZERO:
-        t = _temporal_per_side(kernel_depth, pad)
-        return pad_input(x, kernel_depth, PadPolicy(pad.spatial)), t
-    return pad_input(x, kernel_depth, pad), 0
+    xp = np.empty(padded_shape(x.shape, kernel_depth, pad), dtype=x.dtype)
+    return pad_into(xp, x, kernel_depth, pad), _stored_pads(kernel_depth, pad)[2]
 
 
-def _out_extents(padded_shape, kernel_shape, stride, t: int) -> tuple[int, int, int]:
+def _out_extents(xp_shape, kernel_shape, stride, t: int) -> tuple[int, int, int]:
     """(D, H, W) of a valid correlation over already padded extents, with t
     implicit zero slices at each depth end."""
-    (dp, hp, wp), (kd, kh, kw), (sh, sw) = padded_shape[2:], kernel_shape[2:], stride
+    (dp, hp, wp), (kd, kh, kw), (sh, sw) = xp_shape[2:], kernel_shape[2:], stride
     return dp + 2 * t - kd + 1, (hp - kh) // sh + 1, (wp - kw) // sw + 1
 
 
@@ -210,8 +257,8 @@ def conv_forward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     Output shape is (N, out, D'-kD+1, (H'-kH)//sh+1, (W'-kW)//sw+1) on the
     padded extents.
     """
-    kernel, bias = weights.kernel, weights.bias
-    out_g, in_g = kernel.shape[:2]
+    kernel = weights.kernel
+    in_g = kernel.shape[1]
     if x.ndim != 5:
         raise ValueError(f"input must be rank 5, got shape {x.shape}")
     if x.shape[1] != in_g:
@@ -222,8 +269,15 @@ def conv_forward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     padded = (xp.shape[2] + 2 * t,) + xp.shape[3:]
     if any(p < k for p, k in zip(padded, kernel.shape[2:])):
         raise ValueError(f"kernel {kernel.shape[2:]} larger than padded input {padded}")
-    out = _correlate(xp, kernel, stride, t)
-    out += bias.astype(x.dtype).reshape(1, out_g, 1, 1, 1)
+    return conv_padded(xp, weights, pad, stride)
+
+
+def conv_padded(xp: np.ndarray, weights: ConvWeights, pad: PadPolicy,
+                stride: tuple[int, int] = (1, 1)) -> np.ndarray:
+    """conv_forward of an input already in padded_shape's layout for `pad`
+    (ZERO's depth slices implicit), unchecked; the bias is added in place."""
+    out = _correlate(xp, weights.kernel, stride, _stored_pads(weights.kernel.shape[2], pad)[2])
+    out += weights.bias.astype(xp.dtype).reshape(1, -1, 1, 1, 1)
     return out
 
 

@@ -332,6 +332,16 @@ class TestEvaluate:
         assert captured.err.count("\n") == 1 and "candidate" in captured.err
         assert captured.out == "" and not csv.exists()
 
+    @pytest.mark.parametrize("scale", ["2", "3"])
+    def test_scale_refused_with_candidate_clip(self, clips, tmp_path, capsys, scale):
+        # --scale only sizes the bicubic baseline; a candidate is scored as given
+        csv = tmp_path / "m.csv"
+        assert main(["evaluate", str(clips["small"]), str(clips["small"]), "--scale", scale,
+                     "--csv", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --scale") and captured.err.count("\n") == 1
+        assert captured.out == "" and not csv.exists()
+
 
 @pytest.fixture(scope="module")
 def sf_ckpt(clips, tmp_path_factory):
@@ -432,6 +442,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("FAIL gradient check raised RuntimeError: boom") == 5
         assert out.endswith("5/10 checks passed\n")
+
+    def test_stack_check_needs_the_caching_stack_bit_for_bit(self, monkeypatch, capsys):
+        # one ulp off the no-cache output is far inside the oracle tolerance
+        import vsr3d.cli as cli
+        real = cli.forward_stack
+
+        def nudged(params, spec, x, want_caches=False, start=None):
+            out, caches = real(params, spec, x, want_caches, start)
+            return (out if want_caches else np.nextafter(out, np.inf)), caches
+        monkeypatch.setattr(cli, "forward_stack", nudged)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL layer stack vs chained oracle" in out and "differs from" in out
+        assert out.endswith("9/10 checks passed\n")
 
 
 # (flag, dest, nargs) of every argument of every subcommand; positionals

@@ -8,6 +8,7 @@ from vsr3d.model import (ARCH_NAMES, LayerSpec, ModelSpec, backward_stack,
                          forward, forward_multiscale, forward_stack,
                          stack_windows, zero_params)
 from vsr3d.reference import forward_stack_loop
+from vsr3d.scene import build_sf_net
 from vsr3d.tensor_core import ConvWeights, TemporalPad
 
 EXPECTED_WEIGHTS = {
@@ -144,6 +145,66 @@ class TestForwardStack:
         for g, w in zip(grads, params):
             assert g.kernel.shape == w.kernel.shape
             assert g.bias.shape == w.bias.shape
+
+
+def _layout_spec():
+    # DUPLICATE layers back to back share a buffer whose edge slices must be
+    # refreshed; a spatial_pad=0 layer followed by a padded one of the same
+    # buffer shape hands over a buffer whose border holds activations
+    def conv3(i, o, tpad, s=1):
+        return LayerSpec("conv3d", i, o, (3, 3, 3), tpad, spatial_pad=s)
+    layers = [conv3(1, 3, TemporalPad.ZERO), conv3(3, 3, TemporalPad.ZERO, s=0),
+              conv3(3, 3, TemporalPad.ZERO), conv3(3, 3, TemporalPad.DUPLICATE),
+              conv3(3, 3, TemporalPad.DUPLICATE),
+              LayerSpec("conv2d", 15, 4, (1, 3, 3), activation="none")]
+    return ModelSpec(layers, concat_after=5, scale=2)
+
+
+def _stacks():
+    sr = (1, 1, 5, 9, 11)
+    cases = [(f"{name}-x{s}", build_architecture(name, s), sr)
+             for name in ARCH_NAMES for s in (2, 3, 4)]
+    cases += [(f"sf{n}", build_sf_net(n), (2, 1, 5, 27, 48)) for n in (2, 3)]
+    # the depth flatten after the last layer
+    flat = ModelSpec([LayerSpec("conv3d", 1, 2, (3, 3, 3), TemporalPad.ZERO),
+                      LayerSpec("conv3d", 2, 3, (3, 3, 3), activation="none")],
+                     concat_after=2, kind="sf")
+    return cases + [("duplicate", _layout_spec(), sr), ("flatten-last", flat, sr)]
+
+
+class TestInPlaceStack:
+    """The no-cache stack runs each layer in the next one's padded buffer;
+    the caching stack keeps every activation. They must agree bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name,spec,shape", _stacks(), ids=[c[0] for c in _stacks()])
+    def test_matches_caching_stack(self, name, spec, shape, dtype):
+        params = random_params(spec, seed=7, dtype=dtype)
+        x = np.random.default_rng(8).random(shape).astype(dtype)
+        want, caches = forward_stack(params, spec, x, want_caches=True)
+        got, no_caches = forward_stack(params, spec, x)
+        assert no_caches == [] and got.dtype == dtype
+        assert np.array_equal(got, want)
+        for i, (_, pre) in enumerate(caches):
+            resumed, _ = forward_stack(params, spec, pre.copy(), start=i)
+            assert np.array_equal(resumed, want)
+
+    def test_peak_memory_is_two_activations(self):
+        import tracemalloc
+
+        spec = build_architecture("full", 2)
+        params = random_params(spec, seed=1)
+        x = np.random.default_rng(2).random((1, 1, 5, 144, 176)).astype(np.float32)
+        forward_stack(params, spec, x)
+        tracemalloc.start()
+        try:
+            forward_stack(params, spec, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 32-group activation in the padded layout of the 3D layers
+        activation = 32 * 5 * 146 * 178 * 4
+        assert peak < 2.5 * activation
 
 
 class TestForward:

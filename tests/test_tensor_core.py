@@ -122,8 +122,11 @@ class TestConvForward:
     @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)])
     @pytest.mark.parametrize("temporal", list(TemporalPad))
     def test_row_chunked_path_matches_loop_oracle(self, monkeypatch, temporal, stride):
-        # a 4 KB budget splits the output rows into chunks of 1 to 6 rows
+        # a 4 KB budget and no position floor split the output rows of each
+        # sample into 2 to 5 bands of 3 to 7 rows, most with a shorter last
+        # band (stride (2, 2) without DUPLICATE fits its 8 rows in one)
         monkeypatch.setattr(tensor_core, "_WINDOW_BUDGET_BYTES", 4096)
+        monkeypatch.setattr(tensor_core, "_MIN_BAND_POSITIONS", 1)
         x, w = random_case(31, n=2, cin=1, cout=2, d=3, h=15, w=6)
         pad = PadPolicy(spatial=1, temporal=temporal)
         np.testing.assert_allclose(conv_forward(x, w, pad, stride=stride),
