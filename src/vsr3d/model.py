@@ -6,9 +6,11 @@ group 0 come first). SR specs end in scale^2 output groups that pixel-shuffle
 into the residual added to the bicubic-upscaled middle frame; classifier
 ("sf") specs end in one logit group per class.
 
-Inference (forward_stack without caches) holds one padded input buffer and
-one layer output at a time; training asks for caches and keeps each layer's
-(input, preactivation) pair for backward_stack.
+forward_stack is the one layer loop: it holds one padded input buffer and
+one layer output at a time. Training asks it for caches, which keep each
+layer's preactivation only; backward_stack rebuilds each layer's input from
+them (layer_input), trading one ReLU per layer for a stored activation
+(Chen et al. 2016, "Training Deep Nets with Sublinear Memory Cost").
 """
 
 from dataclasses import dataclass
@@ -18,8 +20,8 @@ import numpy as np
 from .bicubic import bicubic_resize
 from .frames import Frame
 from .tensor_core import (DEFAULT_DTYPE, ConvWeights, PadPolicy, TemporalPad,
-                          conv_backward, conv_forward, conv_padded, pad_into,
-                          padded_shape, pixel_shuffle, relu, relu_backward, tensor5d)
+                          conv_backward, conv_padded, pad_into, padded_shape,
+                          pixel_shuffle, relu, relu_backward, tensor5d)
 
 ARCH_NAMES = ("cnn2d", "v1", "v2", "v3", "full")
 INPUT_FRAMES = 5   # the sliding window every network reads
@@ -176,42 +178,34 @@ def _flatten_depth(x: np.ndarray) -> np.ndarray:
     return x.reshape(n, c * d, 1, h, w)
 
 
+def layer_input(spec: ModelSpec, x: np.ndarray, caches, i: int) -> np.ndarray:
+    """Layer i's input, rebuilt from forward_stack's caches: the stack input x
+    for i == 0, else the ReLU of layer i-1's preactivation (every layer but
+    the last has one), depth-flattened when i == concat_after."""
+    act = x if i == 0 else relu(caches[i - 1])
+    return _flatten_depth(act) if i == spec.concat_after else act
+
+
 def forward_stack(params, spec: ModelSpec, x: np.ndarray, want_caches: bool = False,
                   start: int | None = None):
     """Apply the layer stack to (N, C, D, H, W) input.
 
     With `start`, x is instead layer `start`'s preactivation and the stack
     runs on from there, which lets gradient checks probe one layer at a time.
-    Returns (out, caches); caches hold the (input, preactivation) pair of
-    each layer run when requested, for backward_stack, and are empty
-    otherwise.
-    """
-    check_params(params, spec)
-    if not want_caches:
-        return _forward_padded(params, spec, x, start), []
-    caches = []
-    if spec.concat_after == 0 and start is None:
-        x = _flatten_depth(x)
-    for i in range(start or 0, len(spec.layers)):
-        layer = spec.layers[i]
-        pre = x if i == start else conv_forward(x, params[i], layer.pad, layer.stride)
-        caches.append((x, pre))
-        x = relu(pre) if layer.activation == "relu" else pre
-        if i + 1 == spec.concat_after:
-            x = _flatten_depth(x)
-    return x, caches
-
-
-def _forward_padded(params, spec: ModelSpec, x: np.ndarray, start: int | None) -> np.ndarray:
-    """forward_stack without caches, in as few activations as it can hold.
+    Returns (out, caches); with `want_caches`, caches hold the preactivation
+    of each layer run (x itself for `start`), for backward_stack, and are
+    empty otherwise.
 
     Each layer's input is kept in the padded layout that layer reads, and
     each layer's ReLU writes its preactivation straight into the next
     layer's padded buffer, which is the buffer the layer has just read
     whenever the shapes match. A 32->32 layer then holds its padded input
-    and its preactivation, not also a padded copy and a ReLU output.
+    and its preactivation, not also a padded copy and a ReLU output. The
+    caches hold conv outputs, never a buffer, so the reuse is safe.
     """
+    check_params(params, spec)
     layers, buf = spec.layers, None
+    caches = [x] if want_caches and start is not None else []
     act, rectify = x, start is not None and layers[start].activation == "relu"
     for i in range(0 if start is None else start + 1, len(layers)):
         layer = layers[i]
@@ -225,28 +219,29 @@ def _forward_padded(params, spec: ModelSpec, x: np.ndarray, start: int | None) -
         pad_into(buf, act, kd, layer.pad, rectify)
         del act  # held in buf now; free it before the layer's output is made
         act = conv_padded(buf, params[i], layer.pad, layer.stride)
+        if want_caches:
+            caches.append(act)
         rectify = layer.activation == "relu"
     # the last layer has no activation
-    return _flatten_depth(act) if spec.concat_after == len(layers) else act
+    return (_flatten_depth(act) if spec.concat_after == len(layers) else act), caches
 
 
-def backward_stack(params, spec: ModelSpec, caches, grad_out: np.ndarray,
+def backward_stack(params, spec: ModelSpec, x: np.ndarray, caches, grad_out: np.ndarray,
                    input_grad: bool = True):
     """Gradients of a scalar loss wrt every parameter and, with `input_grad`,
-    the stack input (else None: training needs only the parameters')."""
+    the stack input x (else None: training needs only the parameters').
+    Each layer's input is rebuilt from the caches by layer_input."""
     grads: list = [None] * len(spec.layers)
     g = grad_out
     for i in reversed(range(len(spec.layers))):
-        layer = spec.layers[i]
-        x_in, pre = caches[i]
+        layer, pre = spec.layers[i], caches[i]
         g = g.reshape(pre.shape)  # undoes the depth flatten after layer concat_after
         if layer.activation == "relu":
             g = relu_backward(pre, g)
-        g, grads[i] = conv_backward(x_in, params[i], layer.pad, g, layer.stride,
-                                    input_grad=input_grad or i > 0)
+        g, grads[i] = conv_backward(layer_input(spec, x, caches, i), params[i], layer.pad, g,
+                                    layer.stride, input_grad=input_grad or i > 0)
     if input_grad and spec.concat_after == 0:
-        n, cd, _, h, w = g.shape
-        g = g.reshape(n, 1, cd, h, w)
+        g = g.reshape(x.shape)
     return grads, g
 
 
@@ -299,7 +294,7 @@ def dump_feature_maps(params, spec: ModelSpec, window, layer: int, out_dir: str)
         raise ValueError(f"layer must be in 1..{len(spec.layers)}")
     x = stack_windows([window])
     _, caches = forward_stack(params, spec, x, want_caches=True)
-    _, pre = caches[layer - 1]
+    pre = caches[layer - 1]
     act = relu(pre) if spec.layers[layer - 1].activation == "relu" else pre
     os.makedirs(out_dir, exist_ok=True)
     paths = []

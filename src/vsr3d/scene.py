@@ -240,7 +240,7 @@ def train_sf(spec: ModelSpec, samples: list[tuple[SFInput, SceneLabel]], *,
         out, caches = forward_stack(params, spec, x, want_caches=True)
         labels = np.array([samples[i][1].value for i in idx])
         loss, grad = loss_cross_entropy(out.reshape(out.shape[0], -1), labels)
-        grads, _ = backward_stack(params, spec, caches, grad.reshape(out.shape),
+        grads, _ = backward_stack(params, spec, x, caches, grad.reshape(out.shape),
                                   input_grad=False)
         return loss, grads
 

@@ -24,10 +24,10 @@ stored slice once. DUPLICATE's added slices hold data and stay stored.
 
 That stored layout is padded_shape's; pad_into writes an input into a
 buffer of it (spatial border zeroed, DUPLICATE's slices copied), and
-conv_padded runs a layer on such a buffer. Inference keeps every layer's
-input in this layout and has each layer's ReLU write through pad_into into
-the next layer's buffer, so conv_forward's own padded copy is for single
-calls and training.
+conv_padded runs a layer on such a buffer. The model's layer loop keeps
+every layer's input in this layout and has each layer's ReLU write through
+pad_into into the next layer's buffer; conv_forward and conv_backward make
+their own padded copy, for single calls and for the backward.
 
 - The forward is one GEMM per output slice and band, written in place in
   (O, H, W) order.
@@ -164,25 +164,10 @@ def pad_into(buf: np.ndarray, x: np.ndarray, kernel_depth: int, pad: PadPolicy,
         np.copyto(inner, x)
     buf[..., :s, :] = buf[..., hp - s:, :] = 0
     buf[..., :s] = buf[..., wp - s:] = 0
-    _copy_edges(buf, d)
-    return buf
-
-
-def _copy_edges(buf: np.ndarray, d: int):
-    """Fill d added depth slices at each end with the edge slice beside them."""
-    if d:
+    if d:  # DUPLICATE: each added depth slice copies the edge slice beside it
         buf[:, :, :d] = buf[:, :, d:d + 1]
         buf[:, :, -d:] = buf[:, :, -d - 1:-d]
-
-
-def pad_input(x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> np.ndarray:
-    """Apply a PadPolicy for a kernel of the given depth in one zero-padded
-    copy, ZERO's depth slices included; DUPLICATE then fills the added depth
-    slices with the edge slices."""
-    t, s = _temporal_per_side(kernel_depth, pad), pad.spatial
-    out = np.pad(x, ((0, 0), (0, 0), (t, t), (s, s), (s, s)))
-    _copy_edges(out, t if pad.temporal is TemporalPad.DUPLICATE else 0)
-    return out
+    return buf
 
 
 def _pad_stored(x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> tuple[np.ndarray, int]:

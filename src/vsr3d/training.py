@@ -17,7 +17,7 @@ from .checkpoint import save_checkpoint
 from .frames import Frame, VideoClip
 from .metrics import psnr
 from .model import (INPUT_FRAMES, ModelSpec, backward_stack, build_architecture, forward,
-                    forward_stack, zero_params)
+                    forward_stack, layer_input, zero_params)
 from .tensor_core import DEFAULT_DTYPE, ConvWeights, conv_forward, pixel_shuffle, pixel_unshuffle
 
 DEFAULT_LR = 5e-4
@@ -200,7 +200,7 @@ def sr_batch_step(params, spec: ModelSpec, x, bases, target, form: str = "mean")
     out, caches = forward_stack(params, spec, x, want_caches=True)
     pred = pixel_shuffle(out, spec.scale) + bases
     loss, grad = loss_mse(pred, target, form)
-    grads, _ = backward_stack(params, spec, caches, pixel_unshuffle(grad, spec.scale),
+    grads, _ = backward_stack(params, spec, x, caches, pixel_unshuffle(grad, spec.scale),
                               input_grad=False)
     return loss, grads
 
@@ -378,7 +378,7 @@ def grad_check(spec: ModelSpec, seed: int = 0, tolerance: float = 1e-3,
     out, caches = forward_stack(params, spec, x, want_caches=True)
     target = rng.uniform(0.0, 1.0, out.shape).astype(dtype)
     _, grad = loss_mse(out, target, form="sum")
-    grads, gx = backward_stack(params, spec, caches, grad)
+    grads, gx = backward_stack(params, spec, x, caches, grad)
 
     params64 = [ConvWeights(w.kernel.astype(np.float64), w.bias.astype(np.float64))
                 for w in params]
@@ -399,7 +399,7 @@ def grad_check(spec: ModelSpec, seed: int = 0, tolerance: float = 1e-3,
         o, cs = forward_stack(params64, spec, batch, want_caches=True, start=start)
         loss = 0.5 * np.sum(((o - target64) ** 2).reshape(2 * p, -1), axis=1)
         kink = np.zeros(p, dtype=bool)
-        for _, pre in cs:
+        for pre in cs:
             mask = (pre > 0).reshape(2 * p, -1)
             kink |= (mask[:p] != mask[p:]).any(axis=1)
         skipped += int(kink.sum())
@@ -408,10 +408,11 @@ def grad_check(spec: ModelSpec, seed: int = 0, tolerance: float = 1e-3,
         report.append((label, _rel_err(analytic.reshape(-1)[ok], fd[ok]) if ok.any() else math.inf))
 
     for i, (layer, w) in enumerate(zip(spec.layers, params64)):
-        x_in, pre = caches64[i]
+        pre = caches64[i]
         out_g, taps = w.kernel.shape[0], w.kernel[0].size
         bank = ConvWeights(np.eye(taps).reshape((taps,) + w.kernel.shape[1:]), np.zeros(taps))
-        windows = conv_forward(x_in, bank, layer.pad, layer.stride)[0]
+        windows = conv_forward(layer_input(spec, x64, caches64, i), bank, layer.pad,
+                               layer.stride)[0]
         unit = np.eye(out_g).reshape(out_g, out_g, 1, 1, 1)
         # direction o*taps + j puts tap j's window on output group o
         kernel_dirs = (unit[:, None] * windows[None, :, None]).reshape((-1,) + pre.shape[1:])

@@ -548,3 +548,23 @@ def test_oversized_geometry_is_one_line_error(tmp_path, name, payload, extra):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: truncated frame payload"), \
         proc.stderr
+
+
+def test_out_of_memory_is_one_line_error(tmp_path):
+    # under a 512 MiB address-space cap, one (1, 32, 5, 720, 1280) float32
+    # activation of `full` (590 MB) cannot be allocated; the MemoryError
+    # must end the command in one line, with nothing written
+    clip, out, ckpt = tmp_path / "hd.y4m", tmp_path / "o.y4m", tmp_path / "full.ckpt"
+    write_clip(textured_clip(7, 3, 1280, 720), str(clip))
+    zero_checkpoint(ckpt, "full")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN.replace("3 << 30", "1 << 29"), "upscale", str(clip),
+         str(out), "--checkpoint", str(ckpt)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), proc.stderr
+    assert not out.exists()
