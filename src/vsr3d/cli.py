@@ -195,12 +195,13 @@ def _metric_rows(name, pairs, border):
 
 
 def cmd_evaluate(cfg: RunConfig, ref_path: str, cand_path: str | None,
-                 scale_flag: int | None = None) -> int:
+                 scale_set_by: str | None = None) -> int:
+    """`scale_set_by` names the flag or config file that set `scale`, if any."""
     if cand_path and cfg.method == "bicubic":
         raise ConfigError("--method bicubic scores the reference's own bicubic upscale; "
                           "drop the candidate clip")
-    if cand_path and scale_flag is not None:
-        raise ConfigError(f"--scale {scale_flag} sets the bicubic baseline's factor; "
+    if cand_path and scale_set_by:
+        raise ConfigError(f"{scale_set_by} sets the bicubic baseline's factor; "
                           "a candidate clip is scored as given")
     ref = _read(cfg, ref_path)
     if cand_path:
@@ -443,13 +444,17 @@ def main(argv=None) -> int:
     overrides = {key: ",".join(value) if isinstance(value, list) else value
                  for key, value in vars(args).items() if key in FIELD_DOCS}
     try:
-        cfg = load_config(args.config, overrides)
+        file_keys = set()
+        cfg = load_config(args.config, overrides, file_keys)
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "upscale":
             return cmd_upscale(cfg, args.input, args.output)
         if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.reference, args.candidate, args.scale)
+            scale_set_by = (f"--scale {args.scale}" if args.scale is not None else
+                            f"scale = {cfg.scale} in {args.config}" if "scale" in file_keys
+                            else None)
+            return cmd_evaluate(cfg, args.reference, args.candidate, scale_set_by)
         if args.command == "scene":
             return cmd_scene(cfg, args.input)
         if args.command == "sf-train":

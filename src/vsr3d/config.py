@@ -140,8 +140,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return values
 
 
-def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    """Defaults, then the file (if any), then non-None overrides."""
+def load_config(path: str | None, overrides: dict | None = None,
+                file_keys: set | None = None) -> RunConfig:
+    """Defaults, then the file (if any), then non-None overrides. The keys
+    the file sets are added to `file_keys` when it is given, since a value
+    equal to its default cannot tell them apart afterwards."""
     cfg = RunConfig()
     if path:
         with open(path, "r", encoding="utf-8") as fh:
@@ -150,6 +153,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             except UnicodeDecodeError:
                 raise ConfigError(f"{path}: not UTF-8 text") from None
         file_values = parse_config_text(text, source=path)
+        if file_keys is not None:
+            file_keys.update(file_values)
         for key, value in file_values.items():
             setattr(cfg, key, value)
     for key, value in (overrides or {}).items():

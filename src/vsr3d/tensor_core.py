@@ -10,11 +10,12 @@ Convolution is correlation-style, stride 1 on the depth axis, with an optional
 spatial stride used by strided 2D layers. Gradients are hand-derived per
 operation; there is no autograd graph.
 
-All three GEMM passes of a layer run on one slice-major column gather
-(im2col, Chellapilla, Puri and Simard 2006): for a band of one sample's
-output rows, the (C, kH, kW) windows of every stored depth slice are copied
-once into a (D*C*kH*kW, positions) buffer, so the stored slices under output
-slice z are one contiguous row block.
+Every GEMM of a layer runs on a slice-major column gather (im2col,
+Chellapilla, Puri and Simard 2006): for a band of one sample's output rows,
+the (C, kH, kW) windows of every stored depth slice are copied once into a
+(D*C*kH*kW, positions) buffer, so the stored slices under output slice z are
+one contiguous row block. The forward gathers its input once; the backward
+gathers once too, the output gradient's columns feeding both its GEMMs.
 
 ZERO temporal padding is not stored: its zero depth slices become tap bounds.
 Of the kD taps of output slice z, only those landing on stored slices enter
@@ -26,20 +27,28 @@ That stored layout is padded_shape's; pad_into writes an input into a
 buffer of it (spatial border zeroed, DUPLICATE's slices copied), and
 conv_padded runs a layer on such a buffer. The model's layer loop keeps
 every layer's input in this layout and has each layer's ReLU write through
-pad_into into the next layer's buffer; conv_forward and conv_backward make
-their own padded copy, for single calls and for the backward.
+pad_into into the next layer's buffer; conv_forward makes its own padded
+copy for single calls, and conv_backward one only where it needs it.
 
 - The forward is one GEMM per output slice and band, written in place in
   (O, H, W) order.
-- The kernel gradient is one GEMM per output slice and band, the output
-  gradient (O, P) times the block transposed, accumulated over bands into
-  the kernel columns of the taps the block covers.
 - The input gradient is the forward of the zero-dilated output gradient with
   the kernel flipped on all three axes and its in/out axes swapped (the
   transposed-convolution identity, Dumoulin and Visin 2016). The zero depth
   slices that identity adds to each end of the output gradient are tap
   bounds too. Under DUPLICATE it covers the added depth slices, which then
   fold onto the edge slices they copy.
+- The kernel gradient reuses that gather: a column of it holds, for one
+  input position, the output gradient each flipped tap pairs with that
+  position. So beside each input-gradient GEMM runs a second one, the input
+  block (C, P) times the columns transposed, accumulated over bands into a
+  (C, kD*O*kH*kW) matrix in the flipped kernel's layout, then unflipped.
+  The input is read spatially unpadded, since the columns of padded
+  positions are never formed; under DUPLICATE it includes the added slices.
+  Without the input gradient (a stack's first layer, whose one input group
+  makes its gather far smaller than the output gradient's), the padded input
+  is gathered instead and the output gradient (O, P) times its columns
+  transposed gives the kernel gradient directly.
 
 Every output element of a forward is one contraction over its taps'
 C*kH*kW terms. Splitting it into kD partial GEMMs summed afterwards adds a
@@ -216,21 +225,42 @@ def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: tuple[int, int], ho:
             yield n, y0, y1, cols[:, :(y1 - y0) * wo]
 
 
-def _correlate(xp: np.ndarray, kernel: np.ndarray, stride: tuple[int, int],
-               t: int) -> np.ndarray:
-    """Valid correlation of a padded input, extended by t implicit zero
-    slices at each depth end, with a filter bank, without bias: one GEMM per
-    output slice and band over the taps on stored slices, written in place."""
-    out_g, in_g, kd, kh, kw = kernel.shape
-    do, ho, wo = _out_extents(xp.shape, kernel.shape, stride, t)
-    # (O, kD*C*kH*kW): the row order of kd consecutive slices of `cols`
-    kmat = kernel.transpose(0, 2, 1, 3, 4).reshape(out_g, -1)
+def _slice_blocks(xp: np.ndarray, kernel_shape, stride: tuple[int, int], t: int):
+    """Yield (n, z, span, taps, block) per band of each sample of a padded
+    input and per output slice z of its valid correlation, t implicit zero
+    slices per depth end: block is the band's column rows of z's taps on
+    stored slices, taps their kernel columns, span the band's output
+    positions. Blocks are views of one buffer, valid until the next band."""
+    _, in_g, kd, kh, kw = kernel_shape
+    do, ho, wo = _out_extents(xp.shape, kernel_shape, stride, t)
     blocks = _tap_blocks(do, kd, xp.shape[2], t, in_g * kh * kw)
-    out = np.empty((xp.shape[0], out_g, do, ho, wo), dtype=xp.dtype)
-    planes = out.reshape(xp.shape[0], out_g, do, ho * wo)
     for n, y0, y1, cols in _column_bands(xp, kh, kw, stride, ho, wo):
         for z, taps, rows in blocks:
-            np.matmul(kmat[:, taps], cols[rows], out=planes[n, :, z, y0 * wo:y1 * wo])
+            yield n, z, slice(y0 * wo, y1 * wo), taps, cols[rows]
+
+
+def _correlate(xp: np.ndarray, kernel: np.ndarray, stride: tuple[int, int],
+               t: int, weigh: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Valid correlation of a padded input, extended by t implicit zero
+    slices at each depth end, with a filter bank, without bias: one GEMM per
+    output slice and band over the taps on stored slices, written in place.
+
+    With weigh = (a, grad_kmat), a shaped like the output, each GEMM's
+    column block also meets the matching block of a in a second GEMM,
+    a (C x P) @ block.T, accumulated into grad_kmat's columns of those taps
+    (kmat's layout, (O, kD*C*kH*kW))."""
+    out_g = kernel.shape[0]
+    # (O, kD*C*kH*kW): the row order of kd consecutive slices of `cols`
+    kmat = kernel.transpose(0, 2, 1, 3, 4).reshape(out_g, -1)
+    out = np.empty((xp.shape[0], out_g) + _out_extents(xp.shape, kernel.shape, stride, t),
+                   dtype=xp.dtype)
+    planes = out.reshape(out.shape[:3] + (-1,))
+    if weigh is not None:
+        a_planes, grad_kmat = weigh[0].reshape(planes.shape), weigh[1]
+    for n, z, span, taps, block in _slice_blocks(xp, kernel.shape, stride, t):
+        np.matmul(kmat[:, taps], block, out=planes[n, :, z, span])
+        if weigh is not None:
+            grad_kmat[:, taps] += a_planes[n, :, z, span] @ block.T
     return out
 
 
@@ -275,39 +305,49 @@ def conv_backward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     holding kernel/bias gradients). Zero-padded positions contribute nothing
     to the input gradient; duplicated temporal slices fold their gradient
     back onto the edge slices.
+
+    Either way the backward runs one column gather. With `input_grad` it is
+    the dilated output gradient's, whose columns meet the flipped kernel for
+    the input gradient and the stored input for the kernel gradient, summed
+    in the flipped kernel's layout; without, the padded input's. The two
+    modes sum the kernel gradient in different orders, so in float32 they
+    agree to rounding, not bit for bit.
     """
     kernel = weights.kernel
     out_g, in_g, kd, kh, kw = kernel.shape
-    xp, t = _pad_stored(x, kd, pad)
-    do, ho, wo = _out_extents(xp.shape, kernel.shape, stride, t)
+    d, s, t = _stored_pads(kd, pad)
+    do, ho, wo = _out_extents(padded_shape(x.shape, kd, pad), kernel.shape, stride, t)
     n_b = x.shape[0]
     if grad_out.shape != (n_b, out_g, do, ho, wo):
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match output {(n_b, out_g, do, ho, wo)}")
-
     grad_bias = grad_out.sum(axis=(0, 2, 3, 4), dtype=grad_out.dtype)
-    per_slice = in_g * kh * kw
-    grad_kmat = np.zeros((out_g, kd * per_slice), dtype=kernel.dtype)
-    go_planes = grad_out.reshape(n_b, out_g, do, ho * wo)
-    blocks = _tap_blocks(do, kd, xp.shape[2], t, per_slice)
-    for n, y0, y1, cols in _column_bands(xp, kh, kw, stride, ho, wo):
-        for z, taps, rows in blocks:
-            grad_kmat[:, taps] += go_planes[n, :, z, y0 * wo:y1 * wo] @ cols[rows].T
-    grad_kernel = np.ascontiguousarray(
-        grad_kmat.reshape(out_g, kd, in_g, kh, kw).transpose(0, 2, 1, 3, 4))
 
-    grad_x = None
-    if input_grad:
-        # the correlation covers the stored depth slices, which under
-        # DUPLICATE include the added ones (folded below); the kd-1-t zero
-        # slices it needs at each end of grad_out stay implicit
-        h, w = x.shape[3:]
-        s = pad.spatial
-        spread = _dilate_into(grad_out, (h + kh - 1, w + kw - 1), (kh - 1 - s, kw - 1 - s),
-                              stride)
-        flipped = kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-        grad_x = _unpad_gradient(_correlate(spread, flipped, (1, 1), kd - 1 - t), kd, pad)
-    return grad_x, ConvWeights(grad_kernel, grad_bias)
+    if not input_grad:
+        # gather the padded input: at layer 0 it has far fewer rows than
+        # the output gradient
+        xp, _ = _pad_stored(x, kd, pad)
+        grad_kmat = np.zeros((out_g, kd * in_g * kh * kw), dtype=kernel.dtype)
+        go_planes = grad_out.reshape(n_b, out_g, do, ho * wo)
+        for n, z, span, taps, block in _slice_blocks(xp, kernel.shape, stride, t):
+            grad_kmat[:, taps] += go_planes[n, :, z, span] @ block.T
+        grad_kernel = grad_kmat.reshape(out_g, kd, in_g, kh, kw).transpose(0, 2, 1, 3, 4)
+        return None, ConvWeights(grad_kernel, grad_bias)
+
+    # the correlation covers the stored depth slices, which under DUPLICATE
+    # include the added ones (folded below); the kd-1-t zero slices it needs
+    # at each end of grad_out stay implicit
+    h, w = x.shape[3:]
+    spread = _dilate_into(grad_out, (h + kh - 1, w + kw - 1), (kh - 1 - s, kw - 1 - s), stride)
+    flipped = kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+    # the kernel gradient pairs the same columns with the stored input,
+    # unpadded spatially, in the flipped kernel's layout (C, kD*O*kH*kW)
+    stored = x if not d else _pad_stored(x, kd, PadPolicy(0, pad.temporal))[0]
+    grad_kmat = np.zeros((in_g, kd * out_g * kh * kw), dtype=kernel.dtype)
+    grad_x = _correlate(spread, flipped, (1, 1), kd - 1 - t, (stored, grad_kmat))
+    grad_kernel = (grad_kmat.reshape(in_g, kd, out_g, kh, kw)[:, ::-1, :, ::-1, ::-1]
+                   .transpose(2, 0, 1, 3, 4))
+    return _unpad_gradient(grad_x, kd, pad), ConvWeights(grad_kernel, grad_bias)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

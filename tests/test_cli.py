@@ -342,6 +342,18 @@ class TestEvaluate:
         assert captured.err.startswith("config error: --scale") and captured.err.count("\n") == 1
         assert captured.out == "" and not csv.exists()
 
+    @pytest.mark.parametrize("scale", ["2", "3"])
+    def test_config_scale_refused_with_candidate_clip(self, clips, tmp_path, capsys, scale):
+        # a config file's scale is refused like the flag, even at its default
+        cfg, csv = tmp_path / "run.cfg", tmp_path / "m.csv"
+        cfg.write_text(f"scale = {scale}\n")
+        assert main(["evaluate", str(clips["small"]), str(clips["small"]), "--config", str(cfg),
+                     "--csv", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: scale = {scale} in ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == "" and not csv.exists()
+
 
 @pytest.fixture(scope="module")
 def sf_ckpt(clips, tmp_path_factory):
@@ -550,21 +562,33 @@ def test_oversized_geometry_is_one_line_error(tmp_path, name, payload, extra):
         proc.stderr
 
 
-def test_out_of_memory_is_one_line_error(tmp_path):
-    # under a 512 MiB address-space cap, one (1, 32, 5, 720, 1280) float32
-    # activation of `full` (590 MB) cannot be allocated; the MemoryError
-    # must end the command in one line, with nothing written
-    clip, out, ckpt = tmp_path / "hd.y4m", tmp_path / "o.y4m", tmp_path / "full.ckpt"
-    write_clip(textured_clip(7, 3, 1280, 720), str(clip))
-    zero_checkpoint(ckpt, "full")
+@pytest.mark.parametrize("command", ["upscale", "train"])
+def test_out_of_memory_is_one_line_error(tmp_path, command):
+    # under a 512 MiB address-space cap, one float32 activation of `full`
+    # cannot be allocated: (1, 32, 5, 720, 1280) for upscale (590 MB), and
+    # (95, 32, 5, 100, 100) for train's first batch of 95 LR 100x100 patches
+    # (608 MB); the MemoryError must end the command in one line, with
+    # nothing written
+    if command == "upscale":
+        clip, ckpt = tmp_path / "hd.y4m", tmp_path / "full.ckpt"
+        write_clip(textured_clip(7, 3, 1280, 720), str(clip))
+        zero_checkpoint(ckpt, "full")
+        args = ["upscale", str(clip), str(tmp_path / "o.y4m"), "--checkpoint", str(ckpt)]
+    else:
+        # 25 centre frames, 4 crops each, every 20th held out for validation
+        clip = tmp_path / "sq.y4m"
+        write_clip(textured_clip(7, 25, 400, 400), str(clip))
+        args = ["train", "--data", str(clip), "--lr-patch-size", "100", "--frame-stride", "1",
+                "--subimages-per-frame", "4", "--batch-size", "95",
+                "--out", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "log.csv")]
+    inputs = sorted(os.listdir(tmp_path))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_MAIN.replace("3 << 30", "1 << 29"), "upscale", str(clip),
-         str(out), "--checkpoint", str(ckpt)],
+        [sys.executable, "-c", _CAPPED_MAIN.replace("3 << 30", "1 << 29"), *args],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 1, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), proc.stderr
-    assert not out.exists()
+    assert sorted(os.listdir(tmp_path)) == inputs

@@ -146,6 +146,25 @@ class TestForwardStack:
             assert g.kernel.shape == w.kernel.shape
             assert g.bias.shape == w.bias.shape
 
+    def test_training_step_gathers_once_per_layer_and_pass(self, monkeypatch):
+        # the backward of every layer but layer 0 gathers the dilated output
+        # gradient once, for both its GEMMs; layer 0 gathers its input once
+        from vsr3d import tensor_core
+
+        real, calls = tensor_core._column_bands, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(tensor_core, "_column_bands", counting)
+        spec = build_architecture("full", 2)
+        params = random_params(spec, seed=9)
+        x = stack_windows([random_window(8, 8, seed=10)] * 2)
+        out, caches = forward_stack(params, spec, x, want_caches=True)
+        assert len(calls) == 6
+        backward_stack(params, spec, x, caches, np.ones_like(out), input_grad=False)
+        assert len(calls) == 6 + 6
+
 
 def _layout_spec():
     # DUPLICATE layers back to back share a buffer whose edge slices must be

@@ -244,21 +244,34 @@ class TestConvBackward:
             conv_forward(x, w, pad, stride=stride).shape).astype(np.float32)
         gathers.clear()
         gx, gw = conv_backward(x, w, pad, g, stride=stride)
-        # the kernel gradient's gather and the input gradient's each span
-        # several bands of each sample
-        assert len(gathers) == 2 and min(gathers) >= 2 * 2
+        # one gather of the dilated output gradient feeds both gradients'
+        # GEMMs, and it spans several bands of each sample
+        assert len(gathers) == 1 and gathers[0] >= 2 * 2
         want_x, want_k, want_b = reference.conv_backward_loop(x, w, pad, g, stride=stride)
         assert_close_to_largest(gx, want_x, 1e-5)
         assert_close_to_largest(gw.kernel, want_k, 1e-5)
         assert_close_to_largest(gw.bias, want_b, 1e-5)
 
-    def test_input_gradient_skipped_on_request(self):
-        x, w = random_case(18)
-        pad = PadPolicy(spatial=1, temporal=TemporalPad.ZERO)
-        g = np.ones_like(conv_forward(x, w, pad))
-        gx, gw = conv_backward(x, w, pad, g, input_grad=False)
-        assert gx is None
-        np.testing.assert_array_equal(gw.kernel, conv_backward(x, w, pad, g)[1].kernel)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1)])
+    @pytest.mark.parametrize("temporal", list(TemporalPad))
+    def test_input_gradient_skipped_on_request(self, temporal, stride, dtype):
+        # without the input gradient the kernel gradient comes from another
+        # gather, summed in another order: both modes meet the loop oracle
+        x, w = random_case(18, n=2, cin=2, cout=3, d=5, h=7, w=6, dtype=dtype)
+        pad = PadPolicy(spatial=1, temporal=temporal)
+        g = np.random.default_rng(19).standard_normal(
+            conv_forward(x, w, pad, stride=stride).shape).astype(dtype)
+        _, want_k, want_b = reference.conv_backward_loop(x, w, pad, g, stride=stride)
+        for input_grad in (True, False):
+            gx, gw = conv_backward(x, w, pad, g, stride=stride, input_grad=input_grad)
+            assert (gx is None) is not input_grad
+            if dtype is np.float64:
+                np.testing.assert_allclose(gw.kernel, want_k, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(gw.bias, want_b, rtol=0, atol=1e-12)
+            else:
+                assert_close_to_largest(gw.kernel, want_k, 1e-5)
+                assert_close_to_largest(gw.bias, want_b, 1e-5)
 
     def test_grad_out_shape_mismatch_raises(self):
         x, w = random_case(15)
@@ -290,13 +303,14 @@ class TestTapBounds:
         assert depths == [5, 5]
 
     def test_none_input_gradient_gathers_output_depth(self, monkeypatch):
-        # L5-shaped: five frames in, three out; the input gradient reads the
-        # three slices of grad_out, not them plus kD-1 zero slices per end
+        # L5-shaped: five frames in, three out; the backward's one gather
+        # reads the three slices of grad_out, not them plus kD-1 zero slices
+        # per end
         depths = record_stored_depths(monkeypatch)
         x, w = random_case(51, d=5)
         pad = PadPolicy(spatial=1, temporal=TemporalPad.NONE)
         conv_backward(x, w, pad, np.ones_like(conv_forward(x, w, pad)))
-        assert depths == [5, 5, 3]
+        assert depths == [5, 3]
 
     @pytest.mark.parametrize("kd", [3, 5])
     @pytest.mark.parametrize("d", [1, 2])
@@ -345,24 +359,28 @@ def conv_cases(draw):
                              d=d, h=h, w=w, kd=kd, kh=kh, kw=kw, dtype=np.float64)
     stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     bands = (draw(st.sampled_from([1, 256, 4 * 1024 * 1024])), draw(st.sampled_from([1, 8, 1024])))
-    return x, weights, PadPolicy(spatial=s, temporal=temporal), stride, bands
+    return x, weights, PadPolicy(spatial=s, temporal=temporal), stride, bands, draw(st.booleans())
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(conv_cases())
 def test_forward_and_backward_match_loop_oracles(case):
-    # random shapes, kernels, strides, spatial pads, temporal policies and band sizes
-    x, w, pad, stride, (budget, floor) = case
+    # random shapes, kernels, strides, spatial pads, temporal policies, band
+    # sizes, and backwards with and without the input gradient
+    x, w, pad, stride, (budget, floor), input_grad = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor_core, "_WINDOW_BUDGET_BYTES", budget)
         mp.setattr(tensor_core, "_MIN_BAND_POSITIONS", floor)
         out = conv_forward(x, w, pad, stride=stride)
         g = np.random.default_rng(x.size).standard_normal(out.shape)
-        gx, gw = conv_backward(x, w, pad, g, stride=stride)
+        gx, gw = conv_backward(x, w, pad, g, stride=stride, input_grad=input_grad)
     np.testing.assert_allclose(out, reference.conv_forward_loop(x, w, pad, stride=stride),
                                rtol=0, atol=1e-12)
     want_x, want_k, want_b = reference.conv_backward_loop(x, w, pad, g, stride=stride)
-    np.testing.assert_allclose(gx, want_x, rtol=0, atol=1e-12)
+    if input_grad:
+        np.testing.assert_allclose(gx, want_x, rtol=0, atol=1e-12)
+    else:
+        assert gx is None
     np.testing.assert_allclose(gw.kernel, want_k, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gw.bias, want_b, rtol=0, atol=1e-12)
 
