@@ -19,7 +19,7 @@ import numpy as np
 from .bicubic import bicubic_resize, degrade_clip, upscale_chroma
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import COMMANDS, FIELD_DOCS, ConfigError, RunConfig, load_config
-from .frames import Frame, VideoClip
+from .frames import MIDDLE_FRAME, Frame, VideoClip
 from .metrics import format_metric, metrics_csv, psnr, ssim
 from .model import (ARCH_NAMES, LayerSpec, ModelSpec, build_architecture,
                     count_parameters, dump_feature_maps, forward,
@@ -149,7 +149,8 @@ def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
             raise ConfigError(f"--method bicubic runs no model; drop {', '.join(unused)}")
 
         def runner(window):
-            return bicubic_resize(window[2], window[2].width * rs, window[2].height * rs)
+            middle = window[MIDDLE_FRAME]
+            return bicubic_resize(middle, middle.width * rs, middle.height * rs)
     else:
         params, spec, _ = _load(cfg.checkpoint, "sr")
         if spec.scale != rs and not (spec.scale == 2 and rs in (3, 4)):

@@ -11,6 +11,9 @@ import numpy as np
 
 from .tensor_core import DEFAULT_DTYPE
 
+INPUT_FRAMES = 5   # the sliding window every network reads
+MIDDLE_FRAME = INPUT_FRAMES // 2   # the window's centre, the frame it upscales
+
 
 def _clamped_plane(data) -> np.ndarray:
     """A read-only clamped copy of `data`, made in one pass, so a plane never
@@ -80,7 +83,7 @@ class VideoClip:
         return self.frames[0].height
 
     def window(self, center: int) -> list[Frame]:
-        """The five frames centred on `center`; indices past either end replicate
-        the edge frame."""
-        last = len(self.frames) - 1
-        return [self.frames[min(max(center + k, 0), last)] for k in range(-2, 3)]
+        """The INPUT_FRAMES frames centred on `center`; indices past either end
+        replicate the edge frame."""
+        first, last = center - MIDDLE_FRAME, len(self.frames) - 1
+        return [self.frames[min(max(i, 0), last)] for i in range(first, first + INPUT_FRAMES)]

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bicubic import bicubic_resize
-from .frames import Frame
+from .frames import INPUT_FRAMES, MIDDLE_FRAME, Frame
 from .tensor_core import (DEFAULT_DTYPE, ConvWeights, PadPolicy, TemporalPad,
                           conv_backward, conv_padded, pad_into, padded_shape,
                           pixel_shuffle, relu, relu_backward, tensor5d)
 
 ARCH_NAMES = ("cnn2d", "v1", "v2", "v3", "full")
-INPUT_FRAMES = 5   # the sliding window every network reads
 
 
 @dataclass(frozen=True)
@@ -261,9 +260,9 @@ def forward(params, spec: ModelSpec, window) -> Frame:
         raise ValueError("window frames disagree on geometry")
     out, _ = forward_stack(params, spec, stack_windows([window]))
     residual = pixel_shuffle(out, spec.scale)[0, 0, 0]
-    middle = window[INPUT_FRAMES // 2]
+    middle = window[MIDDLE_FRAME]
     base = bicubic_resize(middle, middle.width * spec.scale, middle.height * spec.scale)
-    return Frame(np.clip(base.luma + residual, 0.0, 1.0))
+    return Frame(base.luma + residual)   # Frame clamps to [0, 1]
 
 
 def forward_multiscale(params, spec: ModelSpec, window, requested_scale: int) -> Frame:

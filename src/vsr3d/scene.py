@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .bicubic import resize_plane
-from .frames import VideoClip
+from .frames import INPUT_FRAMES, VideoClip
 from .model import LayerSpec, ModelSpec, backward_stack, forward_stack
 from .tensor_core import DEFAULT_DTYPE
 from .training import fit
@@ -29,7 +29,7 @@ SF_HEIGHT = 27
 SF_LR = 1e-3
 SF_BATCH = 64
 _SCORE_CHUNK = 256   # samples per classifier pass when scoring
-_SHRUNK = deque(maxlen=5)   # (luma array, its 27x48 plane), newest last
+_SHRUNK = deque(maxlen=INPUT_FRAMES)   # (luma array, its 27x48 plane), newest last
 
 
 class SceneLabel(Enum):
@@ -53,8 +53,9 @@ class SFInput:
 
     def __post_init__(self):
         p = np.asarray(self.planes)
-        if p.shape != (5, SF_HEIGHT, SF_WIDTH):
-            raise ValueError(f"SFInput wants (5, {SF_HEIGHT}, {SF_WIDTH}), got {p.shape}")
+        if p.shape != (INPUT_FRAMES, SF_HEIGHT, SF_WIDTH):
+            raise ValueError(
+                f"SFInput wants ({INPUT_FRAMES}, {SF_HEIGHT}, {SF_WIDTH}), got {p.shape}")
         object.__setattr__(self, "planes", p.astype(DEFAULT_DTYPE, copy=False))
 
 
@@ -62,7 +63,7 @@ def sf_input_from_window(window) -> SFInput:
     """Downscale a five-frame window onto the classifier grid. Sources
     smaller than the 48x27 target carry no extra detail to pool and are
     rejected."""
-    if len(window) != 5:
+    if len(window) != INPUT_FRAMES:
         raise ValueError(f"expected a five-frame window, got {len(window)}")
     for f in window:
         if f.width < SF_WIDTH or f.height < SF_HEIGHT:
@@ -88,14 +89,14 @@ def build_sf_net(layers: int = 3) -> ModelSpec:
     """
     if layers == 3:
         stack = [
-            LayerSpec("conv2d", 5, 16, (1, 3, 3), stride=(2, 2)),
+            LayerSpec("conv2d", INPUT_FRAMES, 16, (1, 3, 3), stride=(2, 2)),
             LayerSpec("conv2d", 16, 32, (1, 3, 3), stride=(2, 2)),
-            LayerSpec("conv2d", 32, 5, (1, 7, 12), activation="none", spatial_pad=0),
+            LayerSpec("conv2d", 32, len(SceneLabel), (1, 7, 12), activation="none", spatial_pad=0),
         ]
     elif layers == 2:
         stack = [
-            LayerSpec("conv2d", 5, 16, (1, 3, 3), stride=(2, 2)),
-            LayerSpec("conv2d", 16, 5, (1, 14, 24), activation="none", spatial_pad=0),
+            LayerSpec("conv2d", INPUT_FRAMES, 16, (1, 3, 3), stride=(2, 2)),
+            LayerSpec("conv2d", 16, len(SceneLabel), (1, 14, 24), activation="none", spatial_pad=0),
         ]
     else:
         raise ValueError(f"SF net comes in 2 or 3 layers, not {layers}")
@@ -154,7 +155,7 @@ def replace_frames(window, label: SceneLabel) -> list:
     """Rewrite frames on the far side of the cut with the boundary-adjacent
     frame from the middle frame's scene. Pure: returns a new list, the input
     is untouched, and reapplying with the same label changes nothing."""
-    if len(window) != 5:
+    if len(window) != INPUT_FRAMES:
         raise ValueError(f"expected a five-frame window, got {len(window)}")
     return [window[i] for i in _REPLACEMENT[label]]
 
@@ -169,8 +170,9 @@ def make_sf_dataset(clips_a: list[VideoClip], clips_b: list[VideoClip],
         raise ValueError("need two non-empty scene pools")
     for name, pool in (("A", clips_a), ("B", clips_b)):
         for i, clip in enumerate(pool):
-            if len(clip) < 5:
-                raise ValueError(f"pool {name} clip {i} has {len(clip)} frames; need at least 5")
+            if len(clip) < INPUT_FRAMES:
+                raise ValueError(f"pool {name} clip {i} has {len(clip)} frames; "
+                                 f"need at least {INPUT_FRAMES}")
     rng = np.random.default_rng(seed)
 
     def segment(pool, count):
@@ -183,12 +185,12 @@ def make_sf_dataset(clips_a: list[VideoClip], clips_b: list[VideoClip],
         for _ in range(per_class):
             if label is SceneLabel.NO_CHANGE:
                 pool = clips_a if rng.integers(2) == 0 else clips_b
-                frames = segment(pool, 5)
+                frames = segment(pool, INPUT_FRAMES)
             else:
                 k = label.value + 1
                 first, second = ((clips_a, clips_b) if rng.integers(2) == 0
                                  else (clips_b, clips_a))
-                frames = segment(first, k) + segment(second, 5 - k)
+                frames = segment(first, k) + segment(second, INPUT_FRAMES - k)
             samples.append((sf_input_from_window(frames), label))
     return samples
 
@@ -202,7 +204,7 @@ def sf_accuracy(params, spec: ModelSpec, samples) -> float:
 
 def confusion_matrix(params, spec: ModelSpec, samples) -> np.ndarray:
     """counts[true, predicted] over the five classes."""
-    counts = np.zeros((5, 5), dtype=np.int64)
+    counts = np.zeros((len(SceneLabel),) * 2, dtype=np.int64)
     for lo in range(0, len(samples), _SCORE_CHUNK):
         chunk = samples[lo:lo + _SCORE_CHUNK]
         preds = np.argmax(sf_logits(params, spec, [s for s, _ in chunk]), axis=1)

@@ -14,8 +14,8 @@ Every GEMM of a layer runs on a slice-major column gather (im2col,
 Chellapilla, Puri and Simard 2006): for a band of one sample's output rows,
 the (C, kH, kW) windows of every stored depth slice are copied once into a
 (D*C*kH*kW, positions) buffer, so the stored slices under output slice z are
-one contiguous row block. The forward gathers its input once; the backward
-gathers once too, the output gradient's columns feeding both its GEMMs.
+one contiguous row block. The forward gathers its input once, and the
+backward gathers once in either of its modes.
 
 ZERO temporal padding is not stored: its zero depth slices become tap bounds.
 Of the kD taps of output slice z, only those landing on stored slices enter
@@ -32,23 +32,20 @@ copy for single calls, and conv_backward one only where it needs it.
 
 - The forward is one GEMM per output slice and band, written in place in
   (O, H, W) order.
-- The input gradient is the forward of the zero-dilated output gradient with
-  the kernel flipped on all three axes and its in/out axes swapped (the
-  transposed-convolution identity, Dumoulin and Visin 2016). The zero depth
-  slices that identity adds to each end of the output gradient are tap
-  bounds too. Under DUPLICATE it covers the added depth slices, which then
-  fold onto the edge slices they copy.
-- The kernel gradient reuses that gather: a column of it holds, for one
-  input position, the output gradient each flipped tap pairs with that
-  position. So beside each input-gradient GEMM runs a second one, the input
-  block (C, P) times the columns transposed, accumulated over bands into a
-  (C, kD*O*kH*kW) matrix in the flipped kernel's layout, then unflipped.
-  The input is read spatially unpadded, since the columns of padded
-  positions are never formed; under DUPLICATE it includes the added slices.
-  Without the input gradient (a stack's first layer, whose one input group
-  makes its gather far smaller than the output gradient's), the padded input
-  is gathered instead and the output gradient (O, P) times its columns
-  transposed gives the kernel gradient directly.
+- The backward is one loop over one gather too, in either of two modes.
+  With the input gradient it gathers the zero-dilated output gradient: the
+  input gradient is its forward with the kernel flipped on all three axes
+  and its in/out axes swapped (the transposed-convolution identity, Dumoulin
+  and Visin 2016), the zero depth slices the identity adds at each end
+  being tap bounds too. Under DUPLICATE it covers the added depth slices,
+  which then fold onto the edge slices they copy. A column of that gather
+  holds, for one input position, the output gradient each flipped tap pairs
+  with it, so the same loop accumulates the stored input block (C, P),
+  spatially unpadded, times the block transposed: the kernel gradient in
+  the flipped layout, unflipped at the end. Without the input gradient (a
+  stack's first layer, whose one input group makes its gather far smaller),
+  it gathers the padded input, and the output gradient (O, P) times the
+  block transposed gives the kernel gradient directly.
 
 Every output element of a forward is one contraction over its taps'
 C*kH*kW terms. Splitting it into kD partial GEMMs summed afterwards adds a
@@ -131,24 +128,19 @@ def tensor5d(data) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def _temporal_per_side(kernel_depth: int, pad: PadPolicy) -> int:
-    """Depth slices added at each end: (kernel_depth - 1) // 2 under ZERO or
-    DUPLICATE, so a depth-3 filter preserves the depth extent."""
-    if pad.temporal is TemporalPad.NONE:
-        return 0
-    if kernel_depth % 2 == 0:
-        raise ValueError("temporal padding requires an odd kernel depth")
-    return (kernel_depth - 1) // 2
-
-
 def _stored_pads(kernel_depth: int, pad: PadPolicy) -> tuple[int, int, int]:
     """(d, s, t) of the layout the gather reads: d depth slices stored at each
     end (DUPLICATE's copies), s spatial zeros per side, and t zero depth
-    slices per end left implicit for _correlate's tap bounds (ZERO's)."""
-    t = _temporal_per_side(kernel_depth, pad)
+    slices per end left implicit as tap bounds (ZERO's). Either is
+    (kernel_depth - 1) // 2, so a depth-3 filter preserves the depth extent."""
+    if pad.temporal is TemporalPad.NONE:
+        return 0, pad.spatial, 0
+    if kernel_depth % 2 == 0:
+        raise ValueError("temporal padding requires an odd kernel depth")
+    per_side = (kernel_depth - 1) // 2
     if pad.temporal is TemporalPad.DUPLICATE:
-        return t, pad.spatial, 0
-    return 0, pad.spatial, t
+        return per_side, pad.spatial, 0
+    return 0, pad.spatial, per_side
 
 
 def padded_shape(shape, kernel_depth: int, pad: PadPolicy) -> tuple[int, ...]:
@@ -181,7 +173,7 @@ def pad_into(buf: np.ndarray, x: np.ndarray, kernel_depth: int, pad: PadPolicy,
 
 def _pad_stored(x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> tuple[np.ndarray, int]:
     """(padded input, t): the copy the gather reads, and the t zero depth
-    slices per end that ZERO leaves implicit for _correlate's tap bounds."""
+    slices per end that ZERO leaves implicit as tap bounds."""
     xp = np.empty(padded_shape(x.shape, kernel_depth, pad), dtype=x.dtype)
     return pad_into(xp, x, kernel_depth, pad), _stored_pads(kernel_depth, pad)[2]
 
@@ -191,18 +183,6 @@ def _out_extents(xp_shape, kernel_shape, stride, t: int) -> tuple[int, int, int]
     implicit zero slices at each depth end."""
     (dp, hp, wp), (kd, kh, kw), (sh, sw) = xp_shape[2:], kernel_shape[2:], stride
     return dp + 2 * t - kd + 1, (hp - kh) // sh + 1, (wp - kw) // sw + 1
-
-
-def _tap_blocks(do: int, kd: int, stored: int, t: int, per_slice: int):
-    """Per output slice z, (z, kernel columns, column rows) of the taps
-    [max(0, t-z), min(kd, stored+t-z)) that land on stored depth slices,
-    when t zero slices per depth end are implicit."""
-    blocks = []
-    for z in range(do):
-        k0, k1 = max(0, t - z), min(kd, stored + t - z)
-        blocks.append((z, slice(k0 * per_slice, k1 * per_slice),
-                       slice((z + k0 - t) * per_slice, (z + k1 - t) * per_slice)))
-    return blocks
 
 
 def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: tuple[int, int], ho: int, wo: int):
@@ -228,40 +208,25 @@ def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: tuple[int, int], ho:
 def _slice_blocks(xp: np.ndarray, kernel_shape, stride: tuple[int, int], t: int):
     """Yield (n, z, span, taps, block) per band of each sample of a padded
     input and per output slice z of its valid correlation, t implicit zero
-    slices per depth end: block is the band's column rows of z's taps on
-    stored slices, taps their kernel columns, span the band's output
-    positions. Blocks are views of one buffer, valid until the next band."""
+    slices per depth end: block is the band's column rows of z's taps
+    [max(0, t-z), min(kD, stored+t-z)), those landing on stored slices, taps
+    their kernel columns, span the band's output positions. Blocks are views
+    of one buffer, valid until the next band."""
     _, in_g, kd, kh, kw = kernel_shape
     do, ho, wo = _out_extents(xp.shape, kernel_shape, stride, t)
-    blocks = _tap_blocks(do, kd, xp.shape[2], t, in_g * kh * kw)
+    per = in_g * kh * kw
+    bounds = [(z, max(0, t - z), min(kd, xp.shape[2] + t - z)) for z in range(do)]
+    blocks = [(z, slice(k0 * per, k1 * per), slice((z + k0 - t) * per, (z + k1 - t) * per))
+              for z, k0, k1 in bounds]
     for n, y0, y1, cols in _column_bands(xp, kh, kw, stride, ho, wo):
         for z, taps, rows in blocks:
             yield n, z, slice(y0 * wo, y1 * wo), taps, cols[rows]
 
 
-def _correlate(xp: np.ndarray, kernel: np.ndarray, stride: tuple[int, int],
-               t: int, weigh: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Valid correlation of a padded input, extended by t implicit zero
-    slices at each depth end, with a filter bank, without bias: one GEMM per
-    output slice and band over the taps on stored slices, written in place.
-
-    With weigh = (a, grad_kmat), a shaped like the output, each GEMM's
-    column block also meets the matching block of a in a second GEMM,
-    a (C x P) @ block.T, accumulated into grad_kmat's columns of those taps
-    (kmat's layout, (O, kD*C*kH*kW))."""
-    out_g = kernel.shape[0]
-    # (O, kD*C*kH*kW): the row order of kd consecutive slices of `cols`
-    kmat = kernel.transpose(0, 2, 1, 3, 4).reshape(out_g, -1)
-    out = np.empty((xp.shape[0], out_g) + _out_extents(xp.shape, kernel.shape, stride, t),
-                   dtype=xp.dtype)
-    planes = out.reshape(out.shape[:3] + (-1,))
-    if weigh is not None:
-        a_planes, grad_kmat = weigh[0].reshape(planes.shape), weigh[1]
-    for n, z, span, taps, block in _slice_blocks(xp, kernel.shape, stride, t):
-        np.matmul(kmat[:, taps], block, out=planes[n, :, z, span])
-        if weigh is not None:
-            grad_kmat[:, taps] += a_planes[n, :, z, span] @ block.T
-    return out
+def _kmat(kernel: np.ndarray) -> np.ndarray:
+    """(O, kD*C*kH*kW): a kernel's columns in the row order of kD consecutive
+    stored slices of the gather."""
+    return kernel.transpose(0, 2, 1, 3, 4).reshape(kernel.shape[0], -1)
 
 
 def conv_forward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
@@ -290,8 +255,16 @@ def conv_forward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
 def conv_padded(xp: np.ndarray, weights: ConvWeights, pad: PadPolicy,
                 stride: tuple[int, int] = (1, 1)) -> np.ndarray:
     """conv_forward of an input already in padded_shape's layout for `pad`
-    (ZERO's depth slices implicit), unchecked; the bias is added in place."""
-    out = _correlate(xp, weights.kernel, stride, _stored_pads(weights.kernel.shape[2], pad)[2])
+    (ZERO's depth slices implicit), unchecked: one GEMM per output slice and
+    band over the taps on stored slices, written in place, then the bias."""
+    kernel = weights.kernel
+    t = _stored_pads(kernel.shape[2], pad)[2]
+    kmat = _kmat(kernel)
+    out = np.empty((xp.shape[0], kernel.shape[0]) + _out_extents(xp.shape, kernel.shape, stride, t),
+                   dtype=xp.dtype)
+    planes = out.reshape(out.shape[:3] + (-1,))
+    for n, z, span, taps, block in _slice_blocks(xp, kernel.shape, stride, t):
+        np.matmul(kmat[:, taps], block, out=planes[n, :, z, span])
     out += weights.bias.astype(xp.dtype).reshape(1, -1, 1, 1, 1)
     return out
 
@@ -306,12 +279,13 @@ def conv_backward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     to the input gradient; duplicated temporal slices fold their gradient
     back onto the edge slices.
 
-    Either way the backward runs one column gather. With `input_grad` it is
-    the dilated output gradient's, whose columns meet the flipped kernel for
-    the input gradient and the stored input for the kernel gradient, summed
-    in the flipped kernel's layout; without, the padded input's. The two
-    modes sum the kernel gradient in different orders, so in float32 they
-    agree to rounding, not bit for bit.
+    Either way one loop runs over one column gather, each block of which
+    meets its paired tensor in a GEMM accumulated into the kernel gradient.
+    With `input_grad` the gather is the dilated output gradient's, paired
+    with the stored input, and each block also meets the flipped kernel for
+    the input gradient; without, it is the padded input's, paired with
+    grad_out. The two modes sum the kernel gradient in different orders, so
+    in float32 they agree to rounding, not bit for bit.
     """
     kernel = weights.kernel
     out_g, in_g, kd, kh, kw = kernel.shape
@@ -323,31 +297,36 @@ def conv_backward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
             f"grad_out shape {grad_out.shape} does not match output {(n_b, out_g, do, ho, wo)}")
     grad_bias = grad_out.sum(axis=(0, 2, 3, 4), dtype=grad_out.dtype)
 
-    if not input_grad:
-        # gather the padded input: at layer 0 it has far fewer rows than
-        # the output gradient
-        xp, _ = _pad_stored(x, kd, pad)
-        grad_kmat = np.zeros((out_g, kd * in_g * kh * kw), dtype=kernel.dtype)
-        go_planes = grad_out.reshape(n_b, out_g, do, ho * wo)
-        for n, z, span, taps, block in _slice_blocks(xp, kernel.shape, stride, t):
-            grad_kmat[:, taps] += go_planes[n, :, z, span] @ block.T
-        grad_kernel = grad_kmat.reshape(out_g, kd, in_g, kh, kw).transpose(0, 2, 1, 3, 4)
-        return None, ConvWeights(grad_kernel, grad_bias)
-
-    # the correlation covers the stored depth slices, which under DUPLICATE
-    # include the added ones (folded below); the kd-1-t zero slices it needs
-    # at each end of grad_out stay implicit
-    h, w = x.shape[3:]
-    spread = _dilate_into(grad_out, (h + kh - 1, w + kw - 1), (kh - 1 - s, kw - 1 - s), stride)
-    flipped = kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-    # the kernel gradient pairs the same columns with the stored input,
-    # unpadded spatially, in the flipped kernel's layout (C, kD*O*kH*kW)
-    stored = x if not d else _pad_stored(x, kd, PadPolicy(0, pad.temporal))[0]
-    grad_kmat = np.zeros((in_g, kd * out_g * kh * kw), dtype=kernel.dtype)
-    grad_x = _correlate(spread, flipped, (1, 1), kd - 1 - t, (stored, grad_kmat))
-    grad_kernel = (grad_kmat.reshape(in_g, kd, out_g, kh, kw)[:, ::-1, :, ::-1, ::-1]
-                   .transpose(2, 0, 1, 3, 4))
-    return _unpad_gradient(grad_x, kd, pad), ConvWeights(grad_kernel, grad_bias)
+    if input_grad:
+        # the transposed-convolution identity: the dilated output gradient
+        # against the flipped kernel, in/out swapped, with the kd-1-t zero
+        # slices it needs at each end of grad_out implicit; the kernel
+        # gradient pairs its columns with the stored input, spatially unpadded
+        h, w = x.shape[3:]
+        src = _dilate_into(grad_out, (h + kh - 1, w + kw - 1), (kh - 1 - s, kw - 1 - s), stride)
+        gathered = kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+        src_stride, src_t = (1, 1), kd - 1 - t
+        paired = x if not d else _pad_stored(x, kd, PadPolicy(0, pad.temporal))[0]
+        grad_x = np.empty(paired.shape, dtype=grad_out.dtype)
+        grad_planes = grad_x.reshape(paired.shape[:3] + (-1,))
+    else:
+        # gather the padded input, paired with the output gradient: at layer 0
+        # it has far fewer rows than the output gradient
+        src, gathered = _pad_stored(x, kd, pad)[0], kernel
+        src_stride, src_t, paired, grad_x = stride, t, grad_out, None
+    rows, cols = gathered.shape[:2]
+    kmat, planes = _kmat(gathered), paired.reshape(paired.shape[:3] + (-1,))
+    grad_kmat = np.zeros((rows, kd * cols * kh * kw), dtype=kernel.dtype)
+    for n, z, span, taps, block in _slice_blocks(src, gathered.shape, src_stride, src_t):
+        if input_grad:
+            np.matmul(kmat[:, taps], block, out=grad_planes[n, :, z, span])
+        grad_kmat[:, taps] += planes[n, :, z, span] @ block.T
+    # the gradient of `gathered` in its own layout, unflipped if it is flipped
+    grad_kernel = grad_kmat.reshape(rows, kd, cols, kh, kw).transpose(0, 2, 1, 3, 4)
+    if input_grad:
+        grad_kernel = grad_kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+        grad_x = _unpad_gradient(grad_x, d)
+    return grad_x, ConvWeights(grad_kernel, grad_bias)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -408,13 +387,12 @@ def _dilate_into(g: np.ndarray, extents, offsets, strides) -> np.ndarray:
     return out
 
 
-def _unpad_gradient(grad: np.ndarray, kernel_depth: int, pad: PadPolicy) -> np.ndarray:
-    """Fold the gradient of DUPLICATE's added depth slices onto the edge
-    slices they copy and drop them; other policies pass through."""
-    t = _temporal_per_side(kernel_depth, pad)
-    if pad.temporal is not TemporalPad.DUPLICATE or not t:
+def _unpad_gradient(grad: np.ndarray, d: int) -> np.ndarray:
+    """Fold the gradient of DUPLICATE's d added depth slices at each end onto
+    the edge slices they copy and drop them; with d = 0 it passes through."""
+    if not d:
         return grad
-    core = grad[:, :, t:-t].copy()
-    core[:, :, 0] += grad[:, :, :t].sum(axis=2)
-    core[:, :, -1] += grad[:, :, -t:].sum(axis=2)
+    core = grad[:, :, d:-d].copy()
+    core[:, :, 0] += grad[:, :, :d].sum(axis=2)
+    core[:, :, -1] += grad[:, :, -d:].sum(axis=2)
     return core

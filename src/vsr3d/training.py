@@ -14,9 +14,9 @@ import numpy as np
 
 from .bicubic import resize_plane
 from .checkpoint import save_checkpoint
-from .frames import Frame, VideoClip
+from .frames import INPUT_FRAMES, MIDDLE_FRAME, Frame, VideoClip
 from .metrics import psnr
-from .model import (INPUT_FRAMES, ModelSpec, backward_stack, build_architecture, forward,
+from .model import (ModelSpec, backward_stack, build_architecture, forward,
                     forward_stack, layer_input, zero_params)
 from .tensor_core import DEFAULT_DTYPE, ConvWeights, conv_forward, pixel_shuffle, pixel_unshuffle
 
@@ -78,8 +78,8 @@ def extract_dataset(clips: list[VideoClip], recipe: DatasetRecipe, seed: int) ->
     p_lr = recipe.lr_patch_size
     samples = []
     for ci, clip in enumerate(clips):
-        if len(clip) < 5:
-            raise ValueError(f"clip {ci} has {len(clip)} frames; need at least 5")
+        if len(clip) < INPUT_FRAMES:
+            raise ValueError(f"clip {ci} has {len(clip)} frames; need at least {INPUT_FRAMES}")
         if clip.height < p_hr or clip.width < p_hr:
             raise ValueError(
                 f"clip {ci} is {clip.width}x{clip.height}, smaller than the "
@@ -106,7 +106,7 @@ def extract_dataset(clips: list[VideoClip], recipe: DatasetRecipe, seed: int) ->
                 lr = np.stack([
                     resize_plane(f.luma[y:y + p_hr, x:x + p_hr], p_lr, p_lr).astype(DEFAULT_DTYPE)
                     for f in window])
-                hr = np.asarray(window[2].luma[y:y + p_hr, x:x + p_hr], dtype=DEFAULT_DTYPE)
+                hr = np.asarray(window[MIDDLE_FRAME].luma[y:y + p_hr, x:x + p_hr], DEFAULT_DTYPE)
                 samples.append(WindowSample(lr, hr, (ci, centre, (y, x))))
     return samples
 
@@ -280,7 +280,7 @@ def train(spec: ModelSpec, samples: list[WindowSample], *, loss_form: str = "mea
     out_path, log_path, checkpoint_every, max_steps, meta). Validation is
     the mean PSNR on val_samples with the scale as border.
     """
-    bases_all = [resize_plane(s.lr_frames[2], *s.hr_target.shape).astype(DEFAULT_DTYPE)
+    bases_all = [resize_plane(s.lr_frames[MIDDLE_FRAME], *s.hr_target.shape).astype(DEFAULT_DTYPE)
                  for s in samples]
 
     def batch_loss(params, idx):

@@ -1,4 +1,7 @@
-"""The benchmark's item markers name functions the program really calls.
+"""The benchmark's command lines and item markers fit the program.
+
+Each workload's command lines must parse and pass config validation; a
+renamed or retyped flag would otherwise show only as a failed benchmark run.
 
 `bench/worker.py` times the items of a pass by replacing each (module,
 function) marker of a command with a wrapper, set on `vsr3d.<module>`. The
@@ -15,6 +18,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from vsr3d.cli import _build_parser
+from vsr3d.config import FIELD_DOCS, load_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 # top-level modules that loading bench/workloads.py imports from bench/
@@ -72,3 +78,15 @@ def test_markers_are_globals_their_module_calls(name, tmp_path):
             assert callable(vars(module).get(func)), f"{command.name}: vsr3d.{mod}.{func} missing"
             assert func in called_names(module), (
                 f"{command.name}: vsr3d.{mod} never calls {func} by that name")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_command_lines_parse_and_validate(name, tmp_path):
+    # the same parse and config load that `cli.main` runs before any command
+    parser = _build_parser()
+    for command in WORKLOADS[name](7, tmp_path).commands(tmp_path / "pass"):
+        args = parser.parse_args(command.argv)
+        assert args.command == command.argv[0]
+        overrides = {key: ",".join(value) if isinstance(value, list) else value
+                     for key, value in vars(args).items() if key in FIELD_DOCS}
+        load_config(args.config, overrides)

@@ -16,6 +16,7 @@ from vsr3d.cli import REFERENCE_WEIGHT_COUNTS, _build_parser, main
 from vsr3d.config import RunConfig
 from vsr3d.frames import Frame, VideoClip
 from vsr3d.model import build_architecture, count_parameters
+from vsr3d.scene import build_sf_net
 from vsr3d.tensor_core import ConvWeights
 from vsr3d.training import xavier_init
 from vsr3d.video_io import write_clip
@@ -562,31 +563,44 @@ def test_oversized_geometry_is_one_line_error(tmp_path, name, payload, extra):
         proc.stderr
 
 
-@pytest.mark.parametrize("command", ["upscale", "train"])
+@pytest.mark.parametrize("command", ["upscale", "train", "scene", "evaluate"])
 def test_out_of_memory_is_one_line_error(tmp_path, command):
     # under a 512 MiB address-space cap, one float32 activation of `full`
     # cannot be allocated: (1, 32, 5, 720, 1280) for upscale (590 MB), and
     # (95, 32, 5, 100, 100) for train's first batch of 95 LR 100x100 patches
-    # (608 MB); the MemoryError must end the command in one line, with
-    # nothing written
+    # (608 MB); under a 256 MiB cap, neither scene nor evaluate can allocate
+    # a 61 MiB float32 plane of one 4000x4000 4:2:0 frame (a 24 MB Y4M); the
+    # MemoryError must end the command in one line, with nothing written
+    cap = "1 << 29"
     if command == "upscale":
         clip, ckpt = tmp_path / "hd.y4m", tmp_path / "full.ckpt"
         write_clip(textured_clip(7, 3, 1280, 720), str(clip))
         zero_checkpoint(ckpt, "full")
         args = ["upscale", str(clip), str(tmp_path / "o.y4m"), "--checkpoint", str(ckpt)]
-    else:
+    elif command == "train":
         # 25 centre frames, 4 crops each, every 20th held out for validation
         clip = tmp_path / "sq.y4m"
         write_clip(textured_clip(7, 25, 400, 400), str(clip))
         args = ["train", "--data", str(clip), "--lr-patch-size", "100", "--frame-stride", "1",
                 "--subimages-per-frame", "4", "--batch-size", "95",
                 "--out", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "log.csv")]
+    else:
+        clip, cap = tmp_path / "big.y4m", "1 << 28"
+        luma = np.random.default_rng(7).random((4000, 4000), dtype=np.float32)
+        write_clip(VideoClip([Frame(luma)]), str(clip))
+        args = [command, str(clip), "--csv", str(tmp_path / "out.csv")]
+        if command == "evaluate":
+            args += ["--method", "bicubic", "--scale", "2"]
+        else:
+            ckpt, spec = tmp_path / "sf.ckpt", build_sf_net(3)
+            save_checkpoint(xavier_init(spec, 0), spec, {}, str(ckpt))
+            args += ["--sf-checkpoint", str(ckpt)]
     inputs = sorted(os.listdir(tmp_path))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_MAIN.replace("3 << 30", "1 << 29"), *args],
+        [sys.executable, "-c", _CAPPED_MAIN.replace("3 << 30", cap), *args],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 1, proc.stderr
     lines = proc.stderr.splitlines()

@@ -291,6 +291,14 @@ class TestForward:
         base = bicubic_resize(window[2], 16, 20)
         assert np.array_equal(out.luma, base.luma)
 
+    @pytest.mark.parametrize("bias, level", [(2.0, 1.0), (-2.0, 0.0)])
+    def test_output_is_clamped_to_unit_range(self, bias, level):
+        spec = build_architecture("full", scale=2)
+        params = zero_params(spec)
+        params[-1].bias[:] = bias
+        out = forward(params, spec, random_window(10, 8, seed=5))
+        assert np.all(out.luma == level)
+
     def test_output_geometry(self):
         spec = build_architecture("full", scale=2)
         out = forward(random_params(spec, seed=6), spec, random_window(16, 16, seed=6))
