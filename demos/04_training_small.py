@@ -51,7 +51,7 @@ result = train(spec, samples, epochs=2, batch_size=32, lr=5e-4,
                weight_decay=5e-4, seed=0, val_samples=val)
 first_loss, last_loss = result.log_rows[0][1], result.log_rows[-1][1]
 print(f"loss {first_loss:.5f} -> {last_loss:.5f} over {len(result.log_rows)} steps")
-print(f"held-out PSNR {result.final_val_psnr:.2f} dB vs bicubic {baseline:.2f} dB")
+print(f"held-out PSNR {result.final_val:.2f} dB vs bicubic {baseline:.2f} dB")
 
 # The backward pass is checked against central finite differences on a
 # miniature copy of the architecture (full-size checks would be too slow).

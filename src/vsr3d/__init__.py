@@ -14,8 +14,7 @@ from .config import ConfigError, RunConfig, load_config
 from .frames import Frame, VideoClip
 from .metrics import format_metric, metrics_csv, psnr, ssim
 from .model import (ARCH_NAMES, LayerSpec, ModelSpec, build_architecture,
-                    count_parameters, dump_feature_maps, forward,
-                    forward_multiscale, forward_stack)
+                    count_parameters, dump_feature_maps, forward, forward_stack)
 from .scene import (SceneLabel, SFInput, build_sf_net, classify_window,
                     confusion_csv, confusion_matrix, make_sf_dataset,
                     replace_frames, sf_accuracy, train_sf)
@@ -38,10 +37,10 @@ __all__ = [
     "build_sf_net", "classify_window", "confusion_csv", "confusion_matrix",
     "conv_forward", "count_parameters", "degrade_clip", "detect_format",
     "dump_feature_maps", "extract_dataset", "format_metric", "forward",
-    "forward_multiscale", "forward_stack", "grad_check", "init_optim",
-    "load_checkpoint", "load_config", "loss_mse", "make_sf_dataset",
-    "metrics_csv", "miniature_spec", "pixel_shuffle", "pixel_unshuffle",
-    "psnr", "read_clip", "relu", "replace_frames", "resize_plane",
+    "forward_stack", "grad_check", "init_optim", "load_checkpoint",
+    "load_config", "loss_mse", "make_sf_dataset", "metrics_csv",
+    "miniature_spec", "pixel_shuffle", "pixel_unshuffle", "psnr",
+    "read_clip", "relu", "replace_frames", "resize_plane",
     "save_checkpoint", "sf_accuracy", "ssim", "train", "train_sf",
     "upscale_chroma", "write_clip", "xavier_init",
 ]

@@ -112,6 +112,8 @@ def load_checkpoint(path: str):
         key, eq, value = raw.partition(" = ")
         if not eq:
             raise CheckpointError(f"{path}: malformed header line {raw!r}")
+        if key in fields:
+            raise CheckpointError(f"{path}: header key {key!r} repeats")
         fields[key] = value
     try:
         n_layers = int(fields["layer_count"])

@@ -22,8 +22,8 @@ from .config import COMMANDS, FIELD_DOCS, ConfigError, RunConfig, load_config
 from .frames import MIDDLE_FRAME, Frame, VideoClip
 from .metrics import format_metric, metrics_csv, psnr, ssim
 from .model import (ARCH_NAMES, LayerSpec, ModelSpec, build_architecture,
-                    count_parameters, dump_feature_maps, forward,
-                    forward_multiscale, forward_stack, zero_params)
+                    count_parameters, dump_feature_maps, forward, forward_stack,
+                    zero_params)
 from .reference import conv_forward_loop, forward_stack_loop
 from .scene import (SceneLabel, build_sf_net, confusion_csv, confusion_matrix,
                     make_sf_dataset, replace_frames, sf_input_from_window,
@@ -90,8 +90,6 @@ def cmd_train(cfg: RunConfig) -> int:
     paths = cfg.path_list("train_clips")
     if not paths:
         raise ConfigError("train needs --data clips (config key train_clips)")
-    if cfg.arch not in ARCH_NAMES:
-        raise ConfigError(f"unknown architecture {cfg.arch!r}; pick from {', '.join(ARCH_NAMES)}")
     spec = build_architecture(cfg.arch, cfg.scale)
     print(f"vsr3d train: arch {cfg.arch} x{cfg.scale}, {count_parameters(spec):,} weights, "
           f"seed {cfg.seed}")
@@ -120,7 +118,7 @@ def cmd_train(cfg: RunConfig) -> int:
                    meta={"arch": cfg.arch})
     # the zero model is exactly the clamped bicubic upscaler
     baseline = val_psnr(zero_params(spec), spec, val, spec.scale)
-    print(f"final validation PSNR {result.final_val_psnr:.2f} dB "
+    print(f"final validation PSNR {result.final_val:.2f} dB "
           f"(bicubic baseline {baseline:.2f} dB)")
     print(f"checkpoint written to {cfg.out_path}")
     return 0
@@ -153,13 +151,7 @@ def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
             return bicubic_resize(middle, middle.width * rs, middle.height * rs)
     else:
         params, spec, _ = _load(cfg.checkpoint, "sr")
-        if spec.scale != rs and not (spec.scale == 2 and rs in (3, 4)):
-            raise ValueError(f"checkpoint upsamples x{spec.scale}; cannot serve x{rs}")
-
-        def runner(window):
-            if spec.scale == rs:
-                return forward(params, spec, window)
-            return forward_multiscale(params, spec, window, rs)
+        runner = partial(forward, params, spec, scale=rs)
         sf = _load(cfg.sf_checkpoint, "sf") if cfg.sf_checkpoint else None
         dump_centre = len(clip) // 2 if cfg.dump_features else None
     out_frames = []
@@ -167,11 +159,11 @@ def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
         window = clip.window(centre)
         if sf is not None:
             window = replace_frames(window, SceneLabel(int(np.argmax(_window_logits(sf, window)))))
+        sr = runner(window)
         if centre == dump_centre:
-            written = dump_feature_maps(params, spec, window, cfg.dump_layer, cfg.dump_features)
+            written = dump_feature_maps(params, spec, window, cfg.dump_layer, cfg.dump_features, rs)
             print(f"wrote {len(written)} feature maps for frame {centre} "
                   f"to {cfg.dump_features}")
-        sr = runner(window)
         src = clip[centre]
         if src.chroma is not None:
             sr = upscale_chroma(src, rs, hr_luma=sr.luma)
@@ -268,7 +260,7 @@ def cmd_sf_train(cfg: RunConfig) -> int:
                       log_path=cfg.log_path or None,
                       checkpoint_every=cfg.checkpoint_every, max_steps=cfg.max_steps,
                       meta={"arch": f"sf{cfg.sf_layers}"})
-    print(f"held-out accuracy {result.final_val_accuracy:.4f} on {len(val_set)} samples")
+    print(f"held-out accuracy {result.final_val:.4f} on {len(val_set)} samples")
     text = confusion_csv(confusion_matrix(result.params, spec, val_set))
     print(text, end="")
     _write_csv(cfg, text)

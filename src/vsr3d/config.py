@@ -15,8 +15,10 @@ flags win over file values, which win over the defaults below.
 import math
 from dataclasses import dataclass, field, fields
 
+from .model import ARCH_NAMES, SCALES
 from .scene import SF_BATCH, SF_LR
 from .training import DEFAULT_BATCH, DEFAULT_LR, DEFAULT_WEIGHT_DECAY
+from .video_io import FORMATS
 
 COMMANDS = {
     "train": "train an SR model on clips",
@@ -168,15 +170,17 @@ def load_config(path: str | None, overrides: dict | None = None,
 
 
 def _validate(cfg: RunConfig):
-    if cfg.scale not in (2, 3, 4):
-        raise ConfigError(f"scale must be 2, 3, or 4, got {cfg.scale}")
+    if cfg.scale not in SCALES:
+        raise ConfigError(f"scale must be one of {SCALES}, got {cfg.scale}")
+    if cfg.arch not in ARCH_NAMES:
+        raise ConfigError(f"unknown architecture {cfg.arch!r}; pick from {', '.join(ARCH_NAMES)}")
     if cfg.loss_form not in ("mean", "sum"):
         raise ConfigError(f"loss_form must be mean or sum, got {cfg.loss_form!r}")
     if cfg.sf_layers not in (2, 3):
         raise ConfigError(f"sf_layers must be 2 or 3, got {cfg.sf_layers}")
     if cfg.method not in ("", "bicubic"):
         raise ConfigError(f"unknown method {cfg.method!r}")
-    if cfg.format not in ("", "y4m", "rawyuv420", "pgmdir"):
+    if cfg.format and cfg.format not in FORMATS:
         raise ConfigError(f"unknown format {cfg.format!r}")
     for field_name in ("epochs", "batch_size", "per_class", "dump_layer",
                        "frame_stride", "subimages_per_frame", "sf_epochs",

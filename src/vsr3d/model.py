@@ -24,6 +24,7 @@ from .tensor_core import (DEFAULT_DTYPE, ConvWeights, PadPolicy, TemporalPad,
                           pixel_shuffle, relu, relu_backward, tensor5d)
 
 ARCH_NAMES = ("cnn2d", "v1", "v2", "v3", "full")
+SCALES = (2, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,8 @@ def _conv2(i, o, act="relu"):
 
 def build_architecture(name: str, scale: int = 2) -> ModelSpec:
     """One of the five reference configurations, all 3x3(x3) kernels."""
-    if scale not in (2, 3, 4):
-        raise ValueError("scale must be one of 2, 3, 4")
+    if scale not in SCALES:
+        raise ValueError(f"scale must be one of {SCALES}")
     s2 = scale * scale
     if name == "cnn2d":
         layers = [_conv2(5, 32), _conv2(32, 64), _conv2(64, 64), _conv2(64, 64),
@@ -250,14 +251,28 @@ def stack_windows(windows) -> np.ndarray:
     return tensor5d(batch[:, None])
 
 
-def forward(params, spec: ModelSpec, window) -> Frame:
-    """Upscale the middle frame of a five-frame window."""
-    if spec.kind != "sr":
-        raise ValueError("forward needs an SR spec")
+def _net_window(spec: ModelSpec, window, scale: int | None):
+    """Check a five-frame window and return the window the net runs on to
+    upscale it by `scale` (default: the model's own). A scale-2 model also
+    serves 3 and 4 by bicubic pre-upscaling each frame (x1.5 and x2)."""
     if len(window) != INPUT_FRAMES:
         raise ValueError(f"expected {INPUT_FRAMES} frames, got {len(window)}")
     if any((f.height, f.width) != (window[0].height, window[0].width) for f in window):
         raise ValueError("window frames disagree on geometry")
+    if scale is None or scale == spec.scale:
+        return window
+    if spec.scale != 2 or scale not in SCALES:
+        raise ValueError(f"the model upsamples x{spec.scale}; cannot serve x{scale}")
+    if scale == 3 and (window[0].height % 2 or window[0].width % 2):
+        raise ValueError("scale 3 needs even input geometry (x1.5 pre-upscale)")
+    return [bicubic_resize(f, f.width * scale // 2, f.height * scale // 2) for f in window]
+
+
+def forward(params, spec: ModelSpec, window, scale: int | None = None) -> Frame:
+    """Upscale the middle frame of a five-frame window by `scale` (default: the model's)."""
+    if spec.kind != "sr":
+        raise ValueError("forward needs an SR spec")
+    window = _net_window(spec, window, scale)
     out, _ = forward_stack(params, spec, stack_windows([window]))
     residual = pixel_shuffle(out, spec.scale)[0, 0, 0]
     middle = window[MIDDLE_FRAME]
@@ -265,33 +280,18 @@ def forward(params, spec: ModelSpec, window) -> Frame:
     return Frame(base.luma + residual)   # Frame clamps to [0, 1]
 
 
-def forward_multiscale(params, spec: ModelSpec, window, requested_scale: int) -> Frame:
-    """Serve scales 3 and 4 with a scale-2 model by bicubic pre-upscaling
-    each input frame (x1.5 and x2 respectively)."""
-    if spec.scale != 2:
-        raise ValueError("multiscale inference needs a scale-2 model")
-    if requested_scale == 2:
-        return forward(params, spec, window)
-    if requested_scale not in (3, 4):
-        raise ValueError("requested scale must be one of 2, 3, 4")
-    h, w = window[0].height, window[0].width
-    if requested_scale == 3 and (h % 2 or w % 2):
-        raise ValueError("scale 3 needs even input geometry (x1.5 pre-upscale)")
-    ph, pw = h * requested_scale // 2, w * requested_scale // 2
-    pre = [bicubic_resize(f, pw, ph) for f in window]
-    return forward(params, spec, pre)
-
-
-def dump_feature_maps(params, spec: ModelSpec, window, layer: int, out_dir: str) -> list[str]:
+def dump_feature_maps(params, spec: ModelSpec, window, layer: int, out_dir: str,
+                      scale: int | None = None) -> list[str]:
     """Write every temporal slice of every group at a layer (1-based index)
-    as a min-max normalized PGM; returns the written paths."""
+    as a min-max normalized PGM; returns the written paths. The net runs on
+    the window `forward` would give it at `scale`."""
     import os
 
     from .video_io import write_pgm
 
     if not 1 <= layer <= len(spec.layers):
         raise ValueError(f"layer must be in 1..{len(spec.layers)}")
-    x = stack_windows([window])
+    x = stack_windows([_net_window(spec, window, scale)])
     _, caches = forward_stack(params, spec, x, want_caches=True)
     pre = caches[layer - 1]
     act = relu(pre) if spec.layers[layer - 1].activation == "relu" else pre

@@ -22,7 +22,7 @@ from .bicubic import resize_plane
 from .frames import INPUT_FRAMES, VideoClip
 from .model import LayerSpec, ModelSpec, backward_stack, forward_stack
 from .tensor_core import DEFAULT_DTYPE
-from .training import fit
+from .training import TrainResult, fit
 
 SF_WIDTH = 48
 SF_HEIGHT = 27
@@ -221,16 +221,9 @@ def confusion_csv(counts: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class SFTrainResult:
-    params: list
-    log_rows: list
-    final_val_accuracy: float | None
-
-
 def train_sf(spec: ModelSpec, samples: list[tuple[SFInput, SceneLabel]], *,
              batch_size: int = SF_BATCH, lr: float = SF_LR,
-             val_samples=None, **loop) -> SFTrainResult:
+             val_samples=None, **loop) -> TrainResult:
     """Cross-entropy training of the scene classifier through `training.fit`,
     the loop the SR net trains through too, which takes the remaining loop
     options. No weight decay; validation is the accuracy on val_samples."""
@@ -249,7 +242,6 @@ def train_sf(spec: ModelSpec, samples: list[tuple[SFInput, SceneLabel]], *,
     def validate(params):
         return sf_accuracy(params, spec, val_samples)
 
-    return SFTrainResult(*fit(spec, len(samples), batch_loss,
-                              validate if val_samples else None, batch_size=batch_size,
-                              lr=lr, weight_decay=0.0, val_column="val_accuracy",
-                              **loop))
+    return fit(spec, len(samples), batch_loss, validate if val_samples else None,
+               batch_size=batch_size, lr=lr, weight_decay=0.0, val_column="val_accuracy",
+               **loop)

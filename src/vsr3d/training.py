@@ -7,8 +7,9 @@ treated as a single scene, so extracted windows never straddle a cut.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .bicubic import resize_plane
 from .checkpoint import save_checkpoint
 from .frames import INPUT_FRAMES, MIDDLE_FRAME, Frame, VideoClip
 from .metrics import psnr
-from .model import (ModelSpec, backward_stack, build_architecture, forward,
+from .model import (SCALES, ModelSpec, backward_stack, build_architecture, forward,
                     forward_stack, layer_input, zero_params)
 from .tensor_core import DEFAULT_DTYPE, ConvWeights, conv_forward, pixel_shuffle, pixel_unshuffle
 
@@ -47,6 +48,8 @@ class DatasetRecipe:
     lr_patch_size: int | None = None   # default depends on scale
 
     def __post_init__(self):
+        if self.scale not in SCALES:
+            raise ValueError(f"scale must be one of {SCALES}, got {self.scale}")
         if self.frame_stride < 1 or self.subimages_per_frame < 1:
             raise ValueError("stride and subimages/frame must be >= 1")
         if self.lr_patch_size is None:
@@ -214,11 +217,10 @@ def val_psnr(params, spec: ModelSpec, samples, border: int) -> float:
     return float(np.mean(finite)) if finite else math.inf
 
 
-@dataclass
-class TrainResult:
+class TrainResult(NamedTuple):
     params: list
-    log_rows: list = field(default_factory=list)   # (step, loss, val or None)
-    final_val_psnr: float | None = None
+    log_rows: list              # (step, loss, val or None)
+    final_val: float | None     # the last validation, None without one
 
 
 def fit(spec: ModelSpec, count: int, batch_loss, validate=None, *, epochs: int = 1,
@@ -226,15 +228,14 @@ def fit(spec: ModelSpec, count: int, batch_loss, validate=None, *, epochs: int =
         weight_decay: float = DEFAULT_WEIGHT_DECAY, val_every: int = 0,
         out_path: str | None = None, log_path: str | None = None,
         val_column: str = "val_psnr_db", checkpoint_every: int = 0,
-        max_steps: int = 0, meta: dict | None = None):
+        max_steps: int = 0, meta: dict | None = None) -> TrainResult:
     """The seeded mini-batch Adam loop every network trains through.
 
     Starts from xavier_init(spec, seed), shuffles the `count` sample indices
     per epoch from the seed, and hands each batch of indices to
     `batch_loss(params, idx) -> (loss, grads)`. Logs (step, loss, periodic
     `validate(params)`), writes periodic and final checkpoints to out_path,
-    and aborts on a non-finite loss keeping the last checkpoint on disk.
-    Returns (params, log rows, final validation or None).
+    and aborts on a non-finite loss or gradient keeping the last checkpoint and log.
     """
     if not count:
         raise ValueError("empty dataset")
@@ -255,22 +256,27 @@ def fit(spec: ModelSpec, count: int, batch_loss, validate=None, *, epochs: int =
                 yield order[lo: lo + batch_size]
 
     step = 0
-    for idx in islice(batches(), max_steps or None):
-        loss, grads = batch_loss(params, idx)
-        if not math.isfinite(loss):
-            checkpoint_note = " (checkpoint kept)" if out_path and step else ""
-            raise TrainingDiverged(f"loss {loss} at step {step + 1}{checkpoint_note}")
-        params = adam_step(params, grads, state)
-        step += 1
-        due = validate and val_every and step % val_every == 0
-        rows.append((step, loss, validate(params) if due else None))
-        if checkpoint_every and step % checkpoint_every == 0:
-            checkpoint(step)
+    try:
+        for idx in islice(batches(), max_steps or None):
+            loss, grads = batch_loss(params, idx)
+            if not math.isfinite(loss):
+                checkpoint_note = " (checkpoint kept)" if out_path and step else ""
+                raise TrainingDiverged(f"loss {loss} at step {step + 1}{checkpoint_note}")
+            params = adam_step(params, grads, state)
+            step += 1
+            due = validate and val_every and step % val_every == 0
+            rows.append((step, loss, validate(params) if due else None))
+            if checkpoint_every and step % checkpoint_every == 0:
+                checkpoint(step)
+    except TrainingDiverged:  # the rows logged so far stay beside the last checkpoint
+        if log_path:
+            write_log(rows, log_path, val_column)
+        raise
     final_val = validate(params) if validate else None
     checkpoint(step)
     if log_path:
         write_log(rows, log_path, val_column)
-    return params, rows, final_val
+    return TrainResult(params, rows, final_val)
 
 
 def train(spec: ModelSpec, samples: list[WindowSample], *, loss_form: str = "mean",
@@ -291,8 +297,7 @@ def train(spec: ModelSpec, samples: list[WindowSample], *, loss_form: str = "mea
     def validate(params):
         return val_psnr(params, spec, val_samples, spec.scale)
 
-    return TrainResult(*fit(spec, len(samples), batch_loss,
-                            validate if val_samples else None, **loop))
+    return fit(spec, len(samples), batch_loss, validate if val_samples else None, **loop)
 
 
 def write_log(rows, path: str, val_column: str = "val_psnr_db"):

@@ -131,6 +131,7 @@ def test_save_to_missing_directory_names_the_destination(tmp_path):
     (b"kind = sr", b"kind = \xff"),
     (b"kernel=3x3x3", b"kernel=3x3000000000x3000000000"),
     (b"input_frames = 5", b"input_frames = 4"),
+    (b"kind = sr", b"kind = sr\nkind = sr"),
 ])
 def test_malformed_header_field_is_checkpoint_error(saved, tmp_path, old, new):
     _, _, path = saved

@@ -285,6 +285,28 @@ class TestUpscale:
         assert f"wrote {len(written)} feature maps for frame 3" in \
             capsys.readouterr().out
 
+    def test_dump_features_at_x4_from_scale2_checkpoint(self, clips, tmp_path):
+        # the maps are of the x2 pre-upscaled window the net runs on
+        ckpt = tmp_path / "zero.ckpt"
+        zero_checkpoint(ckpt, arch="cnn2d")
+        maps = tmp_path / "maps"
+        assert main(["upscale", str(clips["tiny"]), str(tmp_path / "o.y4m"),
+                     "--checkpoint", str(ckpt), "--scale", "4",
+                     "--dump-features", str(maps)]) == 0
+        written = sorted(maps.glob("*.pgm"))
+        assert len(written) == 32
+        assert all(p.read_bytes().startswith(b"P5\n48 32\n") for p in written)
+
+    def test_unservable_scale_with_dump_writes_nothing(self, clips, tmp_path, capsys):
+        ckpt = tmp_path / "s3.ckpt"
+        zero_checkpoint(ckpt, scale=3)
+        out, maps = tmp_path / "o.y4m", tmp_path / "maps"
+        assert main(["upscale", str(clips["small"]), str(out), "--checkpoint", str(ckpt),
+                     "--scale", "4", "--dump-features", str(maps)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot serve" in err
+        assert not out.exists() and not maps.exists()
+
 
 class TestEvaluate:
     def test_self_comparison_is_perfect(self, clips, capsys):

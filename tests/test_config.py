@@ -68,6 +68,7 @@ class TestLoad:
         "lr = nan",
         "sf_lr = inf",
         "weight_decay = nan",
+        "arch = fulll",
     ])
     def test_invalid_values_rejected(self, tmp_path, line):
         path = tmp_path / "bad.cfg"

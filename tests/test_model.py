@@ -5,8 +5,7 @@ from vsr3d.bicubic import bicubic_resize
 from vsr3d.frames import Frame
 from vsr3d.model import (ARCH_NAMES, LayerSpec, ModelSpec, backward_stack,
                          build_architecture, count_parameters, dump_feature_maps,
-                         forward, forward_multiscale, forward_stack,
-                         stack_windows, zero_params)
+                         forward, forward_stack, stack_windows, zero_params)
 from vsr3d.reference import forward_stack_loop
 from vsr3d.scene import build_sf_net
 from vsr3d.tensor_core import ConvWeights, TemporalPad, conv_forward
@@ -341,32 +340,39 @@ class TestMultiscale:
         spec = build_architecture("full", 2)
         params = random_params(spec, seed=11)
         window = random_window(8, 8, seed=11)
-        a = forward_multiscale(params, spec, window, 2)
+        a = forward(params, spec, window, 2)
         b = forward(params, spec, window)
         assert np.array_equal(a.luma, b.luma)
 
     def test_scale_four_geometry(self):
         spec = build_architecture("full", 2)
-        out = forward_multiscale(zero_params(spec), spec, random_window(20, 20, seed=12), 4)
+        out = forward(zero_params(spec), spec, random_window(20, 20, seed=12), 4)
         assert (out.height, out.width) == (80, 80)
 
     def test_zero_params_equal_bicubic_chain(self):
         spec = build_architecture("full", 2)
         window = random_window(10, 12, seed=13)
-        out = forward_multiscale(zero_params(spec), spec, window, 3)
+        out = forward(zero_params(spec), spec, window, 3)
         pre = bicubic_resize(window[2], 18, 15)
         chain = bicubic_resize(pre, 36, 30)
         assert np.array_equal(out.luma, chain.luma)
+
+    def test_own_scale_given_equals_default(self):
+        spec = build_architecture("full", 3)
+        params = random_params(spec, seed=16)
+        window = random_window(8, 8, seed=16)
+        assert np.array_equal(forward(params, spec, window, 3).luma,
+                              forward(params, spec, window).luma)
 
     def test_scale_validation(self):
         spec2 = build_architecture("full", 2)
         spec3 = build_architecture("full", 3)
         with pytest.raises(ValueError):
-            forward_multiscale(zero_params(spec3), spec3, random_window(), 3)
+            forward(zero_params(spec3), spec3, random_window(), 2)
         with pytest.raises(ValueError):
-            forward_multiscale(zero_params(spec2), spec2, random_window(), 5)
+            forward(zero_params(spec2), spec2, random_window(), 5)
         with pytest.raises(ValueError):
-            forward_multiscale(zero_params(spec2), spec2, random_window(h=9, w=9), 3)
+            forward(zero_params(spec2), spec2, random_window(h=9, w=9), 3)
 
 
 class TestFeatureDumps:
@@ -388,6 +394,19 @@ class TestFeatureDumps:
         paths = dump_feature_maps(zero_params(spec), spec, window, 2, str(tmp_path))
         payload = open(paths[0], "rb").read().split(b"255\n", 1)[1]
         assert len(set(payload)) == 1
+
+    def test_maps_at_the_geometry_the_net_runs_on(self, tmp_path):
+        spec = build_architecture("cnn2d", 2)
+        paths = dump_feature_maps(zero_params(spec), spec, random_window(8, 6, seed=17), 1,
+                                  str(tmp_path), scale=4)
+        assert open(paths[0], "rb").read().startswith(b"P5\n12 16\n")
+
+    def test_unservable_scale_creates_no_directory(self, tmp_path):
+        spec = build_architecture("cnn2d", 3)
+        with pytest.raises(ValueError, match="cannot serve"):
+            dump_feature_maps(zero_params(spec), spec, random_window(), 1,
+                              str(tmp_path / "maps"), scale=4)
+        assert not (tmp_path / "maps").exists()
 
     def test_layer_out_of_range(self, tmp_path):
         spec = build_architecture("v1", 2)

@@ -256,7 +256,7 @@ class TestTrainedClassifier:
     def test_heldout_accuracy(self, trained_sf):
         spec, result, val_set, _, _ = trained_sf
         assert result.log_rows[-1][1] < 0.25 * result.log_rows[0][1]
-        assert result.final_val_accuracy >= 0.95
+        assert result.final_val >= 0.95
 
     def test_hard_cut_and_steady_windows(self, trained_sf):
         spec, result, _, _, _ = trained_sf

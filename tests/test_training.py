@@ -86,6 +86,10 @@ class TestExtractDataset:
             extract_dataset([synthetic_clip(h=16, w=16)],
                             DatasetRecipe(scale=2, lr_patch_size=16), seed=0)
 
+    def test_unsupported_scale_rejected(self):
+        with pytest.raises(ValueError, match="scale"):
+            DatasetRecipe(scale=5)
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             extract_dataset([], DatasetRecipe(scale=2, lr_patch_size=8), seed=0)
@@ -330,6 +334,21 @@ class TestFit:
             fit(spec, 8, loop, epochs=5, batch_size=2, out_path=out, checkpoint_every=1)
         from vsr3d.checkpoint import load_checkpoint
         assert load_checkpoint(out)[2]["step"] == "2"
+
+    @pytest.mark.parametrize("bad", ["loss", "gradient"])
+    def test_divergence_keeps_the_log_so_far(self, tmp_path, bad):
+        spec, log = miniature_spec("v1"), tmp_path / "log.csv"
+        scripted = self.scripted(spec, [1.0, 0.5, math.nan if bad == "loss" else 0.25], [])
+
+        def loop(params, idx):
+            loss, grads = scripted(params, idx)
+            if loss == 0.25:
+                grads[0].bias[0] = np.nan
+            return loss, grads
+        with pytest.raises(TrainingDiverged, match=bad):
+            fit(spec, 8, loop, epochs=5, batch_size=2, log_path=str(log))
+        assert [line.split(",")[0] for line in log.read_text().splitlines()] == \
+            ["step", "1", "2"]
 
 
 class TestMiniatures:
