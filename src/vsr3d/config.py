@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 from .model import ARCH_NAMES, SCALES
 from .scene import SF_BATCH, SF_LR
-from .training import DEFAULT_BATCH, DEFAULT_LR, DEFAULT_WEIGHT_DECAY
+from .training import DEFAULT_BATCH, DEFAULT_LR, DEFAULT_WEIGHT_DECAY, LR_PATCH_SIZES
 from .video_io import FORMATS
 
 COMMANDS = {
@@ -34,6 +34,12 @@ TRAIN, UPSCALE, SF_TRAIN = ("train",), ("upscale",), ("sf-train",)
 TRAINERS = ("train", "sf-train")
 
 
+def _choices(values) -> str:
+    """'a, b, or c' for the help text of an option that takes one of values."""
+    *head, last = (str(v) for v in values)
+    return f"{', '.join(head)}, or {last}"
+
+
 def _option(default, doc: str, commands, flag: str | None = None, paths: bool = False):
     return field(default=default, metadata={"doc": doc, "commands": commands,
                                             "flag": flag, "paths": paths})
@@ -45,9 +51,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    arch: str = _option("full", "SR architecture: cnn2d, v1, v2, v3, or full", TRAIN)
-    scale: int = _option(2, "upscaling factor (2, 3, or 4); a scale-2 checkpoint serves 3 and 4 "
-                         "by bicubic pre-upscaling; evaluate --method bicubic degrades by it",
+    arch: str = _option("full", f"SR architecture: {_choices(ARCH_NAMES)}", TRAIN)
+    scale: int = _option(2, f"upscaling factor ({_choices(SCALES)}); a scale-2 checkpoint "
+                         "serves 3 and 4 by bicubic pre-upscaling; evaluate --method bicubic "
+                         "degrades by it",
                          ("train", "upscale", "evaluate", "param-count"))
     seed: int = _option(0, "single seed every random choice derives from", tuple(COMMANDS))
     train_clips: str = _option("", "comma-separated training clip paths", TRAIN, "--data",
@@ -56,7 +63,8 @@ class RunConfig:
                              "training samples)", TRAIN, "--val", paths=True)
     frame_stride: int = _option(5, "extract windows from every Nth frame", TRAIN)
     subimages_per_frame: int = _option(10, "random crops per extracted frame", TRAIN)
-    lr_patch_size: int = _option(0, "LR crop edge in pixels (0: per-scale default 80/60/40)", TRAIN)
+    lr_patch_size: int = _option(0, "LR crop edge in pixels (0: per-scale default "
+                                 f"{'/'.join(str(LR_PATCH_SIZES[s]) for s in SCALES)})", TRAIN)
     epochs: int = _option(10, "passes over the extracted dataset", TRAIN)
     batch_size: int = _option(DEFAULT_BATCH, "windows per optimizer step", TRAIN)
     lr: float = _option(DEFAULT_LR, "Adam learning rate for filters (biases run at a tenth)", TRAIN)
@@ -86,7 +94,7 @@ class RunConfig:
     sf_lr: float = _option(SF_LR, "Adam learning rate for the scene classifier", SF_TRAIN, "--lr")
     method: str = _option("", "checkpoint-free baseline (only: bicubic)", ("upscale", "evaluate"))
     size: str = _option("", "WxH geometry for raw YUV clips, e.g. 704x576", CLIP_COMMANDS)
-    format: str = _option("", "force clip format: y4m, rawyuv420, or pgmdir", CLIP_COMMANDS)
+    format: str = _option("", f"force clip format: {_choices(FORMATS)}", CLIP_COMMANDS)
     dump_features: str = _option("", "directory for feature-map PGMs (empty: off)", UPSCALE)
     dump_layer: int = _option(1, "1-based layer whose feature maps get dumped", UPSCALE)
 

@@ -40,12 +40,16 @@ copy for single calls, and conv_backward one only where it needs it.
   being tap bounds too. Under DUPLICATE it covers the added depth slices,
   which then fold onto the edge slices they copy. A column of that gather
   holds, for one input position, the output gradient each flipped tap pairs
-  with it, so the same loop accumulates the stored input block (C, P),
-  spatially unpadded, times the block transposed: the kernel gradient in
-  the flipped layout, unflipped at the end. Without the input gradient (a
-  stack's first layer, whose one input group makes its gather far smaller),
-  it gathers the padded input, and the output gradient (O, P) times the
-  block transposed gives the kernel gradient directly.
+  with it, so the same loop accumulates the block times the stored input
+  block (C, P), spatially unpadded, transposed: the kernel gradient,
+  transposed and in the flipped layout, turned and unflipped at the end.
+  Without the input gradient (a stack's first layer, whose one input group
+  makes its gather far smaller), it gathers the padded input, and the block
+  times the output gradient (O, P) transposed gives the kernel gradient
+  transposed. Either way the kernel-gradient GEMM is the tall
+  (taps, P) @ (P, C or O) product, which OpenBLAS runs faster than its
+  transpose (Goto and van de Geijn 2008); its rows for one output slice are
+  one contiguous range.
 
 Every output element of a forward is one contraction over its taps'
 C*kH*kW terms. Splitting it into kD partial GEMMs summed afterwards adds a
@@ -316,13 +320,15 @@ def conv_backward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
         src_stride, src_t, paired, grad_x = stride, t, grad_out, None
     rows, cols = gathered.shape[:2]
     kmat, planes = _kmat(gathered), paired.reshape(paired.shape[:3] + (-1,))
-    grad_kmat = np.zeros((rows, kd * cols * kh * kw), dtype=kernel.dtype)
+    # accumulated transposed: the tall (taps, P) @ (P, rows) product runs
+    # faster than (rows, P) @ (P, taps), and updates a contiguous row range
+    grad_kmat_t = np.zeros((kd * cols * kh * kw, rows), dtype=kernel.dtype)
     for n, z, span, taps, block in _slice_blocks(src, gathered.shape, src_stride, src_t):
         if input_grad:
             np.matmul(kmat[:, taps], block, out=grad_planes[n, :, z, span])
-        grad_kmat[:, taps] += planes[n, :, z, span] @ block.T
+        grad_kmat_t[taps] += block @ planes[n, :, z, span].T
     # the gradient of `gathered` in its own layout, unflipped if it is flipped
-    grad_kernel = grad_kmat.reshape(rows, kd, cols, kh, kw).transpose(0, 2, 1, 3, 4)
+    grad_kernel = grad_kmat_t.T.reshape(rows, kd, cols, kh, kw).transpose(0, 2, 1, 3, 4)
     if input_grad:
         grad_kernel = grad_kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
         grad_x = _unpad_gradient(grad_x, d)

@@ -628,3 +628,28 @@ def test_out_of_memory_is_one_line_error(tmp_path, command):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), proc.stderr
     assert sorted(os.listdir(tmp_path)) == inputs
+
+
+def test_seeded_train_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 11 frames give centres 0, 5 and 10, four 80x80 HR crops each: one of
+    # the 12 windows is held out, and the first step is a full batch of 8
+    # LR patches of 40x40, whose band GEMMs (P = 1040) OpenBLAS sums
+    # differently on one thread and on two
+    clip = tmp_path / "clip.y4m"
+    write_clip(textured_clip(5, 11, 160, 160), str(clip))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        run = tmp_path / f"threads{threads}"
+        run.mkdir()
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vsr3d.cli", "train", "--data", str(clip), "--arch", "full",
+             "--lr-patch-size", "40", "--subimages-per-frame", "4", "--batch-size", "8",
+             "--epochs", "1", "--seed", "3", "--out", str(run / "m.ckpt"),
+             "--log", str(run / "log.csv")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(run / name).read_bytes() for name in ("m.ckpt", "log.csv")])
+    assert outputs[0] == outputs[1]

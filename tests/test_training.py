@@ -1,15 +1,20 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from vsr3d import training
 from vsr3d.bicubic import resize_plane
 from vsr3d.frames import Frame, VideoClip
-from vsr3d.model import ARCH_NAMES, LayerSpec, ModelSpec, build_architecture, forward_stack
-from vsr3d.tensor_core import ConvWeights, TemporalPad, pixel_shuffle
-from vsr3d.training import (DatasetRecipe, OptimState, adam_step, extract_dataset,
-                            fit, grad_check, init_optim, loss_mse, miniature_spec,
-                            sr_batch_step, train, xavier_init, TrainingDiverged)
+from vsr3d.model import (ARCH_NAMES, SCALES, LayerSpec, ModelSpec, backward_stack,
+                         build_architecture, forward_stack)
+from vsr3d.tensor_core import ConvWeights, TemporalPad, pixel_shuffle, pixel_unshuffle
+from vsr3d.training import (LR_PATCH_SIZES, DatasetRecipe, OptimState, adam_step,
+                            extract_dataset, fit, grad_check, init_optim, loss_mse,
+                            miniature_spec, sr_batch_step, train, xavier_init, TrainingDiverged)
 
 
 def synthetic_clip(frames=12, h=48, w=48, seed=0):
@@ -43,6 +48,9 @@ class TestExtractDataset:
         assert DatasetRecipe(scale=2).lr_patch_size == 80
         assert DatasetRecipe(scale=3).lr_patch_size == 60
         assert DatasetRecipe(scale=4).lr_patch_size == 40
+
+    def test_patch_sizes_are_keyed_by_exactly_the_scales(self):
+        assert sorted(LR_PATCH_SIZES) == sorted(SCALES)
 
     def test_same_seed_reproduces(self):
         recipe = DatasetRecipe(scale=2, lr_patch_size=8, subimages_per_frame=3)
@@ -303,6 +311,99 @@ class TestTrainLoop:
         result = train(spec, samples, epochs=2000, batch_size=8, lr=2e-3,
                        weight_decay=0.0, seed=4)
         assert result.log_rows[-1][1] < 1e-6
+
+
+class TestMicroBatches:
+    """sr_batch_step runs its batch as micro-batches, possibly on worker
+    threads with OpenBLAS held at one thread, and sums them in order."""
+
+    needs_blas = pytest.mark.skipif(training._blas_threads() is None,
+                                    reason="no OpenBLAS thread control found")
+
+    @staticmethod
+    def batch(dtype=np.float32, n=7, seed=5):
+        # an odd batch, so the last micro-batch is a short one
+        spec = miniature_spec("full")
+        params = [ConvWeights(w.kernel.astype(dtype), w.bias.astype(dtype))
+                  for w in xavier_init(spec, seed)]
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.1, 0.9, (n, 1, 5, 8, 8)).astype(dtype)
+        bases, target = rng.uniform(0.0, 1.0, (2, n, 1, 1, 16, 16)).astype(dtype)
+        return params, spec, x, bases, target
+
+    @needs_blas
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_worker_count_does_not_change_a_bit(self, monkeypatch, workers):
+        args = self.batch()
+        loss, grads = sr_batch_step(*args)
+        pool = ThreadPoolExecutor(workers)
+        monkeypatch.setattr(training, "_pool", lambda: pool)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            other_loss, other = sr_batch_step(*args)
+        finally:
+            sys.setswitchinterval(switch)
+            pool.shutdown()
+        assert other_loss == loss
+        for g, h in zip(grads, other):
+            assert np.array_equal(g.kernel, h.kernel) and np.array_equal(g.bias, h.bias)
+
+    @pytest.mark.parametrize("blas_control", [True, False])
+    @pytest.mark.parametrize("form", ["mean", "sum"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_one_whole_batch_pass(self, monkeypatch, blas_control, form, dtype):
+        if not blas_control:  # the fallback: micro-batches one after another
+            monkeypatch.setattr(training, "_blas_threads", lambda: None)
+        params, spec, x, bases, target = self.batch(dtype)
+        loss, grads = sr_batch_step(params, spec, x, bases, target, form)
+        out, caches = forward_stack(params, spec, x, want_caches=True)
+        want_loss, g = loss_mse(pixel_shuffle(out, spec.scale) + bases, target, form)
+        want, _ = backward_stack(params, spec, x, caches, pixel_unshuffle(g, spec.scale),
+                                 input_grad=False)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        for got, ref in zip(grads, want):
+            for a, b in ((got.kernel, ref.kernel), (got.bias, ref.bias)):
+                assert a.dtype == dtype
+                scale = np.abs(b).max()
+                if dtype == np.float64:
+                    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * scale)
+                else:
+                    assert np.abs(a - b).max() <= 1e-6 * scale
+
+    @needs_blas
+    def test_blas_thread_count_is_restored_even_on_an_error(self):
+        get, put = training._blas_threads()
+        before = get()
+        params, spec, x, bases, target = self.batch()
+        try:
+            put(2)
+            sr_batch_step(params, spec, x, bases, target)
+            assert get() == 2
+            with pytest.raises(ValueError, match="shape mismatch"):
+                # one sample short: only the last micro-batch fails
+                sr_batch_step(params, spec, x, bases, target[:-1])
+            assert get() == 2
+        finally:
+            put(before)
+
+    def test_callers_errstate_holds_in_every_micro_batch(self, monkeypatch):
+        seen = []
+
+        def recording(*args):
+            seen.append((np.geterr()["over"], threading.current_thread().name))
+            return loss_mse(*args)
+
+        monkeypatch.setattr(training, "loss_mse", recording)
+        with np.errstate(over="raise"):
+            sr_batch_step(*self.batch())
+        assert [over for over, _ in seen] == ["raise"] * 4
+        if training._blas_threads() is not None:
+            assert all(name.startswith("vsr3d-step") for _, name in seen)
+
+    def test_bad_loss_form_is_refused(self):
+        with pytest.raises(ValueError, match="loss form"):
+            sr_batch_step(*self.batch(), form="median")
 
 
 class TestFit:
