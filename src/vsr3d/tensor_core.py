@@ -64,9 +64,21 @@ samples: each GEMM covers one sample anyway, and one buffer reused for every
 band stays mapped and cached, where a batch-wide band would not. For the
 32-channel layers band size does not change a result; the GEMM of a layer
 with few output groups can round differently at some band widths.
+
+A conv_padded call outside run_parts' parts whose samples span two or more
+bands at half the budget and floor runs its (sample, band) list as contiguous
+parts on every core, their GEMMs on one BLAS thread, so no core or thread
+count changes a bit. Each part gathers into a buffer the caller allocates (a
+worker's malloc arena would keep it); two take one full band's bytes. Other
+calls run full bands in the calling thread.
 """
 
+import contextvars
 import enum
+import functools
+import itertools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +90,9 @@ DEFAULT_DTYPE = np.float32
 # the fewest output positions a band's GEMMs cover (the floor wins).
 _WINDOW_BUDGET_BYTES = 4 * 1024 * 1024
 _MIN_BAND_POSITIONS = 1024
+_SPLIT = 2  # a split call's bands take 1/_SPLIT of both, whatever the core count
+_PARTS_LOCK = threading.Lock()  # one run_parts at a time holds BLAS's process-wide count
+_IN_PART = contextvars.ContextVar("vsr3d_in_part", default=False)
 
 
 class TemporalPad(enum.Enum):
@@ -130,6 +145,68 @@ def tensor5d(data) -> np.ndarray:
     if min(arr.shape) < 1:
         raise ValueError(f"all extents must be >= 1, got {arr.shape}")
     return np.ascontiguousarray(arr)
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the process-wide thread count of the OpenBLAS mapped
+    into this process, through ctypes; None where none with those symbols
+    is found."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            mapped = {line.split(maxsplit=5)[-1].strip() for line in fh}  # last field: the path
+    except OSError:
+        return None
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get and put:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _workers() -> int:
+    return len(os.sched_getaffinity(0))  # usable cores: _pool()'s threads, a split's parts
+
+
+@functools.cache
+def _pool():
+    from concurrent.futures import ThreadPoolExecutor  # on first use: it imports logging
+    return ThreadPoolExecutor(_workers(), thread_name_prefix="vsr3d-step")
+
+
+def run_parts(fn, items) -> list:
+    """[fn(item) for item in items], each call a part run in a copy of the
+    caller's contextvars context (so its np.errstate holds). Outside a part,
+    with OpenBLAS thread control found, the parts run on _pool()'s threads,
+    one caller at a time, BLAS held at one thread and restored even on an
+    error; else inline, in order, so a nested call never waits on its pool."""
+    ctx = contextvars.copy_context()
+    ctx.run(_IN_PART.set, True)
+    parts = [functools.partial(ctx.copy().run, fn, item) for item in items]
+    blas = None if _IN_PART.get() else _blas_threads()
+    if blas is None:
+        return [part() for part in parts]
+    get, put = blas
+    with _PARTS_LOCK:
+        before = get()
+        put(1)
+        try:
+            futures = [_pool().submit(part) for part in parts]
+            for future in futures:  # every GEMM ends before the count is restored
+                future.exception()
+        finally:
+            put(before)
+    return [future.result() for future in futures]
 
 
 def _stored_pads(kernel_depth: int, pad: PadPolicy) -> tuple[int, int, int]:
@@ -189,31 +266,40 @@ def _out_extents(xp_shape, kernel_shape, stride, t: int) -> tuple[int, int, int]
     return dp + 2 * t - kd + 1, (hp - kh) // sh + 1, (wp - kw) // sw + 1
 
 
-def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: tuple[int, int], ho: int, wo: int):
-    """Yield (n, y0, y1, cols) for bands of output rows [y0, y1) of sample n
-    of a padded input: cols is (D*C*kH*kW, (y1-y0)*wo), one row block of
-    C*kH*kW per stored depth slice, each copied run reading along one row of
-    W. Every band is a view of one buffer, valid until the next is yielded."""
+def _bands(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int, share: int = 1):
+    """(rows, bands): each sample n's bands (n, y0, y1) of output rows of a padded
+    input, of `rows` rows (the last may be short) by 1/share of budget and floor."""
     _, in_g, dp = xp.shape[:3]
-    sh, sw = stride
     row_bytes = dp * in_g * kh * kw * wo * xp.dtype.itemsize
-    rows = min(ho, max(_WINDOW_BUDGET_BYTES // row_bytes, -(-_MIN_BAND_POSITIONS // wo), 1))
-    buf = np.empty((dp, in_g, kh, kw, rows, wo), dtype=xp.dtype)
-    cols = buf.reshape(-1, rows * wo)
-    for n in range(xp.shape[0]):
-        for y0 in range(0, ho, rows):
-            y1 = min(y0 + rows, ho)
-            band = xp[n, :, :, y0 * sh:(y1 - 1) * sh + kh]
-            win = sliding_window_view(band, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-            np.copyto(buf[..., :y1 - y0, :], win.transpose(1, 0, 4, 5, 2, 3))
-            yield n, y0, y1, cols[:, :(y1 - y0) * wo]
+    rows = min(ho, max(_WINDOW_BUDGET_BYTES // share // row_bytes,
+                       -(-(_MIN_BAND_POSITIONS // share) // wo), 1))
+    return rows, [(n, y0, min(y0 + rows, ho)) for n in range(len(xp)) for y0 in range(0, ho, rows)]
 
 
-def _slice_blocks(xp: np.ndarray, kernel_shape, stride: tuple[int, int], t: int):
-    """Yield (n, z, span, taps, block) per band of each sample of a padded
-    input and per output slice z of its valid correlation, t implicit zero
-    slices per depth end: block is the band's column rows of z's taps
-    [max(0, t-z), min(kD, stored+t-z)), those landing on stored slices, taps
+def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: tuple[int, int], ho: int, wo: int,
+                  bands=None, buf=None):
+    """Yield (n, y0, y1, cols) for `bands` of a padded input (default: _bands'):
+    cols is (D*C*kH*kW, (y1-y0)*wo), one row block of C*kH*kW per stored depth
+    slice, each copied run reading along one row of W. Every band is a view of
+    one buffer (`buf`, with `bands`), valid until the next is yielded."""
+    sh, sw = stride
+    if bands is None:
+        rows, bands = _bands(xp, kh, kw, ho, wo)
+        buf = np.empty((xp.shape[2], xp.shape[1], kh, kw, rows, wo), dtype=xp.dtype)
+    cols = buf.reshape(-1, buf.shape[4] * wo)
+    for n, y0, y1 in bands:
+        band = xp[n, :, :, y0 * sh:(y1 - 1) * sh + kh]
+        win = sliding_window_view(band, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+        np.copyto(buf[..., :y1 - y0, :], win.transpose(1, 0, 4, 5, 2, 3))
+        yield n, y0, y1, cols[:, :(y1 - y0) * wo]
+
+
+def _slice_blocks(xp: np.ndarray, kernel_shape, stride: tuple[int, int], t: int,
+                  bands=None, buf=None):
+    """Yield (n, z, span, taps, block) per band of a padded input (as
+    _column_bands) and per output slice z of its valid correlation, t
+    implicit zero slices per depth end: block is the band's column rows of
+    z's taps [max(0, t-z), min(kD, stored+t-z)), those on stored slices, taps
     their kernel columns, span the band's output positions. Blocks are views
     of one buffer, valid until the next band."""
     _, in_g, kd, kh, kw = kernel_shape
@@ -222,7 +308,7 @@ def _slice_blocks(xp: np.ndarray, kernel_shape, stride: tuple[int, int], t: int)
     bounds = [(z, max(0, t - z), min(kd, xp.shape[2] + t - z)) for z in range(do)]
     blocks = [(z, slice(k0 * per, k1 * per), slice((z + k0 - t) * per, (z + k1 - t) * per))
               for z, k0, k1 in bounds]
-    for n, y0, y1, cols in _column_bands(xp, kh, kw, stride, ho, wo):
+    for n, y0, y1, cols in _column_bands(xp, kh, kw, stride, ho, wo, bands, buf):
         for z, taps, rows in blocks:
             yield n, z, slice(y0 * wo, y1 * wo), taps, cols[rows]
 
@@ -259,17 +345,29 @@ def conv_forward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
 def conv_padded(xp: np.ndarray, weights: ConvWeights, pad: PadPolicy,
                 stride: tuple[int, int] = (1, 1)) -> np.ndarray:
     """conv_forward of an input already in padded_shape's layout for `pad`
-    (ZERO's depth slices implicit), unchecked: one GEMM per output slice and
-    band over the taps on stored slices, written in place, then the bias."""
+    (ZERO's depth slices implicit), unchecked: per band, one GEMM per output
+    slice over its stored taps, in place, then the bias; split as the module says."""
     kernel = weights.kernel
-    t = _stored_pads(kernel.shape[2], pad)[2]
-    kmat = _kmat(kernel)
+    kd, kh, kw = kernel.shape[2:]
+    t = _stored_pads(kd, pad)[2]
+    kmat, bias = _kmat(kernel), weights.bias.astype(xp.dtype)[:, None]
     out = np.empty((xp.shape[0], kernel.shape[0]) + _out_extents(xp.shape, kernel.shape, stride, t),
                    dtype=xp.dtype)
     planes = out.reshape(out.shape[:3] + (-1,))
-    for n, z, span, taps, block in _slice_blocks(xp, kernel.shape, stride, t):
-        np.matmul(kmat[:, taps], block, out=planes[n, :, z, span])
-    out += weights.bias.astype(xp.dtype).reshape(1, -1, 1, 1, 1)
+    ho, wo = out.shape[3:]
+
+    def run(bands=None, buf=None):
+        for n, z, span, taps, block in _slice_blocks(xp, kernel.shape, stride, t, bands, buf):
+            np.matmul(kmat[:, taps], block, out=planes[n, :, z, span])
+            planes[n, :, z, span] += bias
+
+    rows, bands = _bands(xp, kh, kw, ho, wo, _SPLIT)
+    if rows == ho or _IN_PART.get():
+        run()
+    else:
+        parts = np.array_split(bands, min(_workers(), len(bands)))
+        bufs = np.empty((len(parts), xp.shape[2], xp.shape[1], kh, kw, rows, wo), dtype=xp.dtype)
+        run_parts(lambda i: run(parts[i], bufs[i]), range(len(parts)))
     return out
 
 

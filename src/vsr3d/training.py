@@ -11,11 +11,7 @@ order: where OpenBLAS's thread control is found, those bytes do not depend
 on the core or BLAS thread count either (sr_batch_step).
 """
 
-import contextvars
-import functools
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import NamedTuple
@@ -28,7 +24,8 @@ from .frames import INPUT_FRAMES, MIDDLE_FRAME, Frame, VideoClip
 from .metrics import psnr
 from .model import (SCALES, ModelSpec, backward_stack, build_architecture, forward,
                     forward_stack, layer_input, zero_params)
-from .tensor_core import DEFAULT_DTYPE, ConvWeights, conv_forward, pixel_shuffle, pixel_unshuffle
+from .tensor_core import (DEFAULT_DTYPE, ConvWeights, conv_forward, pixel_shuffle, pixel_unshuffle,
+                          run_parts)
 
 DEFAULT_LR = 5e-4
 DEFAULT_BATCH = 32
@@ -40,8 +37,6 @@ LR_PATCH_SIZES = {2: 80, 3: 60, 4: 40}
 # `full` step of 8 LR patches of 40x40 took 405 ms in micro-batches of 2,
 # 410 ms of 1 and 740 ms as one; at 32 of 80x80, 1 halved 2's 163 MB peak
 _MICRO_BATCH = 2
-# The BLAS thread count is process-wide: one step at a time may hold it
-_STEP_LOCK = threading.Lock()
 
 
 class TrainingDiverged(RuntimeError):
@@ -209,42 +204,6 @@ def _batch_tensors(samples, idx):
     return x, t
 
 
-@functools.cache
-def _blas_threads():
-    """(get, set) of the process-wide thread count of the OpenBLAS mapped
-    into this process, through ctypes; None where none with those symbols
-    is found."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            mapped = {line.split(maxsplit=5)[-1].strip() for line in fh}  # last field: the path
-    except OSError:
-        return None
-    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get and put:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    return get, put
-    return None
-
-
-@functools.cache
-def _pool():
-    """The step's worker threads, one per usable core, started as tasks need them."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix="vsr3d-step")
-
-
 def sr_batch_step(params, spec: ModelSpec, x, bases, target, form: str = "mean"):
     """Forward + loss + parameter gradients for one batch.
 
@@ -253,12 +212,11 @@ def sr_batch_step(params, spec: ModelSpec, x, bases, target, form: str = "mean")
 
     The batch runs as micro-batches of _MICRO_BATCH consecutive samples, each
     a forward, a summed loss with the gradient scaled for the whole batch,
-    and a backward. With OpenBLAS thread control found, they run on _pool()'s
-    threads in the caller's context (so its np.errstate holds) while BLAS is
-    held at one thread, its count restored afterwards even on an error;
-    without, one after another here. Losses and gradients are summed in
-    micro-batch order, so neither the worker count nor the BLAS thread count
-    changes a bit of the result.
+    and a backward, as the parts of one run_parts: on every core with BLAS
+    at one thread where OpenBLAS's thread control is found, else one after
+    another here. Losses and gradients are summed in micro-batch order, so
+    neither the worker count nor the BLAS thread count changes a bit of the
+    result.
     """
     if form not in ("mean", "sum"):
         raise ValueError(f"unknown loss form {form!r}")
@@ -274,23 +232,7 @@ def sr_batch_step(params, spec: ModelSpec, x, bases, target, form: str = "mean")
                                   pixel_unshuffle(grad, spec.scale), input_grad=False)
         return loss, grads
 
-    starts = range(0, len(x), _MICRO_BATCH)
-    blas = _blas_threads()
-    if blas is None:
-        parts = [part(lo) for lo in starts]
-    else:
-        get, put = blas
-        with _STEP_LOCK:
-            before = get()
-            put(1)
-            try:
-                futures = [_pool().submit(contextvars.copy_context().run, part, lo)
-                           for lo in starts]
-                for future in futures:  # every GEMM ends before the count is restored
-                    future.exception()
-            finally:
-                put(before)
-        parts = [future.result() for future in futures]
+    parts = run_parts(part, range(0, len(x), _MICRO_BATCH))
     loss, grads = parts[0]
     for part_loss, part_grads in parts[1:]:
         loss += part_loss

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vsr3d import tensor_core
 from vsr3d.checkpoint import save_checkpoint
 from vsr3d.cli import REFERENCE_WEIGHT_COUNTS, _build_parser, main
 from vsr3d.config import RunConfig
@@ -585,12 +586,31 @@ def test_oversized_geometry_is_one_line_error(tmp_path, name, payload, extra):
         proc.stderr
 
 
+@pytest.mark.parametrize("command", ["scene", "evaluate"])
+def test_scene_and_evaluate_start_no_worker_thread(clips, tmp_path, monkeypatch, command):
+    # the scene classifier's 27x48 layers are one band each, and evaluate's
+    # bicubic method runs no net: neither may split a layer into parts
+    def refuse(*args):
+        raise AssertionError("a layer was split into parts")
+    monkeypatch.setattr(tensor_core, "_pool", refuse)
+    monkeypatch.setattr(tensor_core, "run_parts", refuse)
+    args = [command, str(clips["spliced"]), "--csv", str(tmp_path / "out.csv")]
+    if command == "scene":
+        ckpt, spec = tmp_path / "sf.ckpt", build_sf_net(3)
+        save_checkpoint(xavier_init(spec, 0), spec, {}, str(ckpt))
+        args += ["--sf-checkpoint", str(ckpt)]
+    else:
+        args += ["--method", "bicubic", "--scale", "2"]
+    assert main(args) == 0
+
+
 @pytest.mark.parametrize("command", ["upscale", "train", "scene", "evaluate"])
 def test_out_of_memory_is_one_line_error(tmp_path, command):
-    # under a 512 MiB address-space cap, one float32 activation of `full`
-    # cannot be allocated: (1, 32, 5, 720, 1280) for upscale (590 MB), and
-    # (95, 32, 5, 100, 100) for train's first batch of 95 LR 100x100 patches
-    # (608 MB); under a 256 MiB cap, neither scene nor evaluate can allocate
+    # under a 512 MiB address-space cap, upscale cannot allocate one float32
+    # activation of `full`, (1, 32, 5, 720, 1280) (590 MB); train, with its
+    # 95 LR 100x100 patches and the step's worker threads mapped, runs out
+    # at a micro-batch's (2, 32, 5, 100, 100) (12.2 MiB); under a 256 MiB
+    # cap, neither scene nor evaluate can allocate
     # a 61 MiB float32 plane of one 4000x4000 4:2:0 frame (a 24 MB Y4M); the
     # MemoryError must end the command in one line, with nothing written
     cap = "1 << 29"
@@ -653,3 +673,28 @@ def test_seeded_train_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append([(run / name).read_bytes() for name in ("m.ckpt", "log.csv")])
     assert outputs[0] == outputs[1]
+
+
+def test_seeded_upscale_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at QCIF every layer of `full` and `v1` is split into parts, which run
+    # their GEMMs on one BLAS thread whatever the process's count; v1's
+    # forward used to differ between one and two threads
+    clip = tmp_path / "qcif.y4m"
+    write_clip(textured_clip(6, 3, 176, 144), str(clip))
+    for arch in ("full", "v1"):
+        spec = build_architecture(arch, 2)
+        save_checkpoint(xavier_init(spec, 4), spec, {}, str(tmp_path / f"{arch}.ckpt"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for arch in ("full", "v1"):
+            out = tmp_path / f"{arch}_threads{threads}.y4m"
+            proc = subprocess.run(
+                [sys.executable, "-m", "vsr3d.cli", "upscale", str(clip), str(out),
+                 "--checkpoint", str(tmp_path / f"{arch}.ckpt")],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+    assert outputs[:2] == outputs[2:]

@@ -1,6 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from vsr3d import tensor_core
 from vsr3d.bicubic import bicubic_resize
 from vsr3d.frames import Frame
 from vsr3d.model import (ARCH_NAMES, LayerSpec, ModelSpec, backward_stack,
@@ -289,6 +292,33 @@ class TestForward:
         out = forward(zero_params(spec), spec, window)
         base = bicubic_resize(window[2], 16, 20)
         assert np.array_equal(out.luma, base.luma)
+
+    @pytest.mark.parametrize("name", ["full", "v1", "cnn2d"])
+    def test_bytes_do_not_depend_on_workers_or_blas_threads(self, monkeypatch, name):
+        # at QCIF every layer spans many bands, so each one is split into
+        # parts; v1's used to differ between one and two BLAS threads in
+        # most of its outputs
+        spec = build_architecture(name, 2)
+        params = random_params(spec, seed=3)
+        x = stack_windows([random_window(144, 176, seed=4)])
+        want = forward_stack(params, spec, x)[0]
+        for workers in (1, 2, 4):
+            with ThreadPoolExecutor(workers, thread_name_prefix="vsr3d-step") as pool:
+                monkeypatch.setattr(tensor_core, "_pool", lambda: pool)
+                monkeypatch.setattr(tensor_core, "_workers", lambda: workers)
+                assert np.array_equal(forward_stack(params, spec, x)[0], want)
+        monkeypatch.undo()
+        blas = tensor_core._blas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS thread control found")
+        get, put = blas
+        before = get()
+        try:
+            for threads in (1, 2):
+                put(threads)
+                assert np.array_equal(forward_stack(params, spec, x)[0], want)
+        finally:
+            put(before)
 
     @pytest.mark.parametrize("bias, level", [(2.0, 1.0), (-2.0, 0.0)])
     def test_output_is_clamped_to_unit_range(self, bias, level):

@@ -1,5 +1,9 @@
 """Tensor-core kernels against brute-force oracles and finite differences."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from vsr3d.tensor_core import (
     pixel_unshuffle,
     relu,
     relu_backward,
+    run_parts,
     tensor5d,
 )
 
@@ -143,7 +148,7 @@ class TestConvForward:
         x, w = random_case(31, n=2, cin=1, cout=2, d=3, h=15, w=6)
         pad = PadPolicy(spatial=1, temporal=temporal)
         out = conv_forward(x, w, pad, stride=stride)
-        assert gathers == [2 * out.shape[3]] and out.shape[3] >= 2
+        assert sum(gathers) == 2 * out.shape[3] and out.shape[3] >= 2
         np.testing.assert_allclose(out, reference.conv_forward_loop(x, w, pad, stride=stride),
                                    atol=1e-5)
 
@@ -277,6 +282,130 @@ class TestConvBackward:
         x, w = random_case(15)
         with pytest.raises(ValueError, match="grad_out"):
             conv_backward(x, w, NO_PAD, np.zeros((1, 2, 1, 1, 1), dtype=np.float32))
+
+
+def force_pool(monkeypatch, workers):
+    """Run parts on a fresh pool of `workers` threads, split into as many."""
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="vsr3d-step")
+    monkeypatch.setattr(tensor_core, "_pool", lambda: pool)
+    monkeypatch.setattr(tensor_core, "_workers", lambda: workers)
+    return pool
+
+
+def no_pool():
+    raise AssertionError("the part pool was asked for")
+
+
+needs_blas = pytest.mark.skipif(tensor_core._blas_threads() is None,
+                                reason="no OpenBLAS thread control found")
+
+
+class TestParts:
+    """run_parts, and conv_padded's split of its bands into parts."""
+
+    @staticmethod
+    def split_case(monkeypatch):
+        # bands of one output row, so each of the two samples spans 15
+        x, w = random_case(31, n=2, cin=3, cout=4, d=3, h=15, w=6)
+        monkeypatch.setattr(tensor_core, "_WINDOW_BUDGET_BYTES", 1)
+        monkeypatch.setattr(tensor_core, "_MIN_BAND_POSITIONS", 1)
+        return x, w, PadPolicy(spatial=1, temporal=TemporalPad.ZERO)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_split_matches_loop_oracle_and_one_part(self, monkeypatch, workers):
+        # parts write disjoint rows of one output: a lost or misplaced row,
+        # more likely with threads switched often, would break equality
+        x, w, pad = self.split_case(monkeypatch)
+        with force_pool(monkeypatch, 1):
+            one = conv_forward(x, w, pad)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with force_pool(monkeypatch, workers):
+                out = conv_forward(x, w, pad)
+        finally:
+            sys.setswitchinterval(switch)
+        assert np.array_equal(out, one)
+        np.testing.assert_allclose(out, reference.conv_forward_loop(x, w, pad), atol=1e-5)
+
+    def test_band_geometry_does_not_depend_on_workers(self, monkeypatch):
+        # at the default budget and floor, 130 rows of 8 positions of 32
+        # groups take bands of 64 rows when split (the floor wins); a width
+        # chosen by the worker count would be 128 rows for one worker and
+        # 32 for four
+        x, w = random_case(33, cin=32, cout=3, d=5, h=130, w=8)
+        pad = PadPolicy(spatial=1, temporal=TemporalPad.ZERO)
+        real, seen = tensor_core._column_bands, []
+
+        def recording(xp, kh, kw, stride, ho, wo, bands, buf):
+            seen.extend((int(n), int(y0), int(y1)) for n, y0, y1 in bands)
+            yield from real(xp, kh, kw, stride, ho, wo, bands, buf)
+        monkeypatch.setattr(tensor_core, "_column_bands", recording)
+        geometry = []
+        for workers in (1, 2, 4):
+            seen.clear()
+            with force_pool(monkeypatch, workers):
+                conv_forward(x, w, pad)
+            geometry.append(sorted(seen))
+        assert geometry[0] == [(0, 0, 64), (0, 64, 128), (0, 128, 130)]
+        assert geometry[1] == geometry[0] and geometry[2] == geometry[0]
+
+    def test_forward_inside_a_part_of_a_one_worker_pool_runs_inline(self, monkeypatch):
+        # a nested split, or a nested run_parts, would wait on the pool's
+        # only worker, which runs the part that waits (or on the lock its
+        # caller holds): a deadlock, caught by the timeout
+        x, w, pad = self.split_case(monkeypatch)
+
+        def part(_):
+            return conv_forward(x, w, pad), run_parts(abs, [-1, -2])
+        with force_pool(monkeypatch, 1), ThreadPoolExecutor(1) as caller:
+            monkeypatch.setattr(tensor_core, "_workers", lambda: 2)
+            outs = caller.submit(run_parts, part, range(2)).result(timeout=60)
+        want = reference.conv_forward_loop(x, w, pad)
+        for out, nested in outs:
+            np.testing.assert_allclose(out, want, atol=1e-5)
+            assert nested == [1, 2]
+
+    def test_callers_errstate_holds_in_every_part(self, monkeypatch):
+        x, w, pad = self.split_case(monkeypatch)
+        real, seen = tensor_core._column_bands, []
+
+        def recording(*args):
+            seen.append((np.geterr()["over"], threading.current_thread().name))
+            yield from real(*args)
+        monkeypatch.setattr(tensor_core, "_column_bands", recording)
+        with force_pool(monkeypatch, 2), np.errstate(over="raise"):
+            conv_forward(x, w, pad)
+        assert [over for over, _ in seen] == ["raise"] * 2
+        if tensor_core._blas_threads() is not None:
+            assert all(name.startswith("vsr3d-step") for _, name in seen)
+
+    @needs_blas
+    def test_blas_thread_count_is_restored_after_a_part_raises(self):
+        get, put = tensor_core._blas_threads()
+        before, seen = get(), []
+
+        def part(i):
+            seen.append(get())
+            if i == 1:
+                raise ValueError("part 1 fails")
+            return i
+        try:
+            put(2)
+            with pytest.raises(ValueError, match="part 1 fails"):
+                run_parts(part, range(3))
+            assert get() == 2
+        finally:
+            put(before)
+        assert seen == [1] * 3  # every part ran, each with one BLAS thread
+
+
+    def test_one_band_call_submits_nothing(self, monkeypatch):
+        monkeypatch.setattr(tensor_core, "_pool", no_pool)
+        x, w = random_case(32, n=2, h=8, w=8)
+        pad = PadPolicy(spatial=1, temporal=TemporalPad.DUPLICATE)
+        np.testing.assert_allclose(conv_forward(x, w, pad), reference.conv_forward_loop(x, w, pad),
+                                   atol=1e-5)
 
 
 def record_stored_depths(monkeypatch):

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from vsr3d import training
+from vsr3d import tensor_core, training
 from vsr3d.bicubic import resize_plane
 from vsr3d.frames import Frame, VideoClip
 from vsr3d.model import (ARCH_NAMES, SCALES, LayerSpec, ModelSpec, backward_stack,
@@ -317,7 +317,7 @@ class TestMicroBatches:
     """sr_batch_step runs its batch as micro-batches, possibly on worker
     threads with OpenBLAS held at one thread, and sums them in order."""
 
-    needs_blas = pytest.mark.skipif(training._blas_threads() is None,
+    needs_blas = pytest.mark.skipif(tensor_core._blas_threads() is None,
                                     reason="no OpenBLAS thread control found")
 
     @staticmethod
@@ -337,7 +337,7 @@ class TestMicroBatches:
         args = self.batch()
         loss, grads = sr_batch_step(*args)
         pool = ThreadPoolExecutor(workers)
-        monkeypatch.setattr(training, "_pool", lambda: pool)
+        monkeypatch.setattr(tensor_core, "_pool", lambda: pool)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -354,7 +354,7 @@ class TestMicroBatches:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_matches_one_whole_batch_pass(self, monkeypatch, blas_control, form, dtype):
         if not blas_control:  # the fallback: micro-batches one after another
-            monkeypatch.setattr(training, "_blas_threads", lambda: None)
+            monkeypatch.setattr(tensor_core, "_blas_threads", lambda: None)
         params, spec, x, bases, target = self.batch(dtype)
         loss, grads = sr_batch_step(params, spec, x, bases, target, form)
         out, caches = forward_stack(params, spec, x, want_caches=True)
@@ -373,7 +373,7 @@ class TestMicroBatches:
 
     @needs_blas
     def test_blas_thread_count_is_restored_even_on_an_error(self):
-        get, put = training._blas_threads()
+        get, put = tensor_core._blas_threads()
         before = get()
         params, spec, x, bases, target = self.batch()
         try:
@@ -398,7 +398,7 @@ class TestMicroBatches:
         with np.errstate(over="raise"):
             sr_batch_step(*self.batch())
         assert [over for over, _ in seen] == ["raise"] * 4
-        if training._blas_threads() is not None:
+        if tensor_core._blas_threads() is not None:
             assert all(name.startswith("vsr3d-step") for _, name in seen)
 
     def test_bad_loss_form_is_refused(self):
