@@ -12,6 +12,7 @@ from vsr3d.bicubic import resize_plane
 from vsr3d.frames import Frame, VideoClip
 from vsr3d.metrics import psnr
 from vsr3d.model import build_architecture
+from vsr3d.reference import GRAD_TOLERANCES
 from vsr3d.training import (DatasetRecipe, extract_dataset, grad_check,
                             miniature_spec, train)
 
@@ -55,6 +56,6 @@ print(f"held-out PSNR {result.final_val:.2f} dB vs bicubic {baseline:.2f} dB")
 
 # The backward pass is checked against central finite differences on a
 # miniature copy of the architecture (full-size checks would be too slow).
-report = grad_check(miniature_spec("v1"), seed=0, tolerance=1e-6,
-                    dtype=np.float64, name="v1 miniature")
+report = grad_check(miniature_spec("v1"), seed=0, dtype=np.float64, name="v1 miniature",
+                    tolerance=GRAD_TOLERANCES[np.float64])
 print("\ngradient check:", report.summary())

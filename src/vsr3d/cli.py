@@ -21,39 +21,24 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import COMMANDS, FIELD_DOCS, ConfigError, RunConfig, load_config
 from .frames import MIDDLE_FRAME, Frame, VideoClip
 from .metrics import format_metric, metrics_csv, psnr, ssim
-from .model import (ARCH_NAMES, LayerSpec, ModelSpec, build_architecture,
-                    count_parameters, dump_feature_maps, forward, forward_stack,
-                    zero_params)
-from .reference import conv_forward_loop, forward_stack_loop
+from .model import (ARCH_NAMES, build_architecture, count_parameters, dump_feature_maps,
+                    forward, zero_params)
+from .reference import verify_checks
 from .scene import (SceneLabel, build_sf_net, confusion_csv, confusion_matrix,
                     make_sf_dataset, replace_frames, sf_input_from_window,
                     sf_logits, softmax, train_sf)
-from .tensor_core import (ConvWeights, PadPolicy, TemporalPad, conv_forward, pixel_shuffle,
-                          pixel_unshuffle)
-from .training import (DatasetRecipe, TrainingDiverged, extract_dataset,
-                       grad_check, miniature_spec, train, val_psnr, xavier_init)
+from .training import DatasetRecipe, TrainingDiverged, extract_dataset, train, val_psnr
 from .video_io import ClipFormatError, read_clip, write_clip
 
-# bias-free weight totals of the five reference architectures at scale 2
-REFERENCE_WEIGHT_COUNTS = {
-    "cnn2d": 115_020,
-    "v1": 108_000,
-    "v2": 118_368,
-    "v3": 100_512,
-    "full": 114_912,
-}
-
-
-def _check_exists(path: str, what: str) -> str:
+def _require(path: str, what: str):
     if not path:
         raise ConfigError(f"{what} is required")
     if not os.path.exists(path):
         raise ConfigError(f"{what} {path!r} does not exist")
-    return path
 
 
 def _read(cfg: RunConfig, path: str) -> VideoClip:
-    _check_exists(path, "clip")
+    _require(path, "clip")
     return read_clip(path, fmt=cfg.format or None, size=cfg.clip_size())
 
 
@@ -63,7 +48,7 @@ _KINDS = {"sr": ("checkpoint", "an SR model"), "sf": ("scene checkpoint", "a sce
 
 def _load(path: str, kind: str):
     what, model = _KINDS[kind]
-    _check_exists(path, what)
+    _require(path, what)
     params, spec, meta = load_checkpoint(path)
     if spec.kind != kind:
         raise ValueError(f"{path} holds a {spec.kind!r} model, not {model}")
@@ -271,93 +256,8 @@ def cmd_sf_train(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # self-verification
 
-def _check_param_counts():
-    for name, want in REFERENCE_WEIGHT_COUNTS.items():
-        got = count_parameters(build_architecture(name))
-        if got != want:
-            return False, f"{name}: {got} != {want}"
-    return True, f"{len(REFERENCE_WEIGHT_COUNTS)} architectures match"
-
-
-def _check_pixel_shuffle():
-    rng = np.random.default_rng(0)
-    x = rng.random((2, 8, 1, 6, 5)).astype(np.float32)
-    ok = np.array_equal(pixel_unshuffle(pixel_shuffle(x, 2), 2), x)
-    return ok, "roundtrip exact" if ok else "roundtrip mismatch"
-
-
-def _check_conv_oracle():
-    rng = np.random.default_rng(1)
-    worst = 0.0
-    pads = [TemporalPad.ZERO, TemporalPad.DUPLICATE, TemporalPad.NONE]
-    for case in range(8):
-        kd = int(rng.choice([1, 3]))  # temporal padding needs odd depth
-        kh, kw = rng.integers(1, 4, 2)
-        stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-        pad = PadPolicy(temporal=pads[int(rng.integers(0, 3))] if kd > 1
-                        else TemporalPad.NONE,
-                        spatial=int(rng.integers(0, 2)))
-        cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        x = rng.standard_normal((2, cin, kd + 2, 7, 8)).astype(np.float32)
-        w = ConvWeights(rng.standard_normal((cout, cin, kd, kh, kw)).astype(np.float32),
-                        rng.standard_normal(cout).astype(np.float32))
-        fast = conv_forward(x, w, pad, stride=stride)
-        slow = conv_forward_loop(x, w, pad, stride=stride)
-        worst = max(worst, float(np.max(np.abs(fast - slow))))
-    return worst < 1e-5, f"8 configs, worst |diff| {worst:.2e}"
-
-
-def _check_stack_oracle():
-    # whole-net path with a mid-stack concat; sensitive to flatten order
-    spec = ModelSpec([
-        LayerSpec("conv3d", 1, 3, (3, 3, 3), TemporalPad.ZERO),
-        LayerSpec("conv3d", 3, 2, (3, 3, 3), TemporalPad.DUPLICATE),
-        LayerSpec("conv2d", 10, 4, (1, 3, 3), activation="none"),
-    ], concat_after=2, scale=2, kind="sr")
-    params = [ConvWeights(0.1 * np.random.default_rng(i).standard_normal(w.kernel.shape).astype(np.float32),
-                          0.1 * np.random.default_rng(10 + i).standard_normal(w.bias.shape).astype(np.float32))
-              for i, w in enumerate(xavier_init(spec, 0))]
-    x = np.random.default_rng(5).random((1, 1, 5, 6, 6)).astype(np.float32)
-    fast, _ = forward_stack(params, spec, x)
-    err = float(np.max(np.abs(fast - forward_stack_loop(params, spec, x))))
-    # one loop serves both; asking it for caches must not change the output
-    same = np.array_equal(fast, forward_stack(params, spec, x, want_caches=True)[0])
-    return err < 1e-5 and same, (f"max |diff| {err:.2e}, "
-                                 f"{'equal to' if same else 'differs from'} the caching stack")
-
-
-def _check_replacement():
-    win = [Frame(np.full((4, 4), 0.1 * (i + 1), dtype=np.float32)) for i in range(5)]
-    table = {
-        SceneLabel.CHANGE_AFTER_1: [2, 2, 3, 4, 5],
-        SceneLabel.CHANGE_AFTER_2: [3, 3, 3, 4, 5],
-        SceneLabel.CHANGE_AFTER_3: [1, 2, 3, 3, 3],
-        SceneLabel.CHANGE_AFTER_4: [1, 2, 3, 4, 4],
-        SceneLabel.NO_CHANGE: [1, 2, 3, 4, 5],
-    }
-    for label, want in table.items():
-        got = [round(float(f.luma[0, 0]) / 0.1) for f in replace_frames(win, label)]
-        if got != want:
-            return False, f"{label.name}: {got} != {want}"
-    return True, "all five labels"
-
-
-def _check_gradients(arch: str, seed: int, use_f64: bool):
-    report = grad_check(miniature_spec(arch), seed=seed, tolerance=1e-6 if use_f64 else 1e-3,
-                        dtype=np.float64 if use_f64 else np.float32, name=arch)
-    return report.passed, report.summary()
-
-
 def cmd_verify(cfg: RunConfig, use_f64: bool) -> int:
-    # (line template, check); a check returns (passed, detail)
-    checks = [
-        ("parameter counts ({})", _check_param_counts),
-        ("pixel shuffle roundtrip ({})", _check_pixel_shuffle),
-        ("convolution vs loop oracle ({})", _check_conv_oracle),
-        ("layer stack vs chained oracle ({})", _check_stack_oracle),
-        ("frame replacement truth table ({})", _check_replacement),
-    ] + [("gradient check {}", partial(_check_gradients, arch, cfg.seed, use_f64))
-         for arch in ARCH_NAMES]
+    checks = verify_checks(cfg.seed, np.float64 if use_f64 else np.float32)
     passed = 0
     for template, fn in checks:
         try:
@@ -412,8 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs["evaluate"].add_argument("candidate", nargs="?",
                                   help="clip to score (omit with --method bicubic)")
     subs["scene"].add_argument("input", help="clip to scan")
-    subs["verify"].add_argument("--f64", action="store_true",
-                                help="check gradients in float64 at tolerance 1e-6")
+    subs["verify"].add_argument("--f64", action="store_true", help="check gradients in float64")
     subs["param-count"].add_argument("archs", nargs="*",
                                      help="architectures (default: all five)")
     subs["param-count"].add_argument("--bias", action="store_true", help="also count biases")

@@ -175,7 +175,14 @@ def _blas_threads():
 
 
 def _workers() -> int:
-    return len(os.sched_getaffinity(0))  # usable cores: _pool()'s threads, a split's parts
+    """Usable cores (_pool()'s threads, a split's parts), capped by a positive
+    integer OPENBLAS_NUM_THREADS, or else OMP_NUM_THREADS."""
+    cores = len(os.sched_getaffinity(0))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return min(cores, int(value))
+    return cores
 
 
 @functools.cache

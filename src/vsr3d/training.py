@@ -392,7 +392,7 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
-def grad_check(spec: ModelSpec, seed: int = 0, tolerance: float = 1e-3,
+def grad_check(spec: ModelSpec, seed: int = 0, *, tolerance: float,
                dtype=np.float32, name: str = "spec") -> GradCheckReport:
     """Compare every analytic parameter and input gradient of the layer
     stack against central differences, taken on a float64 replica of the

@@ -19,17 +19,13 @@ from vsr3d.cli import main
 from vsr3d.frames import Frame, VideoClip
 from vsr3d.metrics import psnr, ssim
 from vsr3d.model import (ARCH_NAMES, LayerSpec, ModelSpec, build_architecture,
-                         count_parameters, forward, forward_stack)
-from vsr3d.reference import conv_forward_loop, forward_stack_loop
-from vsr3d.scene import (SceneLabel, build_sf_net, make_sf_dataset,
-                         replace_frames, train_sf)
-from vsr3d.tensor_core import ConvWeights, PadPolicy, TemporalPad, conv_forward
-from vsr3d.training import (DatasetRecipe, extract_dataset, grad_check,
-                            miniature_spec, train, xavier_init)
+                         count_parameters, forward)
+from vsr3d.reference import (GRAD_TOLERANCES, MID_STACK_SPEC, REFERENCE_WEIGHT_COUNTS,
+                             check_conv, check_gradients, check_replacement, check_stack)
+from vsr3d.scene import SceneLabel, build_sf_net, make_sf_dataset, replace_frames, train_sf
+from vsr3d.tensor_core import ConvWeights, TemporalPad
+from vsr3d.training import DatasetRecipe, extract_dataset, train, xavier_init
 from vsr3d.video_io import read_clip, write_clip
-
-EXPECTED_WEIGHTS = {"cnn2d": 115_020, "v1": 108_000, "v2": 118_368,
-                    "v3": 100_512, "full": 114_912}
 
 VIDSET4_TARGETS = {  # scale: (mean PSNR dB, mean SSIM) for the bicubic chain
     2: (28.43, 0.8685),
@@ -90,7 +86,7 @@ def desk_model():
 
 def test_01_reference_parameter_counts():
     got = {a: count_parameters(build_architecture(a, 2)) for a in ARCH_NAMES}
-    assert got == EXPECTED_WEIGHTS
+    assert got == REFERENCE_WEIGHT_COUNTS
 
 
 def _find_vidset4():
@@ -135,10 +131,9 @@ def test_02_bicubic_baseline():
 
 def test_03_gradient_checks_all_architectures():
     for arch in ARCH_NAMES:
-        for dtype, tol in ((np.float32, 1e-3), (np.float64, 1e-6)):
-            report = grad_check(miniature_spec(arch), seed=0, tolerance=tol,
-                                dtype=dtype, name=arch)
-            assert report.passed, report.summary()
+        for dtype in GRAD_TOLERANCES:
+            ok, detail = check_gradients(arch, seed=0, dtype=dtype)
+            assert ok, detail
 
 
 def _stack_concat_specs():
@@ -157,10 +152,7 @@ def _stack_concat_specs():
                    LayerSpec(c2, 12, 5, (1, 3, 3)),
                    LayerSpec(c2, 5, 1, (1, 3, 3), activation="none")],
                   concat_after=1, scale=1),
-        ModelSpec([LayerSpec(c3, 1, 3, (3, 3, 3), z),
-                   LayerSpec(c3, 3, 2, (3, 3, 3), d),
-                   LayerSpec(c2, 10, 4, (1, 3, 3), activation="none")],
-                  concat_after=2, scale=2),
+        MID_STACK_SPEC,
         ModelSpec([LayerSpec(c3, 1, 3, (3, 3, 3), n),
                    LayerSpec(c3, 3, 2, (3, 3, 3), n),
                    LayerSpec(c2, 2, 9, (1, 3, 3), activation="none")],
@@ -174,35 +166,11 @@ def _stack_concat_specs():
 
 
 def test_04_vectorized_conv_matches_loop_oracle():
-    pads = [TemporalPad.ZERO, TemporalPad.DUPLICATE, TemporalPad.NONE]
-    worst = 0.0
-    for case in range(44):  # single layers: 2D/3D kernels, pads, strides
-        rng = np.random.default_rng(1000 + case)
-        kd = int(rng.choice([1, 3]))
-        kh, kw = (int(v) for v in rng.integers(1, 4, 2))
-        stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-        pad = PadPolicy(temporal=pads[int(rng.integers(0, 3))] if kd > 1
-                        else TemporalPad.NONE,
-                        spatial=int(rng.integers(0, 2)))
-        cin, cout = (int(v) for v in rng.integers(1, 5, 2))
-        depth = kd + int(rng.integers(0, 4))
-        x = (0.25 * rng.standard_normal((2, cin, depth, 7, 9))).astype(np.float32)
-        w = ConvWeights(
-            (0.25 * rng.standard_normal((cout, cin, kd, kh, kw))).astype(np.float32),
-            (0.25 * rng.standard_normal(cout)).astype(np.float32))
-        diff = np.max(np.abs(conv_forward(x, w, pad, stride=stride)
-                             - conv_forward_loop(x, w, pad, stride=stride)))
-        worst = max(worst, float(diff))
-    for case, spec in enumerate(_stack_concat_specs()):  # whole-stack concats
-        rng = np.random.default_rng(2000 + case)
-        params = [ConvWeights(w.kernel,
-                              (0.1 * rng.standard_normal(w.bias.shape)).astype(np.float32))
-                  for w in xavier_init(spec, case)]
-        x = rng.random((1, 1, 5, 6, 7)).astype(np.float32)
-        fast, _ = forward_stack(params, spec, x)
-        diff = np.max(np.abs(fast - forward_stack_loop(params, spec, x)))
-        worst = max(worst, float(diff))
-    assert worst < 1e-5, f"worst |fast - loop| = {worst:.2e}"
+    # single layers (2D/3D kernels, pads, strides), then whole-stack concats
+    ok, detail = check_conv(seeds=range(1000, 1044), tolerance=1e-5)
+    assert ok, detail
+    ok, detail = check_stack(specs=_stack_concat_specs(), tolerance=1e-5)
+    assert ok, detail
 
 
 def test_05_zero_model_reduces_to_bicubic_exactly():
@@ -224,20 +192,8 @@ def test_06_desk_training_beats_bicubic(desk_model):
 
 
 def test_07_frame_replacement_truth_table():
-    window = [Frame(np.full((4, 4), 0.1 * (i + 1), dtype=np.float32))
-              for i in range(5)]
-    table = {
-        SceneLabel.CHANGE_AFTER_1: (1, 1, 2, 3, 4),
-        SceneLabel.CHANGE_AFTER_2: (2, 2, 2, 3, 4),
-        SceneLabel.CHANGE_AFTER_3: (0, 1, 2, 2, 2),
-        SceneLabel.CHANGE_AFTER_4: (0, 1, 2, 3, 3),
-        SceneLabel.NO_CHANGE: (0, 1, 2, 3, 4),
-    }
-    for label, want in table.items():
-        got = replace_frames(window, label)
-        assert all(g is window[j] for g, j in zip(got, want)), label
-        again = replace_frames(got, label)
-        assert all(a is g for a, g in zip(again, got)), label  # idempotent
+    ok, detail = check_replacement()
+    assert ok, detail
 
 
 def test_08_scene_classifier_heldout_accuracy():

@@ -4,6 +4,7 @@ import pytest
 from vsr3d.checkpoint import (MAGIC, BadMagicError, CheckpointError,
                               TruncatedError, load_checkpoint, save_checkpoint)
 from vsr3d.model import build_architecture, count_parameters
+from vsr3d.reference import REFERENCE_WEIGHT_COUNTS
 from vsr3d.tensor_core import ConvWeights
 
 from test_model import random_params
@@ -40,7 +41,7 @@ class TestRoundtrip:
     def test_loaded_spec_recounts_weights(self, saved):
         _, _, path = saved
         _, spec, _ = load_checkpoint(path)
-        assert count_parameters(spec) == 108_000
+        assert count_parameters(spec) == REFERENCE_WEIGHT_COUNTS["v1"]
 
     def test_same_save_twice_is_byte_identical(self, saved, tmp_path):
         params, spec, path = saved

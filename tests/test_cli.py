@@ -1,7 +1,9 @@
 """End-to-end drives of the command line through main(argv)."""
 
 import argparse
+import ast
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -11,12 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vsr3d import tensor_core
+from vsr3d import metrics, reference, tensor_core
 from vsr3d.checkpoint import save_checkpoint
-from vsr3d.cli import REFERENCE_WEIGHT_COUNTS, _build_parser, main
+from vsr3d.cli import _build_parser, main
 from vsr3d.config import RunConfig
 from vsr3d.frames import Frame, VideoClip
 from vsr3d.model import build_architecture, count_parameters
+from vsr3d.reference import REFERENCE_WEIGHT_COUNTS
 from vsr3d.scene import build_sf_net
 from vsr3d.tensor_core import ConvWeights
 from vsr3d.training import xavier_init
@@ -81,7 +84,8 @@ class TestParamCount:
     def test_bias_column(self, capsys):
         assert main(["param-count", "v1", "--bias"]) == 0
         row = capsys.readouterr().out.splitlines()[1].split()
-        assert row == ["v1", "108000", "180", "108180"]
+        want = REFERENCE_WEIGHT_COUNTS["v1"]
+        assert row == ["v1", str(want), "180", str(want + 180)]
 
     def test_unknown_arch_is_usage_error(self, capsys):
         assert main(["param-count", "vgg"]) == 2
@@ -140,7 +144,7 @@ class TestTrain:
         root, argv = train_run
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "vsr3d train: arch v1 x2, 108,000 weights, seed 7" in out
+        assert f"vsr3d train: arch v1 x2, {REFERENCE_WEIGHT_COUNTS['v1']:,} weights, seed 7" in out
         assert "bicubic baseline" in out and "checkpoint written" in out
         head = (root / "m.csv").read_text().splitlines()[0]
         assert head == "step,loss,val_psnr_db"
@@ -461,37 +465,83 @@ class TestSceneLane:
         assert main(["sf-train", "--scenes-a", str(clips["pool_a"])]) == 2
 
 
+def _nudged_kernel_gradient(real):
+    def nudged(*args, **kwargs):
+        gx, gw = real(*args, **kwargs)
+        gw.kernel.flat[0] += 1e-4 * np.abs(gw.kernel).max()
+        return gx, gw
+    return nudged
+
+
+def _wider_window(real):
+    @dataclasses.dataclass(frozen=True)
+    class Wider(real):  # sigma 1.6, not 1.5
+        def weights(self, n_in, n_out):
+            idx, _ = super().weights(n_in, n_out)
+            g = np.exp(-(np.arange(11) - 5.0) ** 2 / (2 * 1.6 ** 2))
+            return idx, np.broadcast_to(g / g.sum(), idx.shape)
+    return Wider
+
+
 class TestVerify:
     def test_all_checks_pass(self, capsys):
-        assert main(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert "10/10 checks passed" in out
-        assert "FAIL" not in out
+        for argv, dtype in ((["verify"], "[float32]"), (["verify", "--f64"], "[float64]")):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert "13/13 checks passed" in out and out.count(dtype) == 5
+            assert "FAIL" not in out
 
     def test_crashing_gradient_check_is_a_failed_check(self, monkeypatch, capsys):
-        import vsr3d.cli as cli
-
         def boom(spec, **kwargs):
             raise RuntimeError("boom")
-        monkeypatch.setattr(cli, "grad_check", boom)
+        monkeypatch.setattr(reference, "grad_check", boom)
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert out.count("FAIL gradient check raised RuntimeError: boom") == 5
-        assert out.endswith("5/10 checks passed\n")
+        assert out.endswith("8/13 checks passed\n")
 
     def test_stack_check_needs_the_caching_stack_bit_for_bit(self, monkeypatch, capsys):
         # one ulp off the no-cache output is far inside the oracle tolerance
-        import vsr3d.cli as cli
-        real = cli.forward_stack
+        real = reference.forward_stack
 
         def nudged(params, spec, x, want_caches=False, start=None):
             out, caches = real(params, spec, x, want_caches, start)
             return (out if want_caches else np.nextafter(out, np.inf)), caches
-        monkeypatch.setattr(cli, "forward_stack", nudged)
+        monkeypatch.setattr(reference, "forward_stack", nudged)
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL layer stack vs chained oracle" in out and "differs from" in out
-        assert out.endswith("9/10 checks passed\n")
+        assert out.endswith("12/13 checks passed\n")
+
+    @pytest.mark.parametrize("module, name, perturb, line", [
+        (reference, "conv_backward", _nudged_kernel_gradient,
+         "convolution gradients vs loop oracle"),
+        (metrics, "_ValidWindow", _wider_window, "SSIM vs window oracle"),
+        (reference, "resize_plane", lambda real: lambda *args: real(*args) + 1e-9,
+         "bicubic resize vs dense oracle"),
+    ], ids=["kernel-gradient", "ssim-window", "resize"])
+    def test_new_checks_fail_on_a_perturbed_fast_path(self, monkeypatch, capsys, module, name,
+                                                       perturb, line):
+        monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL {line}" in out and out.endswith("12/13 checks passed\n")
+
+    def test_every_oracle_is_called_by_a_listed_check(self):
+        # a public function of reference.py is a listed check, or a check
+        # calls it, directly or through another function of the module
+        funcs = {name: f for name, f in vars(reference).items()
+                 if inspect.isfunction(f) and f.__module__ == reference.__name__}
+        listed = {getattr(fn, "func", fn) for _, fn in reference.verify_checks()}
+        reached, todo = set(), list(listed)
+        while todo:
+            for node in ast.walk(ast.parse(inspect.getsource(todo.pop()))):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in funcs.keys() - reached):
+                    reached.add(node.func.id)
+                    todo.append(funcs[node.func.id])
+        public = {name for name, f in funcs.items() if not name.startswith("_")}
+        assert public - reached - {f.__name__ for f in listed} == {"verify_checks"}
 
 
 # (flag, dest, nargs) of every argument of every subcommand; positionals
@@ -607,13 +657,13 @@ def test_scene_and_evaluate_start_no_worker_thread(clips, tmp_path, monkeypatch,
 @pytest.mark.parametrize("command", ["upscale", "train", "scene", "evaluate"])
 def test_out_of_memory_is_one_line_error(tmp_path, command):
     # under a 512 MiB address-space cap, upscale cannot allocate one float32
-    # activation of `full`, (1, 32, 5, 720, 1280) (590 MB); train, with its
-    # 95 LR 100x100 patches and the step's worker threads mapped, runs out
-    # at a micro-batch's (2, 32, 5, 100, 100) (12.2 MiB); under a 256 MiB
-    # cap, neither scene nor evaluate can allocate
-    # a 61 MiB float32 plane of one 4000x4000 4:2:0 frame (a 24 MB Y4M); the
+    # activation of `full`, (1, 32, 5, 720, 1280) (590 MB); under a 256 MiB
+    # cap, train, with its 95 LR 100x100 patches and its one step worker
+    # (OMP_NUM_THREADS=1) mapped, runs out at a micro-batch's (2, 32, 5, 100,
+    # 100) (12.2 MiB), and neither scene nor evaluate can allocate a 61 MiB
+    # float32 plane of one 4000x4000 4:2:0 frame (a 24 MB Y4M); the
     # MemoryError must end the command in one line, with nothing written
-    cap = "1 << 29"
+    cap = "1 << 29" if command == "upscale" else "1 << 28"
     if command == "upscale":
         clip, ckpt = tmp_path / "hd.y4m", tmp_path / "full.ckpt"
         write_clip(textured_clip(7, 3, 1280, 720), str(clip))
@@ -627,7 +677,7 @@ def test_out_of_memory_is_one_line_error(tmp_path, command):
                 "--subimages-per-frame", "4", "--batch-size", "95",
                 "--out", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "log.csv")]
     else:
-        clip, cap = tmp_path / "big.y4m", "1 << 28"
+        clip = tmp_path / "big.y4m"
         luma = np.random.default_rng(7).random((4000, 4000), dtype=np.float32)
         write_clip(VideoClip([Frame(luma)]), str(clip))
         args = [command, str(clip), "--csv", str(tmp_path / "out.csv")]

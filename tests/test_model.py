@@ -9,17 +9,9 @@ from vsr3d.frames import Frame
 from vsr3d.model import (ARCH_NAMES, LayerSpec, ModelSpec, backward_stack,
                          build_architecture, count_parameters, dump_feature_maps,
                          forward, forward_stack, stack_windows, zero_params)
-from vsr3d.reference import forward_stack_loop
+from vsr3d.reference import REFERENCE_WEIGHT_COUNTS, forward_stack_loop
 from vsr3d.scene import build_sf_net
 from vsr3d.tensor_core import ConvWeights, TemporalPad, conv_forward
-
-EXPECTED_WEIGHTS = {
-    "cnn2d": 115_020,
-    "v1": 108_000,
-    "v2": 118_368,
-    "v3": 100_512,
-    "full": 114_912,
-}
 
 
 def random_params(spec, seed=0, scale=0.1, dtype=np.float32):
@@ -39,11 +31,12 @@ class TestArchitectures:
     @pytest.mark.parametrize("name", ARCH_NAMES)
     def test_weight_counts(self, name):
         spec = build_architecture(name, scale=2)
-        assert count_parameters(spec) == EXPECTED_WEIGHTS[name]
+        assert count_parameters(spec) == REFERENCE_WEIGHT_COUNTS[name]
 
     def test_bias_counting(self):
         spec = build_architecture("full", scale=2)
-        assert count_parameters(spec, include_bias=True) == 114_912 + (32 * 5 + 4)
+        want = REFERENCE_WEIGHT_COUNTS["full"] + 32 * 5 + 4
+        assert count_parameters(spec, include_bias=True) == want
 
     def test_single_layer_count(self):
         spec = ModelSpec([LayerSpec("conv3d", 1, 1, (3, 3, 3), TemporalPad.ZERO, "none")],

@@ -6,6 +6,7 @@ from vsr3d.bicubic import resize_plane
 from vsr3d.checkpoint import load_checkpoint
 from vsr3d.frames import Frame, VideoClip
 from vsr3d.model import LayerSpec, ModelSpec, count_parameters, zero_params
+from vsr3d.reference import GRAD_TOLERANCES
 from vsr3d.scene import (SF_HEIGHT, SF_WIDTH, SceneLabel, SFInput, build_sf_net,
                          classify_window, confusion_csv, confusion_matrix,
                          loss_cross_entropy, make_sf_dataset, replace_frames,
@@ -81,7 +82,8 @@ class TestNet:
             LayerSpec("conv2d", 5, 6, (1, 3, 3), stride=(2, 2)),
             LayerSpec("conv2d", 6, 5, (1, 3, 3), activation="none", spatial_pad=0),
         ], concat_after=0, scale=1, kind="sf")
-        report = grad_check(spec, seed=0, tolerance=1e-6, dtype=np.float64, name="sf_mini")
+        report = grad_check(spec, seed=0, dtype=np.float64, name="sf_mini",
+                            tolerance=GRAD_TOLERANCES[np.float64])
         assert report.passed, report.summary()
 
 

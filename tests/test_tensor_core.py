@@ -1,5 +1,6 @@
 """Tensor-core kernels against brute-force oracles and finite differences."""
 
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -161,13 +162,8 @@ class TestConvForward:
                                    atol=1e-5)
 
     def test_depth1_reduces_to_2d_convolution(self):
-        rng = np.random.default_rng(3)
-        img = rng.random((8, 9)).astype(np.float32)
-        kernel = rng.standard_normal((1, 1, 1, 3, 3)).astype(np.float32)
-        w = ConvWeights(kernel, np.array([0.25], dtype=np.float32))
-        out = conv_forward(tensor5d(img), w, NO_PAD)
-        slow = reference.conv2d_forward_loop(img, kernel[0, 0, 0], 0.25)
-        np.testing.assert_allclose(out[0, 0, 0], slow, atol=1e-5)
+        ok, detail = reference.check_conv(seeds=())  # its one single-channel 2D layer
+        assert ok, detail
 
     def test_linear_in_input(self):
         rng = np.random.default_rng(4)
@@ -327,6 +323,16 @@ class TestParts:
             sys.setswitchinterval(switch)
         assert np.array_equal(out, one)
         np.testing.assert_allclose(out, reference.conv_forward_loop(x, w, pad), atol=1e-5)
+
+    @pytest.mark.parametrize("openblas, omp, want", [
+        (None, "1", 1), ("0", "1", 1), ("two", "1", 1), ("1", "9999", 1), ("-2", "x", None)])
+    def test_thread_variables_cap_the_workers(self, monkeypatch, openblas, omp, want):
+        # a positive integer in OPENBLAS_NUM_THREADS, or else OMP_NUM_THREADS
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is not None:
+                monkeypatch.setenv(var, value)
+        assert tensor_core._workers() == (want or len(os.sched_getaffinity(0)))
 
     def test_band_geometry_does_not_depend_on_workers(self, monkeypatch):
         # at the default budget and floor, 130 rows of 8 positions of 32

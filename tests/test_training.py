@@ -11,6 +11,7 @@ from vsr3d.bicubic import resize_plane
 from vsr3d.frames import Frame, VideoClip
 from vsr3d.model import (ARCH_NAMES, SCALES, LayerSpec, ModelSpec, backward_stack,
                          build_architecture, forward_stack)
+from vsr3d.reference import GRAD_TOLERANCES, check_gradients
 from vsr3d.tensor_core import ConvWeights, TemporalPad, pixel_shuffle, pixel_unshuffle
 from vsr3d.training import (LR_PATCH_SIZES, DatasetRecipe, OptimState, adam_step,
                             extract_dataset, fit, grad_check, init_optim, loss_mse,
@@ -469,14 +470,12 @@ class TestMiniatures:
 class TestGradCheck:
     @pytest.mark.parametrize("name", ["v1", "full"])
     def test_float64_tight(self, name):
-        report = grad_check(miniature_spec(name), seed=0, tolerance=1e-6,
-                            dtype=np.float64, name=name)
-        assert report.passed, report.summary()
+        ok, detail = check_gradients(name, dtype=np.float64)
+        assert ok, detail
 
     def test_float32_loose(self):
-        report = grad_check(miniature_spec("cnn2d"), seed=0, tolerance=1e-3,
-                            dtype=np.float32, name="cnn2d")
-        assert report.passed, report.summary()
+        ok, detail = check_gradients("cnn2d", dtype=np.float32)
+        assert ok, detail
 
     def test_linear_net_is_near_machine_precision(self):
         # no ReLU anywhere, so nothing is skipped and only FD roundoff remains
@@ -495,8 +494,8 @@ class TestGradCheck:
             grads[2].bias[...] += 1.0
             return grads, gx
         monkeypatch.setattr(training, "backward_stack", biased_layer_2)
-        report = grad_check(miniature_spec("v1"), seed=0, tolerance=1e-6,
-                            dtype=np.float64, name="v1")
+        report = grad_check(miniature_spec("v1"), seed=0, dtype=np.float64, name="v1",
+                            tolerance=GRAD_TOLERANCES[np.float64])
         assert not report.passed
         worst_label = max(report.per_tensor, key=lambda t: t[1])[0]
         assert worst_label == "layer 2 bias"
@@ -512,8 +511,8 @@ class TestGradCheck:
             grads[1].kernel[0, 0, 1, 1, 1] += 1.0
             return grads, gx
         monkeypatch.setattr(training, "backward_stack", off_by_one_tap)
-        report = grad_check(miniature_spec("v1"), seed=0, tolerance=1e-6,
-                            dtype=np.float64, name="v1")
+        report = grad_check(miniature_spec("v1"), seed=0, dtype=np.float64, name="v1",
+                            tolerance=GRAD_TOLERANCES[np.float64])
         assert not report.passed
         assert max(report.per_tensor, key=lambda t: t[1])[0] == "layer 1 kernel"
 
