@@ -8,7 +8,6 @@ error.
 """
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import fields
@@ -20,7 +19,7 @@ from .bicubic import bicubic_resize, degrade_clip, upscale_chroma
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import COMMANDS, FIELD_DOCS, ConfigError, RunConfig, load_config
 from .frames import MIDDLE_FRAME, Frame, VideoClip
-from .metrics import format_metric, metrics_csv, psnr, ssim
+from .metrics import format_metric, mean_psnr, metrics_csv, psnr, ssim
 from .model import (ARCH_NAMES, build_architecture, count_parameters, dump_feature_maps,
                     forward, zero_params)
 from .reference import verify_checks
@@ -68,6 +67,13 @@ def _write_csv(cfg: RunConfig, text: str, what: str = ""):
             print(f"{what} -> {cfg.csv_path}")
 
 
+def _loop_options(cfg: RunConfig) -> dict:
+    """The `fit` options both trainers take from the same fields."""
+    return {"seed": cfg.seed, "val_every": cfg.val_every, "out_path": cfg.out_path,
+            "log_path": cfg.log_path, "checkpoint_every": cfg.checkpoint_every,
+            "max_steps": cfg.max_steps}
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -96,11 +102,8 @@ def cmd_train(cfg: RunConfig) -> int:
                               "supply --val clips")
     print(f"{len(train_samples)} training / {len(val)} validation samples")
     result = train(spec, train_samples, epochs=cfg.epochs, batch_size=cfg.batch_size,
-                   lr=cfg.lr, seed=cfg.seed, weight_decay=cfg.weight_decay,
-                   loss_form=cfg.loss_form, val_samples=val, val_every=cfg.val_every,
-                   out_path=cfg.out_path, log_path=cfg.log_path or None,
-                   checkpoint_every=cfg.checkpoint_every, max_steps=cfg.max_steps,
-                   meta={"arch": cfg.arch})
+                   lr=cfg.lr, weight_decay=cfg.weight_decay, loss_form=cfg.loss_form,
+                   val_samples=val, meta={"arch": cfg.arch}, **_loop_options(cfg))
     # the zero model is exactly the clamped bicubic upscaler
     baseline = val_psnr(zero_params(spec), spec, val, spec.scale)
     print(f"final validation PSNR {result.final_val:.2f} dB "
@@ -201,10 +204,9 @@ def cmd_evaluate(cfg: RunConfig, ref_path: str, cand_path: str | None,
     print(f"{'frame':>5}  {'psnr_db':>9}  {'ssim':>7}")
     for _, i, p, s in rows:
         print(f"{i:>5}  {format_metric(p):>9}  {format_metric(s):>7}")
-    finite = [p for _, _, p, _ in rows if math.isfinite(p)]
-    mean_psnr = float(np.mean(finite)) if finite else math.inf
+    mean_db = mean_psnr([p for _, _, p, _ in rows])
     mean_ssim = float(np.mean([s for _, _, _, s in rows]))
-    print(f"{'mean':>5}  {format_metric(mean_psnr):>9}  {format_metric(mean_ssim):>7}")
+    print(f"{'mean':>5}  {format_metric(mean_db):>9}  {format_metric(mean_ssim):>7}")
     _write_csv(cfg, metrics_csv(rows), "per-frame metrics")
     return 0
 
@@ -240,11 +242,8 @@ def cmd_sf_train(cfg: RunConfig) -> int:
     print(f"vsr3d sf-train: {cfg.sf_layers}-layer classifier, "
           f"{count_parameters(spec):,} weights, {len(train_set)} samples, seed {cfg.seed}")
     result = train_sf(spec, train_set, epochs=cfg.sf_epochs, batch_size=cfg.sf_batch_size,
-                      lr=cfg.sf_lr, seed=cfg.seed, val_samples=val_set,
-                      val_every=cfg.val_every, out_path=cfg.out_path,
-                      log_path=cfg.log_path or None,
-                      checkpoint_every=cfg.checkpoint_every, max_steps=cfg.max_steps,
-                      meta={"arch": f"sf{cfg.sf_layers}"})
+                      lr=cfg.sf_lr, val_samples=val_set, meta={"arch": f"sf{cfg.sf_layers}"},
+                      **_loop_options(cfg))
     print(f"held-out accuracy {result.final_val:.4f} on {len(val_set)} samples")
     text = confusion_csv(confusion_matrix(result.params, spec, val_set))
     print(text, end="")

@@ -2,9 +2,12 @@
 
 Each RunConfig field is the one declaration of a run option. Its type and
 default are the field's; its metadata holds the help text, the subcommands
-whose flag sets it, the flag where that is not `--field-name`, and whether
-the flag takes several paths (joined with commas into the value). The
-command line and FIELD_DOCS are derived from these fields.
+whose flag sets it, the flag where that is not `--field-name`, whether the
+flag takes several paths (joined with commas into the value), and its rule:
+the tuple of values it takes (read from the module that implements the
+option; the default stays allowed as "unset") or the least value of a
+bounded int. The command line, FIELD_DOCS and validation are derived from
+these fields.
 
 A config file holds any subset of RunConfig's fields, one `key = value` per
 line, with `#` comments and blank lines ignored. Unknown keys are rejected
@@ -16,8 +19,9 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .model import ARCH_NAMES, SCALES
-from .scene import SF_BATCH, SF_LR
-from .training import DEFAULT_BATCH, DEFAULT_LR, DEFAULT_WEIGHT_DECAY, LR_PATCH_SIZES
+from .scene import SF_BATCH, SF_LAYERS, SF_LR
+from .training import (DEFAULT_BATCH, DEFAULT_LR, DEFAULT_WEIGHT_DECAY, LOSS_FORMS,
+                       LR_PATCH_SIZES)
 from .video_io import FORMATS
 
 COMMANDS = {
@@ -35,14 +39,15 @@ TRAINERS = ("train", "sf-train")
 
 
 def _choices(values) -> str:
-    """'a, b, or c' for the help text of an option that takes one of values."""
+    """'a', 'a or b', or 'a, b, or c': the values an option takes, for help and errors."""
     *head, last = (str(v) for v in values)
-    return f"{', '.join(head)}, or {last}"
+    return f"{', '.join(head)}{',' * (len(head) > 1)} or {last}" if head else last
 
 
-def _option(default, doc: str, commands, flag: str | None = None, paths: bool = False):
+def _option(default, doc: str, commands, flag: str | None = None, paths: bool = False,
+            rule: tuple | int | None = None):
     return field(default=default, metadata={"doc": doc, "commands": commands,
-                                            "flag": flag, "paths": paths})
+                                            "flag": flag, "paths": paths, "rule": rule})
 
 
 class ConfigError(ValueError):
@@ -51,52 +56,61 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    arch: str = _option("full", f"SR architecture: {_choices(ARCH_NAMES)}", TRAIN)
+    arch: str = _option("full", f"SR architecture: {_choices(ARCH_NAMES)}", TRAIN,
+                        rule=ARCH_NAMES)
     scale: int = _option(2, f"upscaling factor ({_choices(SCALES)}); a scale-2 checkpoint "
                          "serves 3 and 4 by bicubic pre-upscaling; evaluate --method bicubic "
                          "degrades by it",
-                         ("train", "upscale", "evaluate", "param-count"))
+                         ("train", "upscale", "evaluate", "param-count"), rule=SCALES)
     seed: int = _option(0, "single seed every random choice derives from", tuple(COMMANDS))
     train_clips: str = _option("", "comma-separated training clip paths", TRAIN, "--data",
                                paths=True)
     val_clips: str = _option("", "comma-separated validation clip paths (empty: hold out "
                              "training samples)", TRAIN, "--val", paths=True)
-    frame_stride: int = _option(5, "extract windows from every Nth frame", TRAIN)
-    subimages_per_frame: int = _option(10, "random crops per extracted frame", TRAIN)
+    frame_stride: int = _option(5, "extract windows from every Nth frame", TRAIN, rule=1)
+    subimages_per_frame: int = _option(10, "random crops per extracted frame", TRAIN, rule=1)
     lr_patch_size: int = _option(0, "LR crop edge in pixels (0: per-scale default "
-                                 f"{'/'.join(str(LR_PATCH_SIZES[s]) for s in SCALES)})", TRAIN)
-    epochs: int = _option(10, "passes over the extracted dataset", TRAIN)
-    batch_size: int = _option(DEFAULT_BATCH, "windows per optimizer step", TRAIN)
+                                 f"{'/'.join(str(LR_PATCH_SIZES[s]) for s in SCALES)})", TRAIN,
+                                 rule=0)
+    epochs: int = _option(10, "passes over the extracted dataset", TRAIN, rule=1)
+    batch_size: int = _option(DEFAULT_BATCH, "windows per optimizer step", TRAIN, rule=1)
     lr: float = _option(DEFAULT_LR, "Adam learning rate for filters (biases run at a tenth)", TRAIN)
     weight_decay: float = _option(DEFAULT_WEIGHT_DECAY, "L2 penalty folded into filter gradients",
                                   TRAIN)
-    loss_form: str = _option("mean", "mse reduction: mean or sum", TRAIN)
-    max_steps: int = _option(0, "stop after this many steps (0: no cap)", TRAIN)
-    val_every: int = _option(0, "steps between validation passes (0: only at the end)", TRAINERS)
+    loss_form: str = _option("mean", f"mse reduction: {_choices(LOSS_FORMS)}", TRAIN,
+                             rule=LOSS_FORMS)
+    max_steps: int = _option(0, "stop after this many steps (0: no cap)", TRAIN, rule=0)
+    val_every: int = _option(0, "steps between validation passes (0: only at the end)", TRAINERS,
+                             rule=0)
     checkpoint_every: int = _option(0, "steps between checkpoint rewrites (0: only at the end)",
-                                    TRAIN)
-    border: int = _option(0, "pixels cropped from every edge before PSNR/SSIM", ("evaluate",))
+                                    TRAIN, rule=0)
+    border: int = _option(0, "pixels cropped from every edge before PSNR/SSIM", ("evaluate",),
+                          rule=0)
     out_path: str = _option("model.ckpt", "checkpoint the run writes", TRAINERS, "--out")
     log_path: str = _option("", "training log CSV (empty: not written)", TRAINERS, "--log")
     csv_path: str = _option("", "per-frame metric, window report, or confusion matrix CSV "
                             "(empty: not written)", ("evaluate", "scene", "sf-train"), "--csv")
     checkpoint: str = _option("", "model checkpoint to run", UPSCALE)
     sf_checkpoint: str = _option("", "scene-change classifier checkpoint", ("upscale", "scene"))
-    sf_layers: int = _option(3, "scene classifier depth (2 or 3)", SF_TRAIN, "--layers")
-    per_class: int = _option(200, "scene training samples per class", SF_TRAIN)
+    sf_layers: int = _option(3, f"scene classifier depth ({_choices(SF_LAYERS)})", SF_TRAIN,
+                             "--layers", rule=SF_LAYERS)
+    per_class: int = _option(200, "scene training samples per class", SF_TRAIN, rule=1)
     scenes_a: str = _option("", "comma-separated clip paths forming scene pool A", SF_TRAIN,
                             paths=True)
     scenes_b: str = _option("", "comma-separated clip paths forming scene pool B", SF_TRAIN,
                             paths=True)
-    sf_epochs: int = _option(20, "passes over the scene training set", SF_TRAIN, "--epochs")
+    sf_epochs: int = _option(20, "passes over the scene training set", SF_TRAIN, "--epochs",
+                             rule=1)
     sf_batch_size: int = _option(SF_BATCH, "scene windows per optimizer step", SF_TRAIN,
-                                 "--batch-size")
+                                 "--batch-size", rule=1)
     sf_lr: float = _option(SF_LR, "Adam learning rate for the scene classifier", SF_TRAIN, "--lr")
-    method: str = _option("", "checkpoint-free baseline (only: bicubic)", ("upscale", "evaluate"))
+    method: str = _option("", "checkpoint-free baseline (only: bicubic)", ("upscale", "evaluate"),
+                          rule=("bicubic",))
     size: str = _option("", "WxH geometry for raw YUV clips, e.g. 704x576", CLIP_COMMANDS)
-    format: str = _option("", f"force clip format: {_choices(FORMATS)}", CLIP_COMMANDS)
+    format: str = _option("", f"force clip format: {_choices(FORMATS)}", CLIP_COMMANDS,
+                          rule=FORMATS)
     dump_features: str = _option("", "directory for feature-map PGMs (empty: off)", UPSCALE)
-    dump_layer: int = _option(1, "1-based layer whose feature maps get dumped", UPSCALE)
+    dump_layer: int = _option(1, "1-based layer whose feature maps get dumped", UPSCALE, rule=1)
 
     def clip_size(self):
         """Parse the `size` field into (width, height), or None if unset."""
@@ -121,15 +135,10 @@ FIELD_DOCS = {f.name: f.metadata["doc"] for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
-    want = _TYPES[key]
     try:
-        if want == "int" or want is int:
-            return int(raw)
-        if want == "float" or want is float:
-            return float(raw)
-        return raw
+        return _TYPES[key](raw)
     except ValueError:
-        raise ConfigError(f"config key {key!r} wants {want}, got {raw!r}") from None
+        raise ConfigError(f"config key {key!r} wants {_TYPES[key]}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -178,27 +187,12 @@ def load_config(path: str | None, overrides: dict | None = None,
 
 
 def _validate(cfg: RunConfig):
-    if cfg.scale not in SCALES:
-        raise ConfigError(f"scale must be one of {SCALES}, got {cfg.scale}")
-    if cfg.arch not in ARCH_NAMES:
-        raise ConfigError(f"unknown architecture {cfg.arch!r}; pick from {', '.join(ARCH_NAMES)}")
-    if cfg.loss_form not in ("mean", "sum"):
-        raise ConfigError(f"loss_form must be mean or sum, got {cfg.loss_form!r}")
-    if cfg.sf_layers not in (2, 3):
-        raise ConfigError(f"sf_layers must be 2 or 3, got {cfg.sf_layers}")
-    if cfg.method not in ("", "bicubic"):
-        raise ConfigError(f"unknown method {cfg.method!r}")
-    if cfg.format and cfg.format not in FORMATS:
-        raise ConfigError(f"unknown format {cfg.format!r}")
-    for field_name in ("epochs", "batch_size", "per_class", "dump_layer",
-                       "frame_stride", "subimages_per_frame", "sf_epochs",
-                       "sf_batch_size"):
-        if getattr(cfg, field_name) < 1:
-            raise ConfigError(f"{field_name} must be positive")
-    for field_name in ("border", "max_steps", "val_every", "checkpoint_every",
-                       "lr_patch_size"):
-        if getattr(cfg, field_name) < 0:
-            raise ConfigError(f"{field_name} cannot be negative")
+    for f in fields(RunConfig):
+        rule, value = f.metadata["rule"], getattr(cfg, f.name)
+        if isinstance(rule, tuple) and value not in rule and value != f.default:
+            raise ConfigError(f"{f.name} must be {_choices(rule)}, got {value!r}")
+        if isinstance(rule, int) and value < rule:
+            raise ConfigError(f"{f.name} must be at least {rule}, got {value}")
     # written so that NaN fails too
     if not (0 < cfg.lr < math.inf and 0 < cfg.sf_lr < math.inf
             and 0 <= cfg.weight_decay < math.inf):

@@ -48,6 +48,12 @@ def psnr(a: Frame, b: Frame, border: int = 0) -> float:
     return 10.0 * math.log10(1.0 / mse)
 
 
+def mean_psnr(values) -> float:
+    """Mean of the finite PSNRs; +inf when there are none (every frame exact)."""
+    finite = [v for v in values if math.isfinite(v)]
+    return float(np.mean(finite)) if finite else math.inf
+
+
 def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
     r = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-(r * r) / (2.0 * sigma * sigma))

@@ -21,7 +21,7 @@ from .bicubic import bicubic_resize
 from .frames import INPUT_FRAMES, MIDDLE_FRAME, Frame
 from .tensor_core import (DEFAULT_DTYPE, ConvWeights, PadPolicy, TemporalPad,
                           conv_backward, conv_padded, pad_into, padded_shape,
-                          pixel_shuffle, relu, relu_backward, tensor5d)
+                          pixel_shuffle, relu, relu_backward)
 
 ARCH_NAMES = ("cnn2d", "v1", "v2", "v3", "full")
 SCALES = (2, 3, 4)
@@ -112,8 +112,8 @@ class ModelSpec:
         return self._depth_trace
 
 
-def _conv3(i, o, tpad=TemporalPad.ZERO, act="relu"):
-    return LayerSpec("conv3d", i, o, (3, 3, 3), tpad, act)
+def _conv3(i, o, tpad=TemporalPad.ZERO):
+    return LayerSpec("conv3d", i, o, (3, 3, 3), tpad)
 
 
 def _conv2(i, o, act="relu"):
@@ -247,8 +247,7 @@ def backward_stack(params, spec: ModelSpec, x: np.ndarray, caches, grad_out: np.
 
 def stack_windows(windows) -> np.ndarray:
     """Luma of a batch of five-frame windows as an (N, 1, 5, H, W) tensor."""
-    batch = np.stack([np.stack([f.luma for f in win]) for win in windows])
-    return tensor5d(batch[:, None])
+    return np.stack([np.stack([f.luma for f in win]) for win in windows])[:, None]
 
 
 def _net_window(spec: ModelSpec, window, scale: int | None):

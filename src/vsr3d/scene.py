@@ -28,6 +28,8 @@ SF_WIDTH = 48
 SF_HEIGHT = 27
 SF_LR = 1e-3
 SF_BATCH = 64
+SF_LAYERS = (2, 3)   # classifier depths build_sf_net makes
+_SF_WIDTHS = (16, 32)   # output groups of its stride-2 layers, first to last
 _SCORE_CHUNK = 256   # samples per classifier pass when scoring
 _SHRUNK = deque(maxlen=INPUT_FRAMES)   # (luma array, its 27x48 plane), newest last
 
@@ -80,26 +82,23 @@ def sf_input_from_window(window) -> SFInput:
     return SFInput(np.stack(planes).astype(DEFAULT_DTYPE))
 
 
-def build_sf_net(layers: int = 3) -> ModelSpec:
-    """Shallow stride-2 classifier over the 5x27x48 input.
-
-    The widths and the full-extent final convolution (a linear head over
-    whatever spatial extent remains) are sized for cheapness; nothing about
-    them is load-bearing beyond emitting five logits.
+def build_sf_net(layers: int) -> ModelSpec:
+    """Shallow classifier over the 5x27x48 input: the first `layers - 1` of
+    _SF_WIDTHS as 3x3 stride-2 convolutions, then a full-extent final
+    convolution (a linear head over whatever spatial extent remains). The
+    widths are sized for cheapness; nothing about them is load-bearing
+    beyond emitting five logits.
     """
-    if layers == 3:
-        stack = [
-            LayerSpec("conv2d", INPUT_FRAMES, 16, (1, 3, 3), stride=(2, 2)),
-            LayerSpec("conv2d", 16, 32, (1, 3, 3), stride=(2, 2)),
-            LayerSpec("conv2d", 32, len(SceneLabel), (1, 7, 12), activation="none", spatial_pad=0),
-        ]
-    elif layers == 2:
-        stack = [
-            LayerSpec("conv2d", INPUT_FRAMES, 16, (1, 3, 3), stride=(2, 2)),
-            LayerSpec("conv2d", 16, len(SceneLabel), (1, 14, 24), activation="none", spatial_pad=0),
-        ]
-    else:
-        raise ValueError(f"SF net comes in 2 or 3 layers, not {layers}")
+    if layers not in SF_LAYERS:
+        raise ValueError(f"SF net comes in {' or '.join(map(str, SF_LAYERS))} layers, "
+                         f"not {layers}")
+    stack, chans, h, w = [], INPUT_FRAMES, SF_HEIGHT, SF_WIDTH
+    for width in _SF_WIDTHS[:layers - 1]:
+        stack.append(LayerSpec("conv2d", chans, width, (1, 3, 3), stride=(2, 2)))
+        # padded by one, a 3-tap stride-2 conv keeps (n - 1) // 2 + 1 of n positions
+        chans, h, w = width, (h - 1) // 2 + 1, (w - 1) // 2 + 1
+    stack.append(LayerSpec("conv2d", chans, len(SceneLabel), (1, h, w), activation="none",
+                           spatial_pad=0))
     return ModelSpec(stack, concat_after=0, scale=1, kind="sf")
 
 

@@ -132,21 +132,6 @@ class ConvWeights:
                 f"bias length {self.bias.shape} does not match {self.kernel.shape[0]} out groups")
 
 
-def tensor5d(data) -> np.ndarray:
-    """Coerce array-like data to a contiguous rank-5 DEFAULT_DTYPE tensor.
-
-    Missing leading axes are added as extent-1 axes, so a (H, W) image becomes
-    (1, 1, 1, H, W).
-    """
-    arr = np.asarray(data, dtype=DEFAULT_DTYPE)
-    if arr.ndim > 5:
-        raise ValueError(f"rank {arr.ndim} exceeds 5")
-    arr = arr.reshape((1,) * (5 - arr.ndim) + arr.shape)
-    if min(arr.shape) < 1:
-        raise ValueError(f"all extents must be >= 1, got {arr.shape}")
-    return np.ascontiguousarray(arr)
-
-
 @functools.cache
 def _blas_threads():
     """(get, set) of the process-wide thread count of the OpenBLAS mapped

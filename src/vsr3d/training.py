@@ -21,7 +21,7 @@ import numpy as np
 from .bicubic import resize_plane
 from .checkpoint import save_checkpoint
 from .frames import INPUT_FRAMES, MIDDLE_FRAME, Frame, VideoClip
-from .metrics import psnr
+from .metrics import mean_psnr, psnr
 from .model import (SCALES, ModelSpec, backward_stack, build_architecture, forward,
                     forward_stack, layer_input, zero_params)
 from .tensor_core import (DEFAULT_DTYPE, ConvWeights, conv_forward, pixel_shuffle, pixel_unshuffle,
@@ -33,6 +33,7 @@ DEFAULT_WEIGHT_DECAY = 5e-4
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 BIAS_LR_FACTOR = 0.1
 LR_PATCH_SIZES = {2: 80, 3: 60, 4: 40}
+LOSS_FORMS = ("mean", "sum")   # how the squared error is reduced (loss_mse)
 # Samples per micro-batch of sr_batch_step, by measurement on two cores: a
 # `full` step of 8 LR patches of 40x40 took 405 ms in micro-batches of 2,
 # 410 ms of 1 and 740 ms as one; at 32 of 80x80, 1 halved 2's 163 MB peak
@@ -218,7 +219,7 @@ def sr_batch_step(params, spec: ModelSpec, x, bases, target, form: str = "mean")
     neither the worker count nor the BLAS thread count changes a bit of the
     result.
     """
-    if form not in ("mean", "sum"):
+    if form not in LOSS_FORMS:
         raise ValueError(f"unknown loss form {form!r}")
 
     def part(lo):
@@ -245,10 +246,8 @@ def sr_batch_step(params, spec: ModelSpec, x, bases, target, form: str = "mean")
 def val_psnr(params, spec: ModelSpec, samples, border: int) -> float:
     """Mean PSNR of the model's upscaled middle frames over the samples,
     skipping infinite values (exact predictions)."""
-    vals = [psnr(forward(params, spec, [Frame(p) for p in s.lr_frames]), Frame(s.hr_target),
-                 border=border) for s in samples]
-    finite = [v for v in vals if math.isfinite(v)]
-    return float(np.mean(finite)) if finite else math.inf
+    return mean_psnr([psnr(forward(params, spec, [Frame(p) for p in s.lr_frames]),
+                           Frame(s.hr_target), border=border) for s in samples])
 
 
 class TrainResult(NamedTuple):
@@ -334,7 +333,7 @@ def train(spec: ModelSpec, samples: list[WindowSample], *, loss_form: str = "mea
     return fit(spec, len(samples), batch_loss, validate if val_samples else None, **loop)
 
 
-def write_log(rows, path: str, val_column: str = "val_psnr_db"):
+def write_log(rows, path: str, val_column: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"step,loss,{val_column}\n")
         for step, loss, val in rows:

@@ -22,8 +22,8 @@ from vsr3d.model import build_architecture, count_parameters
 from vsr3d.reference import REFERENCE_WEIGHT_COUNTS
 from vsr3d.scene import build_sf_net
 from vsr3d.tensor_core import ConvWeights
-from vsr3d.training import xavier_init
-from vsr3d.video_io import write_clip
+from vsr3d.training import DatasetRecipe, extract_dataset, xavier_init
+from vsr3d.video_io import read_clip, write_clip
 
 
 def textured_clip(seed: int, frames: int, width: int, height: int,
@@ -156,6 +156,41 @@ class TestTrain:
         assert main(argv2) == 0
         assert (tmp_path / "m2.ckpt").read_bytes() == (root / "m.ckpt").read_bytes()
         assert (tmp_path / "m2.csv").read_bytes() == (root / "m.csv").read_bytes()
+
+    def test_val_clips_hold_out_nothing(self, clips, tmp_path, monkeypatch, capsys):
+        # with --val every extracted sample trains, and the validation
+        # samples come from the --val clips at seed + 1
+        import vsr3d.cli as cli
+        real, calls = cli.train, []
+
+        def recording(spec, samples, *, val_samples, **loop):
+            calls.append((samples, val_samples))
+            return real(spec, samples, val_samples=val_samples, **loop)
+        monkeypatch.setattr(cli, "train", recording)
+        argv = ["train", "--data", str(clips["hr"]), "--val", str(clips["pool_a"]),
+                "--arch", "v1", "--lr-patch-size", "16", "--subimages-per-frame", "2",
+                "--frame-stride", "4", "--batch-size", "4", "--max-steps", "1", "--seed", "7",
+                "--out", str(tmp_path / "m.ckpt")]
+        recipe = DatasetRecipe(scale=2, frame_stride=4, subimages_per_frame=2, lr_patch_size=16)
+        want = extract_dataset([read_clip(str(clips["hr"]))], recipe, seed=7)
+        want_val = extract_dataset([read_clip(str(clips["pool_a"]))], recipe, seed=8)
+        assert main(argv) == 0
+        assert f"{len(want)} training / {len(want_val)} validation samples" in \
+            capsys.readouterr().out
+        (samples, val), = calls
+        for got, exp in ((samples, want), (val, want_val)):
+            assert [s.source_id for s in got] == [s.source_id for s in exp]
+            assert all(np.array_equal(g.lr_frames, e.lr_frames) for g, e in zip(got, exp))
+
+    def test_too_small_to_hold_out_is_config_error(self, clips, tmp_path, capsys):
+        # one extracted sample and no --val: nothing would be left to train on
+        out, log = tmp_path / "m.ckpt", tmp_path / "m.csv"
+        assert main(["train", "--data", str(clips["small"]), "--lr-patch-size", "16",
+                     "--subimages-per-frame", "1", "--frame-stride", "7",
+                     "--out", str(out), "--log", str(log)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:"), err
+        assert not out.exists() and not log.exists()
 
 
 class TestUpscale:
@@ -662,7 +697,8 @@ def test_out_of_memory_is_one_line_error(tmp_path, command):
     # (OMP_NUM_THREADS=1) mapped, runs out at a micro-batch's (2, 32, 5, 100,
     # 100) (12.2 MiB), and neither scene nor evaluate can allocate a 61 MiB
     # float32 plane of one 4000x4000 4:2:0 frame (a 24 MB Y4M); the
-    # MemoryError must end the command in one line, with nothing written
+    # MemoryError must end the command in one line, with nothing written.
+    # train stops after one step, so a cap that misses fails fast
     cap = "1 << 29" if command == "upscale" else "1 << 28"
     if command == "upscale":
         clip, ckpt = tmp_path / "hd.y4m", tmp_path / "full.ckpt"
@@ -674,7 +710,7 @@ def test_out_of_memory_is_one_line_error(tmp_path, command):
         clip = tmp_path / "sq.y4m"
         write_clip(textured_clip(7, 25, 400, 400), str(clip))
         args = ["train", "--data", str(clip), "--lr-patch-size", "100", "--frame-stride", "1",
-                "--subimages-per-frame", "4", "--batch-size", "95",
+                "--subimages-per-frame", "4", "--batch-size", "95", "--max-steps", "1",
                 "--out", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "log.csv")]
     else:
         clip = tmp_path / "big.y4m"

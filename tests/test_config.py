@@ -1,7 +1,9 @@
 import dataclasses
+import re
 
 import pytest
 
+from vsr3d.cli import _build_parser
 from vsr3d.config import (FIELD_DOCS, ConfigError, RunConfig, load_config,
                           parse_config_text)
 
@@ -87,3 +89,32 @@ class TestLoad:
         assert cfg.clip_size() == (704, 576)
         assert cfg.path_list("train_clips") == ["a.y4m", "b.y4m"]
         assert load_config(None).clip_size() is None
+
+
+def _flag_helps(field_name: str) -> list:
+    """The --help line of every flag that sets the field, one per command."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return [a.help for p in sub.choices.values() for a in p._actions if a.dest == field_name]
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+def test_declared_rule_is_the_one_enforced(f):
+    # a field's rule is its tuple of allowed values or an int's least value;
+    # its help names every allowed value, and load_config holds it exactly
+    rule = f.metadata["rule"]
+    if rule is None:  # free-form: nothing declared to guard
+        return
+    if isinstance(rule, tuple):
+        helps = _flag_helps(f.name)
+        assert helps
+        for value in rule:
+            assert all(re.search(rf"\b{re.escape(str(value))}\b", h) for h in helps), value
+        accepted = rule
+        refused = max(rule) + 1 if f.type is int else rule[0] + "x"
+    else:
+        accepted, refused = (rule,), rule - 1
+    for value in accepted:
+        assert getattr(load_config(None, {f.name: value}), f.name) == value
+    with pytest.raises(ConfigError, match=f.name):
+        load_config(None, {f.name: refused})

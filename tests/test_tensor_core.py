@@ -24,7 +24,6 @@ from vsr3d.tensor_core import (
     relu,
     relu_backward,
     run_parts,
-    tensor5d,
 )
 
 NO_PAD = PadPolicy(spatial=0, temporal=TemporalPad.NONE)
@@ -617,11 +616,3 @@ class TestPixelShuffle:
     def test_depth_axis_must_be_one(self):
         with pytest.raises(ValueError, match="depth"):
             pixel_shuffle(np.zeros((1, 4, 2, 2, 2), dtype=np.float32), 2)
-
-
-def test_tensor5d_promotes_rank_and_checks_extents():
-    t = tensor5d(np.ones((4, 5)))
-    assert t.shape == (1, 1, 1, 4, 5)
-    assert t.dtype == np.float32
-    with pytest.raises(ValueError):
-        tensor5d(np.ones((1, 1, 1, 1, 1, 1, 6)))
