@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .frames import Frame
+from .tensor_core import run_parts
 
 _SUPPORT = 2.0  # half-width of the cubic kernel
 CUBIC_A = -0.5
@@ -142,6 +143,6 @@ def degrade_clip(clip, scale: int):
 
     h = clip.height - clip.height % scale
     w = clip.width - clip.width % scale
-    frames = [Frame(resize_plane(f.luma[:h, :w], h // scale, w // scale))
-              for f in clip.frames]
+    frames = run_parts(lambda f: Frame(resize_plane(f.luma[:h, :w], h // scale, w // scale)),
+                       clip.frames)
     return VideoClip(frames, clip.frame_rate)

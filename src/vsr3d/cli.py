@@ -26,6 +26,7 @@ from .reference import verify_checks
 from .scene import (SceneLabel, build_sf_net, confusion_csv, confusion_matrix,
                     make_sf_dataset, replace_frames, sf_input_from_window,
                     sf_logits, softmax, train_sf)
+from .tensor_core import run_parts
 from .training import DatasetRecipe, TrainingDiverged, extract_dataset, train, val_psnr
 from .video_io import ClipFormatError, read_clip, write_clip
 
@@ -166,15 +167,6 @@ def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
 # ---------------------------------------------------------------------------
 # evaluate
 
-def _metric_rows(name, pairs, border):
-    rows = []
-    for rf, cf in pairs:  # no enumerate: its reused tuple would hold the last pair
-        rows.append((name, len(rows), psnr(rf, cf, border=border),
-                     ssim(rf, cf, border=border)))
-        del rf, cf  # freed before the next pair is made
-    return rows
-
-
 def cmd_evaluate(cfg: RunConfig, ref_path: str, cand_path: str | None,
                  scale_set_by: str | None = None) -> int:
     """`scale_set_by` names the flag or config file that set `scale`, if any."""
@@ -190,17 +182,24 @@ def cmd_evaluate(cfg: RunConfig, ref_path: str, cand_path: str | None,
         if len(ref) != len(cand):
             raise ValueError(f"frame count mismatch: reference {len(ref)}, "
                              f"candidate {len(cand)}")
-        pairs = zip(ref, cand)
         name = _stem(cand_path)
+
+        def pair(i):
+            return ref[i], cand[i]
     elif cfg.method == "bicubic":
         lr = degrade_clip(ref, cfg.scale)
         h, w = lr.height * cfg.scale, lr.width * cfg.scale
-        # cropped, upsampled and scored one frame at a time
-        pairs = ((Frame(f.luma[:h, :w]), bicubic_resize(g, w, h)) for f, g in zip(ref, lr))
         name = _stem(ref_path)
+
+        def pair(i):  # the reference cropped to what the LR frame upsamples to
+            return Frame(ref[i].luma[:h, :w]), bicubic_resize(lr[i], w, h)
     else:
         raise ConfigError("evaluate needs a candidate clip or --method bicubic")
-    rows = _metric_rows(name, pairs, cfg.border)
+
+    def score(i):  # one part per frame: its candidate is gone when the part returns
+        rf, cf = pair(i)
+        return psnr(rf, cf, border=cfg.border), ssim(rf, cf, border=cfg.border)
+    rows = [(name, i, p, s) for i, (p, s) in enumerate(run_parts(score, range(len(ref))))]
     print(f"{'frame':>5}  {'psnr_db':>9}  {'ssim':>7}")
     for _, i, p, s in rows:
         print(f"{i:>5}  {format_metric(p):>9}  {format_metric(s):>7}")

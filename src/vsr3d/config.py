@@ -62,7 +62,8 @@ class RunConfig:
                          "serves 3 and 4 by bicubic pre-upscaling; evaluate --method bicubic "
                          "degrades by it",
                          ("train", "upscale", "evaluate", "param-count"), rule=SCALES)
-    seed: int = _option(0, "single seed every random choice derives from", tuple(COMMANDS))
+    seed: int = _option(0, "single seed every random choice derives from", tuple(COMMANDS),
+                        rule=0)
     train_clips: str = _option("", "comma-separated training clip paths", TRAIN, "--data",
                                paths=True)
     val_clips: str = _option("", "comma-separated validation clip paths (empty: hold out "

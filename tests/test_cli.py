@@ -3,6 +3,7 @@
 import argparse
 import ast
 import dataclasses
+import hashlib
 import inspect
 import os
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vsr3d import metrics, reference, tensor_core
+from vsr3d import metrics, model, reference, tensor_core
 from vsr3d.checkpoint import save_checkpoint
 from vsr3d.cli import _build_parser, main
 from vsr3d.config import RunConfig
@@ -24,6 +25,8 @@ from vsr3d.scene import build_sf_net
 from vsr3d.tensor_core import ConvWeights
 from vsr3d.training import DatasetRecipe, extract_dataset, xavier_init
 from vsr3d.video_io import read_clip, write_clip
+
+from test_tensor_core import force_pool, no_pool
 
 
 def textured_clip(seed: int, frames: int, width: int, height: int,
@@ -70,6 +73,42 @@ def clips(tmp_path_factory):
     write_clip(VideoClip(list(a)[:10] + list(b)[:10], frame_rate=(25, 1)),
                str(paths["spliced"]))
     return paths
+
+
+def recorded_evaluate(argv) -> tuple:
+    """main(argv), recording the LR frames cli.degrade_clip returns (as
+    digests of their bytes) and the rows cli.metrics_csv is given (floats as
+    float.hex): (exit code, LR digests or None, rows or None)."""
+    import vsr3d.cli as cli
+    seen = {}
+    real_degrade, real_csv = cli.degrade_clip, cli.metrics_csv
+
+    def degrade(clip, scale):
+        lr = real_degrade(clip, scale)
+        seen["lr"] = [(f.luma.dtype.str, f.luma.shape,
+                       hashlib.sha256(f.luma.tobytes()).hexdigest()) for f in lr]
+        return lr
+
+    def rows_csv(rows):
+        seen["rows"] = [(seq, i, p.hex(), q.hex()) for seq, i, p, q in rows]
+        return real_csv(rows)
+    cli.degrade_clip, cli.metrics_csv = degrade, rows_csv
+    try:
+        code = main(argv)
+    finally:
+        cli.degrade_clip, cli.metrics_csv = real_degrade, real_csv
+    return code, seen.get("lr"), seen.get("rows")
+
+
+# recorded_evaluate(argv[3:]) in a fresh process, its result written to argv[2]
+_RECORDED_MAIN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_cli import recorded_evaluate
+result = recorded_evaluate(sys.argv[3:])
+with open(sys.argv[2], "w") as fh:
+    fh.write(repr(result))
+"""
 
 
 class TestParamCount:
@@ -377,8 +416,78 @@ class TestEvaluate:
             return out
 
         monkeypatch.setattr(cli, "bicubic_resize", tracked)
+        # each frame is a part, whose candidate is gone when it returns: at
+        # most one alive per worker, and one on a pool of one
         assert main(["evaluate", str(clips["hr"]), "--method", "bicubic"]) == 0
+        assert len(made) == 14 and max(most_alive) <= tensor_core._workers()
+        made.clear()
+        most_alive.clear()
+        with force_pool(monkeypatch, 1):
+            assert main(["evaluate", str(clips["hr"]), "--method", "bicubic"]) == 0
         assert len(made) == 14 and max(most_alive) == 1
+
+    @pytest.mark.parametrize("method", ["bicubic", "ref-cand"])
+    def test_scores_do_not_depend_on_workers_or_threads(self, clips, tmp_path, monkeypatch,
+                                                         capsys, method):
+        # frames are scored as parts: no pool size, thread switching, inline
+        # fallback or BLAS thread count may change a bit of a score, of the
+        # CSV or of the LR frames degrade_clip makes
+        csv = tmp_path / "m.csv"
+        argv = ["evaluate", str(clips["hr"]), "--border", "3", "--csv", str(csv)]
+        if method == "bicubic":
+            argv += ["--method", "bicubic"]
+        else:
+            cand = tmp_path / "cand.y4m"
+            write_clip(textured_clip(9, 14, 96, 64), str(cand))
+            argv.insert(2, str(cand))
+
+        def run():
+            result = recorded_evaluate(argv) + (csv.read_bytes(), capsys.readouterr().out)
+            csv.unlink()
+            return result
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = []
+            for workers in (1, 2, 4):
+                with force_pool(monkeypatch, workers):
+                    runs.append(run())
+        finally:
+            sys.setswitchinterval(switch)
+        monkeypatch.setattr(tensor_core, "_blas_threads", lambda: None)
+        monkeypatch.setattr(tensor_core, "_pool", no_pool)
+        runs.append(run())
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join(filter(None, [str(tests.parent / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            record = tmp_path / f"threads{threads}.txt"
+            proc = subprocess.run(
+                [sys.executable, "-c", _RECORDED_MAIN, str(tests), str(record), *argv],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            runs.append(ast.literal_eval(record.read_text()) + (csv.read_bytes(), proc.stdout))
+            csv.unlink()
+        code, lr, rows, body, out = runs[0]
+        assert code == 0 and len(rows) == 14 and body.count(b"\n") == 15
+        assert (lr is not None and len(lr) == 14) == (method == "bicubic")
+        assert all(other == runs[0] for other in runs[1:])
+
+    @pytest.mark.parametrize("method", ["bicubic", "ref-cand"])
+    def test_error_raised_in_a_part_is_one_line(self, clips, tmp_path, monkeypatch, capsys,
+                                                method):
+        # a border too wide for the 96x64 frames is refused by each frame's
+        # part, on a pool thread where OpenBLAS's thread control is found
+        csv = tmp_path / "m.csv"
+        scored = ["--method", "bicubic"] if method == "bicubic" else [str(clips["hr"])]
+        argv = ["evaluate", str(clips["hr"]), *scored, "--border", "32", "--csv", str(csv)]
+        with force_pool(monkeypatch, 2):
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: border 32 leaves no pixels on a 96x64 frame\n"
+        assert captured.out == "" and not csv.exists()
 
     def test_frame_count_mismatch(self, clips, capsys):
         assert main(["evaluate", str(clips["hr"]), str(clips["small"])]) == 1
@@ -416,6 +525,18 @@ class TestEvaluate:
         assert captured.err.startswith(f"config error: scale = {scale} in ")
         assert captured.err.count("\n") == 1
         assert captured.out == "" and not csv.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sf-train"])
+def test_negative_seed_is_config_error(clips, tmp_path, capsys, command):
+    # refused by the seed's rule before anything runs, not by numpy mid-run
+    out, log = tmp_path / "m.ckpt", tmp_path / "log.csv"
+    inputs = (["--data", str(clips["small"])] if command == "train" else
+              ["--scenes-a", str(clips["pool_a"]), "--scenes-b", str(clips["pool_b"])])
+    assert main([command, *inputs, "--seed", "-1", "--out", str(out), "--log", str(log)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: seed must be at least 0, got -1\n"
+    assert captured.out == "" and os.listdir(tmp_path) == []
 
 
 @pytest.fixture(scope="module")
@@ -673,18 +794,23 @@ def test_oversized_geometry_is_one_line_error(tmp_path, name, payload, extra):
 
 @pytest.mark.parametrize("command", ["scene", "evaluate"])
 def test_scene_and_evaluate_start_no_worker_thread(clips, tmp_path, monkeypatch, command):
-    # the scene classifier's 27x48 layers are one band each, and evaluate's
-    # bicubic method runs no net: neither may split a layer into parts
+    # the scene classifier's 27x48 layers are one band each, so scene may
+    # not split a layer into parts; evaluate's bicubic method scores its
+    # frames as parts, but runs no conv layer
     def refuse(*args):
         raise AssertionError("a layer was split into parts")
-    monkeypatch.setattr(tensor_core, "_pool", refuse)
-    monkeypatch.setattr(tensor_core, "run_parts", refuse)
     args = [command, str(clips["spliced"]), "--csv", str(tmp_path / "out.csv")]
     if command == "scene":
+        monkeypatch.setattr(tensor_core, "_pool", refuse)
+        monkeypatch.setattr(tensor_core, "run_parts", refuse)
         ckpt, spec = tmp_path / "sf.ckpt", build_sf_net(3)
         save_checkpoint(xavier_init(spec, 0), spec, {}, str(ckpt))
         args += ["--sf-checkpoint", str(ckpt)]
     else:
+        def no_layer(*args):
+            raise AssertionError("a conv layer ran")
+        for module in (tensor_core, model):
+            monkeypatch.setattr(module, "conv_padded", no_layer)
         args += ["--method", "bicubic", "--scale", "2"]
     assert main(args) == 0
 
