@@ -141,6 +141,8 @@ def degrade_clip(clip, scale: int):
     """
     from .frames import VideoClip
 
+    if min(clip.height, clip.width) < scale:
+        raise ValueError(f"clip {clip.width}x{clip.height} is smaller than scale {scale}")
     h = clip.height - clip.height % scale
     w = clip.width - clip.width % scale
     frames = run_parts(lambda f: Frame(resize_plane(f.luma[:h, :w], h // scale, w // scale)),

@@ -489,6 +489,17 @@ class TestEvaluate:
         assert captured.err == "error: border 32 leaves no pixels on a 96x64 frame\n"
         assert captured.out == "" and not csv.exists()
 
+    @pytest.mark.parametrize("width, height", [(64, 2), (2, 40)])
+    def test_clip_smaller_than_scale_is_one_line_error(self, tmp_path, capsys, width, height):
+        # degrade_clip refuses it before any resize asks for an empty plane
+        clip, csv = tmp_path / "tiny.y4m", tmp_path / "m.csv"
+        write_clip(textured_clip(3, 2, width, height), str(clip))
+        assert main(["evaluate", str(clip), "--method", "bicubic", "--scale", "4",
+                     "--csv", str(csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: clip {width}x{height} is smaller than scale 4\n"
+        assert captured.out == "" and not csv.exists()
+
     def test_frame_count_mismatch(self, clips, capsys):
         assert main(["evaluate", str(clips["hr"]), str(clips["small"])]) == 1
         assert "frame count mismatch" in capsys.readouterr().err

@@ -93,6 +93,34 @@ class TestSsim:
         assert len(bicubic._bands(7 + 10, 7, window)) == 2
         assert len(bicubic._bands(w + 10, w, window)) == -(-w // small_blocks) > 1
 
+    @pytest.mark.parametrize("strip", [1, 4])
+    @pytest.mark.parametrize("width", [13, 20, 22])
+    def test_stacked_row_pass_matches_per_block_filter(self, small_blocks, monkeypatch, strip,
+                                                       width):
+        # valid widths 3 (no full block), 10 (two full blocks) and 12 (a short
+        # last block); 9 valid rows in strips of 1 row, or of 4, 4 and 1
+        monkeypatch.setattr(metrics, "_STRIP", strip)
+        a, b = textured(19, width, 6), textured(19, width, 16)
+        got = ssim(a, b)
+        assert got == pytest.approx(ssim_window_loop(a.luma, b.luma, gaussian_window()),
+                                    abs=1e-9)
+        monkeypatch.setattr(metrics, "_window_rows", lambda img, w: bicubic._tap_filter(
+            img, w, metrics._ValidWindow(), 1))
+        assert got.hex() == ssim(a, b).hex()
+
+    def test_row_pass_is_one_matmul_call_per_map_and_strip(self, monkeypatch):
+        # 720 rows are 12 strips of 4 maps, each one or two calls per axis;
+        # one call per block of 32 outputs would be about 2,000
+        real, calls = np.matmul, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        a, b = textured(720, 1280, 1), textured(720, 1280, 2)
+        monkeypatch.setattr(np, "matmul", counting)
+        assert ssim(a, b) < 1.0
+        assert 0 < len(calls) <= 200
+
     def test_negated_pattern_scores_negative(self):
         yy, xx = np.mgrid[0:16, 0:16]
         pattern = 0.5 + 0.4 * np.sin(xx * 1.3) * np.sin(yy * 0.9)
