@@ -67,9 +67,10 @@ with few output groups can round differently at some band widths.
 
 A conv_padded call outside run_parts' parts whose samples span two or more
 bands at half the budget and floor runs its (sample, band) list as contiguous
-parts on every core, their GEMMs on one BLAS thread, so no core or thread
-count changes a bit. Each part gathers into a buffer the caller allocates (a
-worker's malloc arena would keep it); two take one full band's bytes. Other
+parts, taken by the calling thread and helpers that live for the call, one
+per further core, their GEMMs on one BLAS thread, so no core or thread count
+changes a bit. Each part gathers into a buffer the caller allocates (a
+helper's malloc arena would keep it); two take one full band's bytes. Other
 calls run full bands in the calling thread.
 """
 
@@ -160,7 +161,7 @@ def _blas_threads():
 
 
 def _workers() -> int:
-    """Usable cores (_pool()'s threads, a split's parts), capped by a positive
+    """Usable cores (a part call's threads, a split's parts), capped by a positive
     integer OPENBLAS_NUM_THREADS, or else OMP_NUM_THREADS."""
     cores = len(os.sched_getaffinity(0))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -170,35 +171,54 @@ def _workers() -> int:
     return cores
 
 
-@functools.cache
-def _pool():
-    from concurrent.futures import ThreadPoolExecutor  # on first use: it imports logging
-    return ThreadPoolExecutor(_workers(), thread_name_prefix="vsr3d-step")
+def _drain(parts, claims, results, errors):
+    """Run each part whose index this thread takes from `claims`; store its outcome."""
+    for i in claims:
+        try:
+            results[i], errors[i] = parts[i](), None
+        except Exception as error:  # raised in part order once every thread is done
+            errors[i] = error
 
 
 def run_parts(fn, items) -> list:
     """[fn(item) for item in items], each call a part run in a copy of the
-    caller's contextvars context (so its np.errstate holds). Outside a part,
-    with OpenBLAS thread control found, the parts run on _pool()'s threads,
-    one caller at a time, BLAS held at one thread and restored even on an
-    error; else inline, in order, so a nested call never waits on its pool."""
+    caller's contextvars context (so its np.errstate holds). The calling
+    thread runs each next part not yet taken until none is left. Outside a
+    part, with OpenBLAS thread control found, up to _workers() - 1 helpers
+    started for the call take parts too, one caller at a time, BLAS held at
+    one thread and restored, even on an error, once they are joined."""
     ctx = contextvars.copy_context()
     ctx.run(_IN_PART.set, True)
     parts = [functools.partial(ctx.copy().run, fn, item) for item in items]
+    # a slot for every outcome before any helper starts: storing one allocates nothing
+    lost = MemoryError("a part's helper thread ended before storing its outcome")
+    results, errors = [None] * len(parts), [lost] * len(parts)
+    loop = (parts, iter(range(len(parts))), results, errors)
     blas = None if _IN_PART.get() else _blas_threads()
-    if blas is None:
-        return [part() for part in parts]
-    get, put = blas
-    with _PARTS_LOCK:
-        before = get()
-        put(1)
-        try:
-            futures = [_pool().submit(part) for part in parts]
-            for future in futures:  # every GEMM ends before the count is restored
-                future.exception()
-        finally:
-            put(before)
-    return [future.result() for future in futures]
+    if blas is None:  # a nested call, or no BLAS control: no helper
+        _drain(*loop)
+    else:
+        get, put = blas
+        with _PARTS_LOCK:
+            before = get()
+            put(1)
+            helpers = []
+            try:
+                for _ in range(min(_workers(), len(parts)) - 1):
+                    helper = threading.Thread(target=_drain, args=loop, name="vsr3d-step")
+                    try:
+                        helper.start()
+                    except RuntimeError:  # no thread to be had: the others take its parts
+                        break
+                    helpers.append(helper)
+                _drain(*loop)
+            finally:
+                for helper in helpers:  # every GEMM ends before the count is restored
+                    helper.join()
+                put(before)
+    for error in filter(None, errors):
+        raise error
+    return results
 
 
 def _stored_pads(kernel_depth: int, pad: PadPolicy) -> tuple[int, int, int]:

@@ -8,6 +8,7 @@ import inspect
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -455,7 +456,7 @@ class TestEvaluate:
         finally:
             sys.setswitchinterval(switch)
         monkeypatch.setattr(tensor_core, "_blas_threads", lambda: None)
-        monkeypatch.setattr(tensor_core, "_pool", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", no_pool)
         runs.append(run())
         tests = Path(__file__).resolve().parent
         path = os.pathsep.join(filter(None, [str(tests.parent / "src"),
@@ -488,6 +489,23 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.err == "error: border 32 leaves no pixels on a 96x64 frame\n"
         assert captured.out == "" and not csv.exists()
+
+    def test_a_helper_that_cannot_start_is_done_without(self, clips, tmp_path):
+        # every thread start refused (no real flood of threads): the caller
+        # scores every frame itself, with the same bytes
+        csv = tmp_path / "m.csv"
+        argv = ["evaluate", str(clips["hr"]), "--method", "bicubic", "--csv", str(csv)]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OMP_NUM_THREADS="2", OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs = []
+        for entry in (["-m", "vsr3d.cli"], ["-c", _NO_THREAD_MAIN]):
+            proc = subprocess.run([sys.executable, *entry, *argv],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            runs.append((csv.read_bytes(), proc.stdout))
+            csv.unlink()
+        assert runs[1] == runs[0]
 
     @pytest.mark.parametrize("width, height", [(64, 2), (2, 40)])
     def test_clip_smaller_than_scale_is_one_line_error(self, tmp_path, capsys, width, height):
@@ -781,6 +799,17 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+# runs the command line with every thread start refused
+_NO_THREAD_MAIN = """
+import sys, threading
+def refuse(thread):
+    raise RuntimeError("can't start new thread")
+threading.Thread.start = refuse
+from vsr3d.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 @pytest.mark.parametrize("name, payload, extra", [
     ("huge.y4m", b"YUV4MPEG2 W60000 H60000 F25:1 C420\nFRAME\n", []),
     ("huge.yuv", bytes(64), ["--size", "60000x60000"]),
@@ -812,7 +841,7 @@ def test_scene_and_evaluate_start_no_worker_thread(clips, tmp_path, monkeypatch,
         raise AssertionError("a layer was split into parts")
     args = [command, str(clips["spliced"]), "--csv", str(tmp_path / "out.csv")]
     if command == "scene":
-        monkeypatch.setattr(tensor_core, "_pool", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         monkeypatch.setattr(tensor_core, "run_parts", refuse)
         ckpt, spec = tmp_path / "sf.ckpt", build_sf_net(3)
         save_checkpoint(xavier_init(spec, 0), spec, {}, str(ckpt))
@@ -830,9 +859,10 @@ def test_scene_and_evaluate_start_no_worker_thread(clips, tmp_path, monkeypatch,
 def test_out_of_memory_is_one_line_error(tmp_path, command):
     # under a 512 MiB address-space cap, upscale cannot allocate one float32
     # activation of `full`, (1, 32, 5, 720, 1280) (590 MB); under a 256 MiB
-    # cap, train, with its 95 LR 100x100 patches and its one step worker
-    # (OMP_NUM_THREADS=1) mapped, runs out at a micro-batch's (2, 32, 5, 100,
-    # 100) (12.2 MiB), and neither scene nor evaluate can allocate a 61 MiB
+    # cap, train, with its 95 LR 100x100 patches and no helper thread
+    # (OMP_NUM_THREADS=1: the calling thread runs every micro-batch), runs out
+    # at a micro-batch's first activation, (2, 32, 5, 100, 100) (12.2 MiB),
+    # and neither scene nor evaluate can allocate a 61 MiB
     # float32 plane of one 4000x4000 4:2:0 frame (a 24 MB Y4M); the
     # MemoryError must end the command in one line, with nothing written.
     # train stops after one step, so a cap that misses fails fast

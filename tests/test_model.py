@@ -1,5 +1,3 @@
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -296,10 +294,8 @@ class TestForward:
         x = stack_windows([random_window(144, 176, seed=4)])
         want = forward_stack(params, spec, x)[0]
         for workers in (1, 2, 4):
-            with ThreadPoolExecutor(workers, thread_name_prefix="vsr3d-step") as pool:
-                monkeypatch.setattr(tensor_core, "_pool", lambda: pool)
-                monkeypatch.setattr(tensor_core, "_workers", lambda: workers)
-                assert np.array_equal(forward_stack(params, spec, x)[0], want)
+            monkeypatch.setattr(tensor_core, "_workers", lambda: workers)
+            assert np.array_equal(forward_stack(params, spec, x)[0], want)
         monkeypatch.undo()
         blas = tensor_core._blas_threads()
         if blas is None:

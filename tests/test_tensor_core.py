@@ -1,5 +1,6 @@
 """Tensor-core kernels against brute-force oracles and finite differences."""
 
+import contextlib
 import os
 import sys
 import threading
@@ -280,15 +281,13 @@ class TestConvBackward:
 
 
 def force_pool(monkeypatch, workers):
-    """Run parts on a fresh pool of `workers` threads, split into as many."""
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="vsr3d-step")
-    monkeypatch.setattr(tensor_core, "_pool", lambda: pool)
+    """Run parts on the caller and up to `workers` - 1 helpers, split into as many."""
     monkeypatch.setattr(tensor_core, "_workers", lambda: workers)
-    return pool
+    return contextlib.nullcontext()
 
 
-def no_pool():
-    raise AssertionError("the part pool was asked for")
+def no_pool(*args):
+    raise AssertionError("a part helper thread was started")
 
 
 needs_blas = pytest.mark.skipif(tensor_core._blas_threads() is None,
@@ -383,7 +382,8 @@ class TestParts:
             conv_forward(x, w, pad)
         assert [over for over, _ in seen] == ["raise"] * 2
         if tensor_core._blas_threads() is not None:
-            assert all(name.startswith("vsr3d-step") for _, name in seen)
+            caller = threading.current_thread().name
+            assert all(name in (caller, "vsr3d-step") for _, name in seen)
 
     @needs_blas
     def test_blas_thread_count_is_restored_after_a_part_raises(self):
@@ -404,9 +404,43 @@ class TestParts:
             put(before)
         assert seen == [1] * 3  # every part ran, each with one BLAS thread
 
+    @needs_blas
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_a_helper_that_dies_is_a_memory_error(self, monkeypatch):
+        # a helper runs part 1, then dies storing its outcome: the call must
+        # end with a MemoryError that names the loss, not wait for it
+        real, helper_ran, died = tensor_core._drain, threading.Event(), []
+
+        class Unstorable(list):
+            def __setitem__(self, i, value):
+                raise MemoryError
+
+        def dying(parts, claims, results, errors):
+            if threading.current_thread().name == "vsr3d-step":
+                results = errors = Unstorable()
+            try:
+                real(parts, claims, results, errors)
+            except MemoryError:
+                died.append(threading.current_thread().name)
+                raise
+
+        def part(i):
+            if threading.current_thread().name == "vsr3d-step":
+                helper_ran.set()
+            else:  # the caller leaves part 1 to the helper
+                helper_ran.wait(timeout=10)
+            return i
+        monkeypatch.setattr(tensor_core, "_drain", dying)
+        with force_pool(monkeypatch, 2), ThreadPoolExecutor(1) as caller:
+            future = caller.submit(run_parts, part, range(3))
+            with pytest.raises(MemoryError, match="helper thread ended"):
+                future.result(timeout=60)
+        assert helper_ran.is_set() and died == ["vsr3d-step"]
+        assert not any(t.name == "vsr3d-step" for t in threading.enumerate())
+
 
     def test_one_band_call_submits_nothing(self, monkeypatch):
-        monkeypatch.setattr(tensor_core, "_pool", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", no_pool)
         x, w = random_case(32, n=2, h=8, w=8)
         pad = PadPolicy(spatial=1, temporal=TemporalPad.DUPLICATE)
         np.testing.assert_allclose(conv_forward(x, w, pad), reference.conv_forward_loop(x, w, pad),
