@@ -143,6 +143,8 @@ def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
         runner = partial(forward, params, spec, scale=rs)
         sf = _load(cfg.sf_checkpoint, "sf") if cfg.sf_checkpoint else None
         dump_centre = len(clip) // 2 if cfg.dump_features else None
+        if cfg.dump_features and not 1 <= cfg.dump_layer <= len(spec.layers):
+            raise ValueError(f"layer must be in 1..{len(spec.layers)}")  # before any frame runs
     out_frames = []
     for centre in range(len(clip)):
         window = clip.window(centre)

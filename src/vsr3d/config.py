@@ -5,8 +5,9 @@ default are the field's; its metadata holds the help text, the subcommands
 whose flag sets it, the flag where that is not `--field-name`, whether the
 flag takes several paths (joined with commas into the value), and its rule:
 the tuple of values it takes (read from the module that implements the
-option; the default stays allowed as "unset") or the least value of a
-bounded int. The command line, FIELD_DOCS and validation are derived from
+option; the default stays allowed as "unset"), the least value of a
+bounded int, or "positive" or "non-negative" for a float, which must also
+be finite. The command line, FIELD_DOCS and validation are derived from
 these fields.
 
 A config file holds any subset of RunConfig's fields, one `key = value` per
@@ -75,9 +76,10 @@ class RunConfig:
                                  rule=0)
     epochs: int = _option(10, "passes over the extracted dataset", TRAIN, rule=1)
     batch_size: int = _option(DEFAULT_BATCH, "windows per optimizer step", TRAIN, rule=1)
-    lr: float = _option(DEFAULT_LR, "Adam learning rate for filters (biases run at a tenth)", TRAIN)
+    lr: float = _option(DEFAULT_LR, "Adam learning rate for filters (biases run at a tenth)", TRAIN,
+                        rule="positive")
     weight_decay: float = _option(DEFAULT_WEIGHT_DECAY, "L2 penalty folded into filter gradients",
-                                  TRAIN)
+                                  TRAIN, rule="non-negative")
     loss_form: str = _option("mean", f"mse reduction: {_choices(LOSS_FORMS)}", TRAIN,
                              rule=LOSS_FORMS)
     max_steps: int = _option(0, "stop after this many steps (0: no cap)", TRAIN, rule=0)
@@ -104,7 +106,8 @@ class RunConfig:
                              rule=1)
     sf_batch_size: int = _option(SF_BATCH, "scene windows per optimizer step", SF_TRAIN,
                                  "--batch-size", rule=1)
-    sf_lr: float = _option(SF_LR, "Adam learning rate for the scene classifier", SF_TRAIN, "--lr")
+    sf_lr: float = _option(SF_LR, "Adam learning rate for the scene classifier", SF_TRAIN, "--lr",
+                           rule="positive")
     method: str = _option("", "checkpoint-free baseline (only: bicubic)", ("upscale", "evaluate"),
                           rule=("bicubic",))
     size: str = _option("", "WxH geometry for raw YUV clips, e.g. 704x576", CLIP_COMMANDS)
@@ -194,9 +197,8 @@ def _validate(cfg: RunConfig):
             raise ConfigError(f"{f.name} must be {_choices(rule)}, got {value!r}")
         if isinstance(rule, int) and value < rule:
             raise ConfigError(f"{f.name} must be at least {rule}, got {value}")
-    # written so that NaN fails too
-    if not (0 < cfg.lr < math.inf and 0 < cfg.sf_lr < math.inf
-            and 0 <= cfg.weight_decay < math.inf):
-        raise ConfigError("learning rates must be positive and weight_decay non-negative, "
-                          "all finite")
+        # written so that NaN fails too
+        if isinstance(rule, str) and not (0 < value < math.inf
+                                          or rule == "non-negative" and value == 0):
+            raise ConfigError(f"{f.name} must be {rule} and finite, got {value}")
     cfg.clip_size()

@@ -20,9 +20,9 @@ import numpy as np
 
 from .bicubic import resize_plane
 from .frames import INPUT_FRAMES, VideoClip
-from .model import LayerSpec, ModelSpec, backward_stack, forward_stack
+from .model import LayerSpec, ModelSpec, forward_stack
 from .tensor_core import DEFAULT_DTYPE
-from .training import TrainResult, fit
+from .training import TrainResult, batch_step, fit
 
 SF_WIDTH = 48
 SF_HEIGHT = 27
@@ -220,6 +220,16 @@ def confusion_csv(counts: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def sf_batch_step(params, spec: ModelSpec, x, labels):
+    """Mean cross-entropy and gradients of one batch, in two halves (its
+    parts are small: micro-batches of two lost to one pass)."""
+    def head(out, lo, hi):  # the part's mean turned into a sum
+        loss, grad = loss_cross_entropy(out.reshape(len(out), -1), labels[lo:hi])
+        return loss * len(out), grad.reshape(out.shape) * len(out)
+
+    return batch_step(params, spec, x, head, len(x), size=-(-len(x) // 2))
+
+
 def train_sf(spec: ModelSpec, samples: list[tuple[SFInput, SceneLabel]], *,
              batch_size: int = SF_BATCH, lr: float = SF_LR,
              val_samples=None, **loop) -> TrainResult:
@@ -230,13 +240,8 @@ def train_sf(spec: ModelSpec, samples: list[tuple[SFInput, SceneLabel]], *,
         raise ValueError("train_sf needs an SF spec")
 
     def batch_loss(params, idx):
-        x = _sf_batch([samples[i][0] for i in idx])
-        out, caches = forward_stack(params, spec, x, want_caches=True)
-        labels = np.array([samples[i][1].value for i in idx])
-        loss, grad = loss_cross_entropy(out.reshape(out.shape[0], -1), labels)
-        grads, _ = backward_stack(params, spec, x, caches, grad.reshape(out.shape),
-                                  input_grad=False)
-        return loss, grads
+        return sf_batch_step(params, spec, _sf_batch([samples[i][0] for i in idx]),
+                             np.array([samples[i][1].value for i in idx]))
 
     def validate(params):
         return sf_accuracy(params, spec, val_samples)

@@ -5,10 +5,10 @@ Every entry point is seeded and deterministic: the same (data, seed, hyper)
 triple reproduces every logged loss and checkpoint byte. Each input clip is
 treated as a single scene, so extracted windows never straddle a cut.
 
-An SR training step runs its batch as micro-batches (Huang et al. 2019,
-GPipe) on every usable core, OpenBLAS at one thread, summed in a fixed
-order: where OpenBLAS's thread control is found, those bytes do not depend
-on the core or BLAS thread count either (sr_batch_step).
+Both nets train through one step (batch_step): its batch runs as parts
+(Huang et al. 2019, GPipe) on every usable core, OpenBLAS at one thread,
+summed in a fixed order, so where OpenBLAS's thread control is found those
+bytes do not depend on the core or BLAS thread count either.
 """
 
 import math
@@ -199,48 +199,40 @@ def adam_step(params, grads, state: OptimState) -> list[ConvWeights]:
     return out
 
 
-def _batch_tensors(samples, idx):
-    x = np.stack([samples[i].lr_frames for i in idx])[:, None]       # (N,1,5,p,p)
-    t = np.stack([samples[i].hr_target for i in idx])[:, None, None]  # (N,1,1,P,P)
-    return x, t
-
-
-def sr_batch_step(params, spec: ModelSpec, x, bases, target, form: str = "mean"):
-    """Forward + loss + parameter gradients for one batch.
-
-    Prediction is base + pixel-shuffled residual, unclamped; training never
-    clamps, only inference does.
-
-    The batch runs as micro-batches of _MICRO_BATCH consecutive samples, each
-    a forward, a summed loss with the gradient scaled for the whole batch,
-    and a backward, as the parts of one run_parts: on every core with BLAS
-    at one thread where OpenBLAS's thread control is found, else one after
-    another here. Losses and gradients are summed in micro-batch order, so
-    neither the worker count nor the BLAS thread count changes a bit of the
-    result.
-    """
-    if form not in LOSS_FORMS:
-        raise ValueError(f"unknown loss form {form!r}")
-
+def batch_step(params, spec: ModelSpec, x, head, norm, size: int = _MICRO_BATCH):
+    """Loss / norm and parameter gradients of one batch, for either net, as
+    parts of `size` consecutive samples on run_parts summed in part order:
+    each a forward, `head(out, lo, hi) -> (summed loss, its gradient wrt
+    out)` for samples lo:hi, and a backward of that gradient / norm."""
     def part(lo):
-        hi = lo + _MICRO_BATCH
+        hi = lo + size
         out, caches = forward_stack(params, spec, x[lo:hi], want_caches=True)
-        pred = pixel_shuffle(out, spec.scale) + bases[lo:hi]
-        loss, grad = loss_mse(pred, target[lo:hi], "sum")
-        if form == "mean":
-            grad = grad / target.size
-        grads, _ = backward_stack(params, spec, x[lo:hi], caches,
-                                  pixel_unshuffle(grad, spec.scale), input_grad=False)
+        loss, grad = head(out, lo, hi)
+        grads, _ = backward_stack(params, spec, x[lo:hi], caches, grad / norm, input_grad=False)
         return loss, grads
 
-    parts = run_parts(part, range(0, len(x), _MICRO_BATCH))
+    parts = run_parts(part, range(0, len(x), size))
     loss, grads = parts[0]
     for part_loss, part_grads in parts[1:]:
         loss += part_loss
         for g, p in zip(grads, part_grads):
             g.kernel += p.kernel
             g.bias += p.bias
-    return (loss / target.size if form == "mean" else loss), grads
+    return loss / norm, grads
+
+
+def sr_batch_step(params, spec: ModelSpec, x, bases, target, form: str = "mean"):
+    """Loss and gradients of one batch in micro-batches of _MICRO_BATCH.
+    Prediction is base + pixel-shuffled residual, unclamped; training never
+    clamps, only inference does."""
+    if form not in LOSS_FORMS:
+        raise ValueError(f"unknown loss form {form!r}")
+
+    def head(out, lo, hi):
+        loss, grad = loss_mse(pixel_shuffle(out, spec.scale) + bases[lo:hi], target[lo:hi], "sum")
+        return loss, pixel_unshuffle(grad, spec.scale)
+
+    return batch_step(params, spec, x, head, target.size if form == "mean" else 1)
 
 
 def val_psnr(params, spec: ModelSpec, samples, border: int) -> float:
@@ -319,11 +311,14 @@ def train(spec: ModelSpec, samples: list[WindowSample], *, loss_form: str = "mea
     out_path, log_path, checkpoint_every, max_steps, meta). Validation is
     the mean PSNR on val_samples with the scale as border.
     """
+    if spec.kind != "sr":
+        raise ValueError("train needs an SR spec")
     bases_all = [resize_plane(s.lr_frames[MIDDLE_FRAME], *s.hr_target.shape).astype(DEFAULT_DTYPE)
                  for s in samples]
 
     def batch_loss(params, idx):
-        x, target = _batch_tensors(samples, idx)
+        x = np.stack([samples[i].lr_frames for i in idx])[:, None]            # (N,1,5,p,p)
+        target = np.stack([samples[i].hr_target for i in idx])[:, None, None]  # (N,1,1,P,P)
         bases = np.stack([bases_all[i] for i in idx])[:, None, None]
         return sr_batch_step(params, spec, x, bases, target, loss_form)
 

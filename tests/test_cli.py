@@ -377,6 +377,25 @@ class TestUpscale:
         assert len(written) == 32
         assert all(p.read_bytes().startswith(b"P5\n48 32\n") for p in written)
 
+    def test_bad_dump_layer_is_refused_before_any_frame(self, clips, tmp_path, capsys,
+                                                        monkeypatch):
+        # checked against the loaded spec, not once the dumped frame comes up
+        import vsr3d.cli as cli
+        ckpt = tmp_path / "v1.ckpt"
+        zero_checkpoint(ckpt)
+        calls, real = [], cli.forward
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "forward", counting)
+        out, maps = tmp_path / "o.y4m", tmp_path / "maps"
+        assert main(["upscale", str(clips["small"]), str(out), "--checkpoint", str(ckpt),
+                     "--dump-features", str(maps), "--dump-layer", "9"]) == 1
+        assert capsys.readouterr().err == "error: layer must be in 1..6\n"
+        assert calls == [] and not out.exists() and not maps.exists()
+
     def test_unservable_scale_with_dump_writes_nothing(self, clips, tmp_path, capsys):
         ckpt = tmp_path / "s3.ckpt"
         zero_checkpoint(ckpt, scale=3)
@@ -903,13 +922,20 @@ def test_out_of_memory_is_one_line_error(tmp_path, command):
     assert sorted(os.listdir(tmp_path)) == inputs
 
 
-def test_seeded_train_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # 11 frames give centres 0, 5 and 10, four 80x80 HR crops each: one of
-    # the 12 windows is held out, and the first step is a full batch of 8
-    # LR patches of 40x40, whose band GEMMs (P = 1040) OpenBLAS sums
-    # differently on one thread and on two
-    clip = tmp_path / "clip.y4m"
+@pytest.mark.parametrize("command", ["train", "sf-train"])
+def test_seeded_train_bytes_do_not_depend_on_blas_threads(tmp_path, command):
+    # train: 11 frames give centres 0, 5 and 10, four 80x80 HR crops each:
+    # one of the 12 windows is held out, and the first step is a full batch
+    # of 8 LR patches of 40x40, whose band GEMMs (P = 1040) OpenBLAS sums
+    # differently on one thread and on two. sf-train: 100 windows make
+    # steps of 64 and 36, each run as two halves
+    clip, other = tmp_path / "clip.y4m", tmp_path / "other.y4m"
     write_clip(textured_clip(5, 11, 160, 160), str(clip))
+    write_clip(textured_clip(6, 11, 160, 160, base=0.7), str(other))
+    args = {"train": ["--data", str(clip), "--arch", "full", "--lr-patch-size", "40",
+                      "--subimages-per-frame", "4", "--batch-size", "8", "--epochs", "1"],
+            "sf-train": ["--scenes-a", str(clip), "--scenes-b", str(other), "--per-class", "20",
+                         "--epochs", "2"]}[command]
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for threads in ("1", "2"):
@@ -918,10 +944,8 @@ def test_seeded_train_bytes_do_not_depend_on_blas_threads(tmp_path):
         env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "vsr3d.cli", "train", "--data", str(clip), "--arch", "full",
-             "--lr-patch-size", "40", "--subimages-per-frame", "4", "--batch-size", "8",
-             "--epochs", "1", "--seed", "3", "--out", str(run / "m.ckpt"),
-             "--log", str(run / "log.csv")],
+            [sys.executable, "-m", "vsr3d.cli", command, *args, "--seed", "3",
+             "--out", str(run / "m.ckpt"), "--log", str(run / "log.csv")],
             capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append([(run / name).read_bytes() for name in ("m.ckpt", "log.csv")])

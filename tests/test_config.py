@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import pytest
@@ -78,6 +79,15 @@ class TestLoad:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr", 0.0), ("lr", math.nan), ("lr", math.inf), ("lr", -1.0),
+        ("sf_lr", 0.0), ("sf_lr", math.nan), ("sf_lr", math.inf), ("sf_lr", -1.0),
+        ("weight_decay", math.nan), ("weight_decay", math.inf), ("weight_decay", -1.0),
+    ])
+    def test_bad_float_names_its_field_and_value(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be .*, got {value}$"):
+            load_config(None, {key: value})
+
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_bytes(b"seed = \xff\n")
@@ -100,8 +110,9 @@ def _flag_helps(field_name: str) -> list:
 
 @pytest.mark.parametrize("f", dataclasses.fields(RunConfig), ids=lambda f: f.name)
 def test_declared_rule_is_the_one_enforced(f):
-    # a field's rule is its tuple of allowed values or an int's least value;
-    # its help names every allowed value, and load_config holds it exactly
+    # a field's rule is its tuple of allowed values, an int's least value, or
+    # a float's sign; its help names every allowed value, and load_config
+    # holds it exactly
     rule = f.metadata["rule"]
     if rule is None:  # free-form: nothing declared to guard
         return
@@ -112,6 +123,8 @@ def test_declared_rule_is_the_one_enforced(f):
             assert all(re.search(rf"\b{re.escape(str(value))}\b", h) for h in helps), value
         accepted = rule
         refused = max(rule) + 1 if f.type is int else rule[0] + "x"
+    elif isinstance(rule, str):
+        accepted, refused = (f.default, 0.0) if rule == "non-negative" else (f.default,), -1.0
     else:
         accepted, refused = (rule,), rule - 1
     for value in accepted:

@@ -1,17 +1,21 @@
+import sys
+
 import numpy as np
 import pytest
 
-from vsr3d import scene
+from vsr3d import scene, tensor_core, training
 from vsr3d.bicubic import resize_plane
 from vsr3d.checkpoint import load_checkpoint
 from vsr3d.frames import Frame, VideoClip
-from vsr3d.model import LayerSpec, ModelSpec, count_parameters, zero_params
+from vsr3d.model import (LayerSpec, ModelSpec, backward_stack, count_parameters, forward_stack,
+                         zero_params)
 from vsr3d.reference import GRAD_TOLERANCES
 from vsr3d.scene import (SF_HEIGHT, SF_WIDTH, SceneLabel, SFInput, build_sf_net,
                          classify_window, confusion_csv, confusion_matrix,
                          loss_cross_entropy, make_sf_dataset, replace_frames,
-                         sf_accuracy, sf_input_from_window, sf_logits, softmax,
-                         train_sf)
+                         sf_accuracy, sf_batch_step, sf_input_from_window, sf_logits,
+                         softmax, train_sf)
+from vsr3d.tensor_core import ConvWeights
 from vsr3d.training import grad_check, xavier_init
 
 
@@ -308,3 +312,69 @@ class TestTrainedClassifier:
                  seed=0, out_path=other, meta={"arch": "sf2"})
         with open(path, "rb") as a, open(other, "rb") as b:
             assert a.read() == b.read()
+
+
+class TestClassifierStep:
+    """sf_batch_step runs its batch through training.batch_step as two
+    contiguous halves, possibly on worker threads with OpenBLAS held at one
+    thread, and sums them in order."""
+
+    needs_blas = pytest.mark.skipif(tensor_core._blas_threads() is None,
+                                    reason="no OpenBLAS thread control found")
+
+    @staticmethod
+    def batch(dtype=np.float32, n=9, seed=6):
+        # an odd batch, so the second half is the short one
+        spec = build_sf_net(3)
+        params = [ConvWeights(w.kernel.astype(dtype), w.bias.astype(dtype))
+                  for w in xavier_init(spec, seed)]
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, (n, 1, 5, SF_HEIGHT, SF_WIDTH)).astype(dtype)
+        return params, spec, x, rng.integers(0, len(SceneLabel), n)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_one_whole_batch_pass(self, dtype):
+        params, spec, x, labels = self.batch(dtype)
+        loss, grads = sf_batch_step(params, spec, x, labels)
+        out, caches = forward_stack(params, spec, x, want_caches=True)
+        want_loss, g = loss_cross_entropy(out.reshape(len(x), -1), labels)
+        want, _ = backward_stack(params, spec, x, caches, g.reshape(out.shape), input_grad=False)
+        assert loss == pytest.approx(want_loss, rel=1e-12 if dtype == np.float64 else 1e-6)
+        for got, ref in zip(grads, want):
+            for a, b in ((got.kernel, ref.kernel), (got.bias, ref.bias)):
+                assert a.dtype == dtype
+                scale = np.abs(b).max()
+                if dtype == np.float64:
+                    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * scale)
+                else:
+                    assert np.abs(a - b).max() <= 1e-6 * scale
+
+    @needs_blas
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_worker_count_does_not_change_a_bit(self, monkeypatch, workers):
+        args = self.batch()
+        loss, grads = sf_batch_step(*args)
+        monkeypatch.setattr(tensor_core, "_workers", lambda: workers)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            other_loss, other = sf_batch_step(*args)
+        finally:
+            sys.setswitchinterval(switch)
+        assert other_loss == loss
+        for g, h in zip(grads, other):
+            assert np.array_equal(g.kernel, h.kernel) and np.array_equal(g.bias, h.bias)
+
+    def test_train_sf_steps_run_as_two_parts(self, monkeypatch):
+        # whatever the core count: batches of 9 and 3 split as 5 + 4 and 2 + 1
+        calls = []
+
+        def recording(fn, items):
+            calls.append(list(items))
+            return tensor_core.run_parts(fn, items)
+
+        monkeypatch.setattr(training, "run_parts", recording)
+        _, spec, x, labels = self.batch(n=12)
+        samples = [(SFInput(planes[0]), SceneLabel(int(k))) for planes, k in zip(x, labels)]
+        train_sf(spec, samples, epochs=1, batch_size=9)
+        assert calls == [[0, 5], [0, 2]]

@@ -11,6 +11,7 @@ from vsr3d.frames import Frame, VideoClip
 from vsr3d.model import (ARCH_NAMES, SCALES, LayerSpec, ModelSpec, backward_stack,
                          build_architecture, forward_stack)
 from vsr3d.reference import GRAD_TOLERANCES, check_gradients
+from vsr3d.scene import build_sf_net
 from vsr3d.tensor_core import ConvWeights, TemporalPad, pixel_shuffle, pixel_unshuffle
 from vsr3d.training import (LR_PATCH_SIZES, DatasetRecipe, OptimState, adam_step,
                             extract_dataset, fit, grad_check, init_optim, loss_mse,
@@ -280,6 +281,11 @@ class TestTrainLoop:
         assert first[0] == "1" and first[2] == ""
         second = lines[2].split(",")
         assert second[0] == "2" and float(second[2]) > 0
+
+    def test_sf_spec_is_refused_up_front(self):
+        # not as a numpy broadcast error from inside the step
+        with pytest.raises(ValueError, match="^train needs an SR spec$"):
+            train(build_sf_net(2), small_dataset()[:8], epochs=1, batch_size=8)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
