@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frames import Frame
+from .frames import Frame, chroma_extent
 from .tensor_core import run_parts
 
 _SUPPORT = 2.0  # half-width of the cubic kernel
@@ -126,8 +126,8 @@ def upscale_chroma(frame: Frame, scale: float, hr_luma=None) -> Frame:
         raise ValueError("frame has no chroma planes")
     luma = frame.luma if hr_luma is None else np.asarray(hr_luma)
     out_h, out_w = luma.shape
-    ch, cw = -(-out_h // 2), -(-out_w // 2)
-    if (ch, cw) != (-(-round(frame.height * scale) // 2), -(-round(frame.width * scale) // 2)):
+    ch, cw = chroma_extent(out_h, out_w)
+    if (ch, cw) != chroma_extent(round(frame.height * scale), round(frame.width * scale)):
         raise ValueError("luma geometry does not match the requested chroma scale")
     u, v = frame.chroma
     return Frame(luma, (resize_plane(u, ch, cw), resize_plane(v, ch, cw)))

@@ -3,7 +3,9 @@
 Layout: the magic line "3DSR1", a human-readable `key = value` header that
 fully determines every blob size (model kind, scale, concat position, one
 line per layer) and records the two layout conventions, a lone "end" line,
-then little-endian float32 blobs in layer order, kernel before bias.
+then little-endian float32 blobs in layer order, kernel before bias. Header
+lines end at "\n" alone, which no value may hold; a load refuses a format
+other than 1 and layout notes other than the two written here.
 Save -> load is bit-exact; a wrong magic and a short payload raise
 distinguishable errors. Non-finite weights are refused on both sides, and a
 save replaces the destination atomically, so an interrupted save leaves the
@@ -104,11 +106,11 @@ def load_checkpoint(path: str):
     if sep < 0:
         raise TruncatedError(f"{path}: header never terminates")
     try:
-        header = blob[len(MAGIC) + 1: sep + 1].decode("utf-8")
+        header = blob[len(MAGIC) + 1: sep].decode("utf-8")
     except UnicodeDecodeError as e:
         raise CheckpointError(f"{path}: header is not UTF-8 text") from e
     fields: dict[str, str] = {}
-    for raw in header.splitlines():
+    for raw in header.split("\n"):  # the one separator save writes and refuses in values
         key, eq, value = raw.partition(" = ")
         if not eq:
             raise CheckpointError(f"{path}: malformed header line {raw!r}")
@@ -116,6 +118,10 @@ def load_checkpoint(path: str):
             raise CheckpointError(f"{path}: header key {key!r} repeats")
         fields[key] = value
     try:
+        for key, want in (("format", "1"), ("pixel_shuffle", PIXEL_SHUFFLE_NOTE),
+                          ("concat_order", CONCAT_NOTE)):
+            if fields[key] != want:
+                raise ValueError(f"{key} {fields[key]!r} is not {want!r}")
         n_layers = int(fields["layer_count"])
         layers = [_parse_layer_line(fields[f"layer_{i}"]) for i in range(n_layers)]
         if int(fields["input_frames"]) != INPUT_FRAMES:

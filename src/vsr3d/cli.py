@@ -8,6 +8,7 @@ error.
 """
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import fields
@@ -20,15 +21,15 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import COMMANDS, FIELD_DOCS, ConfigError, RunConfig, load_config
 from .frames import MIDDLE_FRAME, Frame, VideoClip
 from .metrics import format_metric, mean_psnr, metrics_csv, psnr, ssim
-from .model import (ARCH_NAMES, build_architecture, count_parameters, dump_feature_maps,
-                    forward, zero_params)
+from .model import ARCH_NAMES, build_architecture, count_parameters, dump_feature_maps, forward
 from .reference import verify_checks
 from .scene import (SceneLabel, build_sf_net, confusion_csv, confusion_matrix,
                     make_sf_dataset, replace_frames, sf_input_from_window,
                     sf_logits, softmax, train_sf)
 from .tensor_core import run_parts
-from .training import DatasetRecipe, TrainingDiverged, extract_dataset, train, val_psnr
-from .video_io import ClipFormatError, read_clip, write_clip
+from .training import DatasetRecipe, TrainingDiverged, extract_dataset, train
+from .video_io import ClipFormatError, detect_format, read_clip, write_clip
+
 
 def _require(path: str, what: str):
     if not path:
@@ -55,6 +56,19 @@ def _load(path: str, kind: str):
     return params, spec, meta
 
 
+def _check_outputs(*paths: str):
+    """Refuse, before any work, a file output whose directory is missing,
+    with the error writing it would raise."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
+def _bicubic(frame: Frame, scale: int) -> Frame:
+    """The clamped bicubic upscale of a frame's luma."""
+    return bicubic_resize(frame, frame.width * scale, frame.height * scale)
+
+
 def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(os.path.normpath(path)))[0]
 
@@ -69,7 +83,11 @@ def _write_csv(cfg: RunConfig, text: str, what: str = ""):
 
 
 def _loop_options(cfg: RunConfig) -> dict:
-    """The `fit` options both trainers take from the same fields."""
+    """The `fit` options both trainers take from the same fields, their
+    output paths checked."""
+    if not cfg.out_path:
+        raise ConfigError("--out must name the checkpoint file")
+    _check_outputs(cfg.out_path, cfg.log_path)
     return {"seed": cfg.seed, "val_every": cfg.val_every, "out_path": cfg.out_path,
             "log_path": cfg.log_path, "checkpoint_every": cfg.checkpoint_every,
             "max_steps": cfg.max_steps}
@@ -82,6 +100,7 @@ def cmd_train(cfg: RunConfig) -> int:
     paths = cfg.path_list("train_clips")
     if not paths:
         raise ConfigError("train needs --data clips (config key train_clips)")
+    loop = _loop_options(cfg)
     spec = build_architecture(cfg.arch, cfg.scale)
     print(f"vsr3d train: arch {cfg.arch} x{cfg.scale}, {count_parameters(spec):,} weights, "
           f"seed {cfg.seed}")
@@ -104,9 +123,10 @@ def cmd_train(cfg: RunConfig) -> int:
     print(f"{len(train_samples)} training / {len(val)} validation samples")
     result = train(spec, train_samples, epochs=cfg.epochs, batch_size=cfg.batch_size,
                    lr=cfg.lr, weight_decay=cfg.weight_decay, loss_form=cfg.loss_form,
-                   val_samples=val, meta={"arch": cfg.arch}, **_loop_options(cfg))
-    # the zero model is exactly the clamped bicubic upscaler
-    baseline = val_psnr(zero_params(spec), spec, val, spec.scale)
+                   val_samples=val, meta={"arch": cfg.arch}, **loop)
+    # what the zero model would give, scored as val_psnr scores the model
+    baseline = mean_psnr([psnr(_bicubic(Frame(s.lr_frames[MIDDLE_FRAME]), cfg.scale),
+                               Frame(s.hr_target), border=cfg.scale) for s in val])
     print(f"final validation PSNR {result.final_val:.2f} dB "
           f"(bicubic baseline {baseline:.2f} dB)")
     print(f"checkpoint written to {cfg.out_path}")
@@ -125,6 +145,8 @@ def _window_logits(sf, window) -> np.ndarray:
 # non-finite samples, not as numpy warnings printed before it
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
+    if (cfg.format or detect_format(out_path)) != "pgmdir":  # a directory makes its parents
+        _check_outputs(out_path)
     clip = _read(cfg, in_path)
     rs = cfg.scale
     sf, dump_centre = None, None
@@ -136,8 +158,7 @@ def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
             raise ConfigError(f"--method bicubic runs no model; drop {', '.join(unused)}")
 
         def runner(window):
-            middle = window[MIDDLE_FRAME]
-            return bicubic_resize(middle, middle.width * rs, middle.height * rs)
+            return _bicubic(window[MIDDLE_FRAME], rs)
     else:
         params, spec, _ = _load(cfg.checkpoint, "sr")
         runner = partial(forward, params, spec, scale=rs)
@@ -178,6 +199,7 @@ def cmd_evaluate(cfg: RunConfig, ref_path: str, cand_path: str | None,
     if cand_path and scale_set_by:
         raise ConfigError(f"{scale_set_by} sets the bicubic baseline's factor; "
                           "a candidate clip is scored as given")
+    _check_outputs(cfg.csv_path)
     ref = _read(cfg, ref_path)
     if cand_path:
         cand = _read(cfg, cand_path)
@@ -217,6 +239,7 @@ def cmd_evaluate(cfg: RunConfig, ref_path: str, cand_path: str | None,
 
 def cmd_scene(cfg: RunConfig, in_path: str) -> int:
     sf = _load(cfg.sf_checkpoint, "sf")
+    _check_outputs(cfg.csv_path)
     clip = _read(cfg, in_path)
     lines = ["frame,label,confidence"]
     print(f"{'frame':>5}  {'label':<15}  {'confidence':>10}")
@@ -234,6 +257,8 @@ def cmd_sf_train(cfg: RunConfig) -> int:
     pa, pb = cfg.path_list("scenes_a"), cfg.path_list("scenes_b")
     if not pa or not pb:
         raise ConfigError("sf-train needs --scenes-a and --scenes-b clip pools")
+    loop = _loop_options(cfg)
+    _check_outputs(cfg.csv_path)
     pool_a = [_read(cfg, p) for p in pa]
     pool_b = [_read(cfg, p) for p in pb]
     train_set = make_sf_dataset(pool_a, pool_b, per_class=cfg.per_class, seed=cfg.seed)
@@ -244,7 +269,7 @@ def cmd_sf_train(cfg: RunConfig) -> int:
           f"{count_parameters(spec):,} weights, {len(train_set)} samples, seed {cfg.seed}")
     result = train_sf(spec, train_set, epochs=cfg.sf_epochs, batch_size=cfg.sf_batch_size,
                       lr=cfg.sf_lr, val_samples=val_set, meta={"arch": f"sf{cfg.sf_layers}"},
-                      **_loop_options(cfg))
+                      **loop)
     print(f"held-out accuracy {result.final_val:.4f} on {len(val_set)} samples")
     text = confusion_csv(confusion_matrix(result.params, spec, val_set))
     print(text, end="")

@@ -15,6 +15,11 @@ INPUT_FRAMES = 5   # the sliding window every network reads
 MIDDLE_FRAME = INPUT_FRAMES // 2   # the window's centre, the frame it upscales
 
 
+def chroma_extent(height: int, width: int) -> tuple[int, int]:
+    """(height, width) of a 4:2:0 chroma plane: half the luma's, rounded up."""
+    return -(-height // 2), -(-width // 2)
+
+
 def _clamped_plane(data) -> np.ndarray:
     """A read-only clamped copy of `data`, made in one pass, so a plane never
     changes after its frame is built (scene.py memoizes on plane identity)."""
@@ -36,7 +41,7 @@ class Frame:
         self.luma = _clamped_plane(self.luma)
         if self.chroma is not None:
             u, v = self.chroma
-            expect = (-(-self.height // 2), -(-self.width // 2))
+            expect = chroma_extent(self.height, self.width)
             u, v = _clamped_plane(u), _clamped_plane(v)
             if u.shape != expect or v.shape != expect:
                 raise ValueError(

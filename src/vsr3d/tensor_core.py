@@ -59,19 +59,19 @@ tolerate.
 A band is sized by bytes, so that the gather's writes are still in cache
 when the GEMMs read them back, and by a floor on the positions each GEMM
 covers, below which the GEMMs run short of their full rate (a forty-pixel-wide
-training patch would otherwise get bands of 480 positions). Bands never span
-samples: each GEMM covers one sample anyway, and one buffer reused for every
+training patch's 32-group layers get 13 rows, not the budget's 9). Bands never
+span samples: each GEMM covers one sample anyway, and one buffer reused for every
 band stays mapped and cached, where a batch-wide band would not. For the
 32-channel layers band size does not change a result; the GEMM of a layer
 with few output groups can round differently at some band widths.
 
-A conv_padded call outside run_parts' parts whose samples span two or more
-bands at half the budget and floor runs its (sample, band) list as contiguous
-parts, taken by the calling thread and helpers that live for the call, one
-per further core, their GEMMs on one BLAS thread, so no core or thread count
-changes a bit. Each part gathers into a buffer the caller allocates (a
-helper's malloc arena would keep it); two take one full band's bytes. Other
-calls run full bands in the calling thread.
+Every conv call plans its bands once, by that one rule, and owns the buffer
+it gathers into. A conv_padded call outside run_parts' parts whose samples
+span two or more bands runs its (sample, band) list as contiguous parts,
+taken by the calling thread and helpers that live for the call, one per
+further core, their GEMMs on one BLAS thread, so no core or thread count
+changes a bit. Each part gathers into a band buffer the caller allocates
+(a helper's malloc arena would keep it). Other calls run in the calling thread.
 """
 
 import contextvars
@@ -89,9 +89,8 @@ DEFAULT_DTYPE = np.float32
 
 # Column-buffer band sizing: the bytes one band of output rows may take, and
 # the fewest output positions a band's GEMMs cover (the floor wins).
-_WINDOW_BUDGET_BYTES = 4 * 1024 * 1024
-_MIN_BAND_POSITIONS = 1024
-_SPLIT = 2  # a split call's bands take 1/_SPLIT of both, whatever the core count
+_WINDOW_BUDGET_BYTES = 2 * 1024 * 1024
+_MIN_BAND_POSITIONS = 512
 _PARTS_LOCK = threading.Lock()  # one run_parts at a time holds BLAS's process-wide count
 _IN_PART = contextvars.ContextVar("vsr3d_in_part", default=False)
 
@@ -278,26 +277,24 @@ def _out_extents(xp_shape, kernel_shape, stride, t: int) -> tuple[int, int, int]
     return dp + 2 * t - kd + 1, (hp - kh) // sh + 1, (wp - kw) // sw + 1
 
 
-def _bands(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int, share: int = 1):
-    """(rows, bands): each sample n's bands (n, y0, y1) of output rows of a padded
-    input, of `rows` rows (the last may be short) by 1/share of budget and floor."""
+def _bands(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int):
+    """(bands, buf): each sample n's bands (n, y0, y1) of ho output rows of a
+    padded input, sized by budget and floor (a sample's last may be short),
+    and a buffer that holds one band's gather."""
     _, in_g, dp = xp.shape[:3]
     row_bytes = dp * in_g * kh * kw * wo * xp.dtype.itemsize
-    rows = min(ho, max(_WINDOW_BUDGET_BYTES // share // row_bytes,
-                       -(-(_MIN_BAND_POSITIONS // share) // wo), 1))
-    return rows, [(n, y0, min(y0 + rows, ho)) for n in range(len(xp)) for y0 in range(0, ho, rows)]
+    rows = min(ho, max(_WINDOW_BUDGET_BYTES // row_bytes, -(-_MIN_BAND_POSITIONS // wo), 1))
+    bands = [(n, y0, min(y0 + rows, ho)) for n in range(len(xp)) for y0 in range(0, ho, rows)]
+    return bands, np.empty((dp, in_g, kh, kw, rows, wo), dtype=xp.dtype)
 
 
 def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: tuple[int, int], ho: int, wo: int,
-                  bands=None, buf=None):
-    """Yield (n, y0, y1, cols) for `bands` of a padded input (default: _bands'):
-    cols is (D*C*kH*kW, (y1-y0)*wo), one row block of C*kH*kW per stored depth
-    slice, each copied run reading along one row of W. Every band is a view of
-    one buffer (`buf`, with `bands`), valid until the next is yielded."""
+                  bands, buf):
+    """Yield (n, y0, y1, cols) for `bands` of a padded input, gathered into
+    `buf` (both as _bands makes them): cols is (D*C*kH*kW, (y1-y0)*wo), one
+    row block of C*kH*kW per stored depth slice, each copied run reading
+    along one row of W. Every band is a view of buf, valid until the next."""
     sh, sw = stride
-    if bands is None:
-        rows, bands = _bands(xp, kh, kw, ho, wo)
-        buf = np.empty((xp.shape[2], xp.shape[1], kh, kw, rows, wo), dtype=xp.dtype)
     cols = buf.reshape(-1, buf.shape[4] * wo)
     for n, y0, y1 in bands:
         band = xp[n, :, :, y0 * sh:(y1 - 1) * sh + kh]
@@ -306,8 +303,7 @@ def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: tuple[int, int], ho:
         yield n, y0, y1, cols[:, :(y1 - y0) * wo]
 
 
-def _slice_blocks(xp: np.ndarray, kernel_shape, stride: tuple[int, int], t: int,
-                  bands=None, buf=None):
+def _slice_blocks(xp: np.ndarray, kernel_shape, stride: tuple[int, int], t: int, bands, buf):
     """Yield (n, z, span, taps, block) per band of a padded input (as
     _column_bands) and per output slice z of its valid correlation, t
     implicit zero slices per depth end: block is the band's column rows of
@@ -358,7 +354,8 @@ def conv_padded(xp: np.ndarray, weights: ConvWeights, pad: PadPolicy,
                 stride: tuple[int, int] = (1, 1)) -> np.ndarray:
     """conv_forward of an input already in padded_shape's layout for `pad`
     (ZERO's depth slices implicit), unchecked: per band, one GEMM per output
-    slice over its stored taps, in place, then the bias; split as the module says."""
+    slice over its stored taps, in place, then the bias; its bands split
+    into parts as the module says."""
     kernel = weights.kernel
     kd, kh, kw = kernel.shape[2:]
     t = _stored_pads(kd, pad)[2]
@@ -368,17 +365,17 @@ def conv_padded(xp: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     planes = out.reshape(out.shape[:3] + (-1,))
     ho, wo = out.shape[3:]
 
-    def run(bands=None, buf=None):
+    def run(bands, buf):
         for n, z, span, taps, block in _slice_blocks(xp, kernel.shape, stride, t, bands, buf):
             np.matmul(kmat[:, taps], block, out=planes[n, :, z, span])
             planes[n, :, z, span] += bias
 
-    rows, bands = _bands(xp, kh, kw, ho, wo, _SPLIT)
-    if rows == ho or _IN_PART.get():
-        run()
+    bands, buf = _bands(xp, kh, kw, ho, wo)
+    if len(bands) == len(xp) or _IN_PART.get():
+        run(bands, buf)
     else:
         parts = np.array_split(bands, min(_workers(), len(bands)))
-        bufs = np.empty((len(parts), xp.shape[2], xp.shape[1], kh, kw, rows, wo), dtype=xp.dtype)
+        bufs = [buf] + [np.empty_like(buf) for _ in parts[1:]]
         run_parts(lambda i: run(parts[i], bufs[i]), range(len(parts)))
     return out
 
@@ -433,7 +430,9 @@ def conv_backward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     # accumulated transposed: the tall (taps, P) @ (P, rows) product runs
     # faster than (rows, P) @ (P, taps), and updates a contiguous row range
     grad_kmat_t = np.zeros((kd * cols * kh * kw, rows), dtype=kernel.dtype)
-    for n, z, span, taps, block in _slice_blocks(src, gathered.shape, src_stride, src_t):
+    # the gather's output positions are paired's: the input's, or grad_out's
+    plan = _bands(src, kh, kw, *paired.shape[3:])
+    for n, z, span, taps, block in _slice_blocks(src, gathered.shape, src_stride, src_t, *plan):
         if input_grad:
             np.matmul(kmat[:, taps], block, out=grad_planes[n, :, z, span])
         grad_kmat_t[taps] += block @ planes[n, :, z, span].T

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .frames import Frame, VideoClip
+from .frames import Frame, VideoClip, chroma_extent
 
 FORMATS = ("y4m", "rawyuv420", "pgmdir")
 # 8-bit 4:2:0 under each chroma siting the Y4M spec names
@@ -222,8 +222,8 @@ def _chroma_bytes(frame: Frame) -> bytes:
     if frame.chroma is not None:
         u, v = frame.chroma
         return to_bytes(u) + to_bytes(v)
-    n = -(-frame.height // 2) * -(-frame.width // 2)
-    return bytes([128]) * (2 * n)  # neutral chroma for luma-only sources
+    ch, cw = chroma_extent(frame.height, frame.width)
+    return bytes([128]) * (2 * ch * cw)  # neutral chroma for luma-only sources
 
 
 def _write_pgmdir(clip: VideoClip, path: str):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from vsr3d.checkpoint import (MAGIC, BadMagicError, CheckpointError,
-                              TruncatedError, load_checkpoint, save_checkpoint)
+from vsr3d.checkpoint import (CONCAT_NOTE, MAGIC, PIXEL_SHUFFLE_NOTE, BadMagicError,
+                              CheckpointError, TruncatedError, load_checkpoint, save_checkpoint)
 from vsr3d.model import build_architecture, count_parameters
 from vsr3d.reference import REFERENCE_WEIGHT_COUNTS
 from vsr3d.tensor_core import ConvWeights
@@ -42,6 +42,14 @@ class TestRoundtrip:
         _, _, path = saved
         _, spec, _ = load_checkpoint(path)
         assert count_parameters(spec) == REFERENCE_WEIGHT_COUNTS["v1"]
+
+    def test_meta_values_keep_every_line_break_but_newline(self, tmp_path):
+        # str.splitlines would also break at these; save joins lines with "\n" only
+        spec = build_architecture("v1", 2)
+        meta = {"cr": "a\rb", "nel": "a\x85b", "sep": "a\u2028b", "edge": " = \x0b\x1e\u2029"}
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(random_params(spec, seed=23), spec, meta, path)
+        assert load_checkpoint(path)[2] == meta
 
     def test_same_save_twice_is_byte_identical(self, saved, tmp_path):
         params, spec, path = saved
@@ -133,6 +141,7 @@ def test_save_to_missing_directory_names_the_destination(tmp_path):
     (b"kernel=3x3x3", b"kernel=3x3000000000x3000000000"),
     (b"input_frames = 5", b"input_frames = 4"),
     (b"kind = sr", b"kind = sr\nkind = sr"),
+    (b"format = 1", b"format = 2"),
 ])
 def test_malformed_header_field_is_checkpoint_error(saved, tmp_path, old, new):
     _, _, path = saved
@@ -142,4 +151,15 @@ def test_malformed_header_field_is_checkpoint_error(saved, tmp_path, old, new):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(blob.replace(old, new, 1))
     with pytest.raises(CheckpointError):
+        load_checkpoint(str(bad))
+
+
+@pytest.mark.parametrize("note", [PIXEL_SHUFFLE_NOTE, CONCAT_NOTE],
+                         ids=["pixel_shuffle", "concat_order"])
+def test_other_layout_note_is_checkpoint_error(saved, tmp_path, note):
+    _, _, path = saved
+    blob = open(path, "rb").read()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob.replace(note.encode(), note.encode()[::-1], 1))
+    with pytest.raises(CheckpointError, match="is not"):
         load_checkpoint(str(bad))

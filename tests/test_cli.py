@@ -233,6 +233,63 @@ class TestTrain:
         assert not out.exists() and not log.exists()
 
 
+class TestOutputPaths:
+    """Every file output is checked before any clip is read or step run."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        # the names cli calls to read a clip or to train, each recorded and refused
+        import vsr3d.cli as cli
+        calls = []
+
+        def refusing(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"cli.{name} ran before the outputs were checked")
+            return call
+        for name in ("read_clip", "train", "train_sf"):
+            monkeypatch.setattr(cli, name, refusing(name))
+        return calls
+
+    @staticmethod
+    def inputs(command, clips, tmp_path):
+        if command == "train":
+            return ["train", "--data", str(clips["hr"])]
+        if command == "sf-train":
+            return ["sf-train", "--scenes-a", str(clips["pool_a"]),
+                    "--scenes-b", str(clips["pool_b"])]
+        if command == "scene":
+            ckpt, spec = tmp_path / "sf.ckpt", build_sf_net(3)
+            save_checkpoint(xavier_init(spec, 0), spec, {}, str(ckpt))
+            return ["scene", str(clips["small"]), "--sf-checkpoint", str(ckpt)]
+        return ["evaluate", str(clips["small"]), "--method", "bicubic"]
+
+    @pytest.mark.parametrize("command", ["train", "sf-train"])
+    def test_empty_out_is_config_error(self, clips, tmp_path, capsys, work, command):
+        assert main(self.inputs(command, clips, tmp_path) + ["--out", ""]) == 2
+        assert capsys.readouterr().err == "config error: --out must name the checkpoint file\n"
+        assert work == []
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--out"), ("train", "--log"), ("sf-train", "--out"), ("sf-train", "--log"),
+        ("sf-train", "--csv"), ("scene", "--csv"), ("evaluate", "--csv"), ("upscale", None)])
+    def test_missing_output_directory_fails_before_work(self, clips, tmp_path, capsys, work,
+                                                        command, flag):
+        missing = tmp_path / "nodir" / "out.y4m"
+        if flag is None:
+            argv = ["upscale", str(clips["small"]), str(missing), "--method", "bicubic"]
+        else:
+            argv = self.inputs(command, clips, tmp_path) + [flag, str(missing)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert work == [] and not missing.parent.exists()
+
+    def test_pgm_directory_output_still_makes_its_parents(self, clips, tmp_path, capsys):
+        out = tmp_path / "new" / "frames"
+        assert main(["upscale", str(clips["small"]), str(out), "--method", "bicubic"]) == 0
+        assert len(list(out.iterdir())) == 7
+
+
 class TestUpscale:
     def test_zero_checkpoint_equals_bicubic(self, clips, tmp_path, capsys):
         ckpt = tmp_path / "zero.ckpt"

@@ -354,6 +354,27 @@ class TestParts:
         assert geometry[0] == [(0, 0, 64), (0, 64, 128), (0, 128, 130)]
         assert geometry[1] == geometry[0] and geometry[2] == geometry[0]
 
+    def test_a_forward_inside_a_part_gathers_the_top_level_bands(self, monkeypatch):
+        # the input of the test above, at the default budget and floor: a
+        # part runs its bands inline, but over the same rows as a split call
+        x, w = random_case(33, cin=32, cout=3, d=5, h=130, w=8)
+        pad = PadPolicy(spatial=1, temporal=TemporalPad.ZERO)
+        real, seen = tensor_core._column_bands, []
+
+        def recording(*args):
+            for n, y0, y1, cols in real(*args):
+                seen.append((int(n), int(y0), int(y1)))
+                yield n, y0, y1, cols
+        monkeypatch.setattr(tensor_core, "_column_bands", recording)
+        with force_pool(monkeypatch, 2):
+            top = conv_forward(x, w, pad)
+            top_bands = sorted(seen)
+            seen.clear()
+            [inner] = run_parts(lambda _: conv_forward(x, w, pad), [0])
+        assert top_bands == [(0, 0, 64), (0, 64, 128), (0, 128, 130)]
+        assert seen == top_bands
+        assert np.array_equal(inner, top)
+
     def test_forward_inside_a_part_of_a_one_worker_pool_runs_inline(self, monkeypatch):
         # a nested split, or a nested run_parts, would wait on the pool's
         # only worker, which runs the part that waits (or on the lock its
