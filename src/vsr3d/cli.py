@@ -4,7 +4,7 @@ Subcommands: train, upscale, evaluate, scene, sf-train, verify, param-count.
 Every run is deterministic given its config and --seed; derived randomness
 (dataset extraction, shuffling, validation splits) uses fixed offsets from
 that one seed. Exit codes: 0 success, 1 runtime failure, 2 usage or config
-error.
+error, 130 interrupted (SIGINT).
 """
 
 import argparse
@@ -388,6 +388,9 @@ def main(argv=None) -> int:
             TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # a checkpoint or clip being written is left as it was
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

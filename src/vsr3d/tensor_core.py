@@ -69,8 +69,9 @@ Every conv call plans its bands once, by that one rule, and owns the buffer
 it gathers into. A conv_padded call outside run_parts' parts whose samples
 span two or more bands runs its (sample, band) list as contiguous parts,
 taken by the calling thread and helpers that live for the call, one per
-further core, their GEMMs on one BLAS thread, so no core or thread count
-changes a bit. Each part gathers into a band buffer the caller allocates
+further core, their GEMMs on one BLAS thread (from the first such call on, the
+process's OpenBLAS runs one thread, with no worker pool), so no core or thread
+count changes a bit. Each part gathers into a band buffer the caller allocates
 (a helper's malloc arena would keep it). Other calls run in the calling thread.
 """
 
@@ -91,7 +92,7 @@ DEFAULT_DTYPE = np.float32
 # the fewest output positions a band's GEMMs cover (the floor wins).
 _WINDOW_BUDGET_BYTES = 2 * 1024 * 1024
 _MIN_BAND_POSITIONS = 512
-_PARTS_LOCK = threading.Lock()  # one run_parts at a time holds BLAS's process-wide count
+_PARTS_LOCK = threading.Lock()  # one run_parts at a time starts helpers and sets BLAS's count
 _IN_PART = contextvars.ContextVar("vsr3d_in_part", default=False)
 
 
@@ -134,9 +135,9 @@ class ConvWeights:
 
 @functools.cache
 def _blas_threads():
-    """(get, set) of the process-wide thread count of the OpenBLAS mapped
-    into this process, through ctypes; None where none with those symbols
-    is found."""
+    """(get, set) of the thread count of the OpenBLAS mapped into this process,
+    through ctypes, None where none is found; set(1) also ends its worker pool,
+    which at one thread does nothing but spin for ~120 ms after it starts."""
     import ctypes
 
     try:
@@ -155,7 +156,12 @@ def _blas_threads():
             if get and put:
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+                end = getattr(lib, "blas_thread_shutdown_", None)
+                def set_count(count):  # the count first: a set restarts an ended pool
+                    put(count)
+                    if count == 1 and end:
+                        end()
+                return get, set_count
     return None
 
 
@@ -184,8 +190,8 @@ def run_parts(fn, items) -> list:
     caller's contextvars context (so its np.errstate holds). The calling
     thread runs each next part not yet taken until none is left. Outside a
     part, with OpenBLAS thread control found, up to _workers() - 1 helpers
-    started for the call take parts too, one caller at a time, BLAS held at
-    one thread and restored, even on an error, once they are joined."""
+    started for the call take parts too, one caller at a time, joined even on
+    an error; OpenBLAS is set to one thread first, and left there for good."""
     ctx = contextvars.copy_context()
     ctx.run(_IN_PART.set, True)
     parts = [functools.partial(ctx.copy().run, fn, item) for item in items]
@@ -199,8 +205,8 @@ def run_parts(fn, items) -> list:
     else:
         get, put = blas
         with _PARTS_LOCK:
-            before = get()
-            put(1)
+            if get() > 1:  # only if raised: each set starts a pool that spins
+                put(1)
             helpers = []
             try:
                 for _ in range(min(_workers(), len(parts)) - 1):
@@ -212,9 +218,8 @@ def run_parts(fn, items) -> list:
                     helpers.append(helper)
                 _drain(*loop)
             finally:
-                for helper in helpers:  # every GEMM ends before the count is restored
+                for helper in helpers:
                     helper.join()
-                put(before)
     for error in filter(None, errors):
         raise error
     return results

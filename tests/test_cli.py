@@ -6,9 +6,11 @@ import dataclasses
 import hashlib
 import inspect
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from vsr3d import metrics, model, reference, tensor_core
-from vsr3d.checkpoint import save_checkpoint
+from vsr3d.checkpoint import load_checkpoint, save_checkpoint
 from vsr3d.cli import _build_parser, main
 from vsr3d.config import RunConfig
 from vsr3d.frames import Frame, VideoClip
@@ -875,6 +877,16 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+# runs the command line with Python's SIGINT handler, which a child of a
+# shell's background job would start without (it inherits SIGINT ignored)
+_INTERRUPTIBLE_MAIN = """
+import signal, sys
+signal.signal(signal.SIGINT, signal.default_int_handler)
+from vsr3d.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 # runs the command line with every thread start refused
 _NO_THREAD_MAIN = """
 import sys, threading
@@ -979,13 +991,46 @@ def test_out_of_memory_is_one_line_error(tmp_path, command):
     assert sorted(os.listdir(tmp_path)) == inputs
 
 
+def test_interrupted_train_is_one_line_and_keeps_its_checkpoint(tmp_path):
+    # SIGINT once the first periodic checkpoint is written, in a run far too
+    # long to end first; its micro-batches run on the part pool
+    clip, ckpt = tmp_path / "clip.y4m", tmp_path / "m.ckpt"
+    write_clip(textured_clip(8, 11, 96, 96), str(clip))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OMP_NUM_THREADS="2", OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _INTERRUPTIBLE_MAIN, "train", "--data", str(clip), "--arch", "v1",
+         "--lr-patch-size", "16", "--subimages-per-frame", "4", "--batch-size", "4",
+         "--epochs", "100000", "--checkpoint-every", "1", "--out", str(ckpt)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        deadline = time.monotonic() + 120
+        while not ckpt.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert ckpt.exists() and proc.poll() is None
+        time.sleep(0.2)  # into a later step
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 130, err
+    assert err.splitlines() == ["interrupted"]
+    params, spec, meta = load_checkpoint(str(ckpt))
+    assert spec == build_architecture("v1", 2) and int(meta["step"]) >= 1
+    assert sorted(os.listdir(tmp_path)) == ["clip.y4m", "m.ckpt"]  # no temporary file left
+
+
 @pytest.mark.parametrize("command", ["train", "sf-train"])
 def test_seeded_train_bytes_do_not_depend_on_blas_threads(tmp_path, command):
     # train: 11 frames give centres 0, 5 and 10, four 80x80 HR crops each:
     # one of the 12 windows is held out, and the first step is a full batch
-    # of 8 LR patches of 40x40, whose band GEMMs (P = 1040) OpenBLAS sums
-    # differently on one thread and on two. sf-train: 100 windows make
-    # steps of 64 and 36, each run as two halves
+    # of 8 LR patches of 40x40, whose band GEMMs cover P = 520 positions (13
+    # rows) on one BLAS thread in the parts; OpenBLAS sums differently on one
+    # thread and on two only outside them. sf-train: 100 windows make steps
+    # of 64 and 36, each run as two halves
     clip, other = tmp_path / "clip.y4m", tmp_path / "other.y4m"
     write_clip(textured_clip(5, 11, 160, 160), str(clip))
     write_clip(textured_clip(6, 11, 160, 160, base=0.7), str(other))

@@ -1,10 +1,13 @@
 """Tensor-core kernels against brute-force oracles and finite differences."""
 
 import contextlib
+import ctypes
 import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +297,31 @@ needs_blas = pytest.mark.skipif(tensor_core._blas_threads() is None,
                                 reason="no OpenBLAS thread control found")
 
 
+def openblas_exports(symbol: str) -> bool:
+    """Whether an OpenBLAS mapped into this process exports `symbol`."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:
+        return False
+    return any(hasattr(ctypes.CDLL(p), symbol) for p in paths
+               if "openblas" in os.path.basename(p))
+
+
+# the process's OS threads after numpy loads OpenBLAS, then after each of two
+# top-level part calls
+_THREADS_AFTER_PART_CALLS = """
+import os
+import numpy
+from vsr3d.tensor_core import run_parts
+threads = [len(os.listdir("/proc/self/task"))]
+for _ in range(2):
+    run_parts(abs, [-1, -2])
+    threads.append(len(os.listdir("/proc/self/task")))
+print(*threads)
+"""
+
+
 class TestParts:
     """run_parts, and conv_padded's split of its bands into parts."""
 
@@ -407,23 +435,42 @@ class TestParts:
             assert all(name in (caller, "vsr3d-step") for _, name in seen)
 
     @needs_blas
-    def test_blas_thread_count_is_restored_after_a_part_raises(self):
+    def test_blas_is_held_at_one_thread_for_good_even_after_a_part_raises(self):
+        # the count is never put back, and one the caller raises between two
+        # calls is one again before the next call's parts run
         get, put = tensor_core._blas_threads()
-        before, seen = get(), []
+        seen = []
 
         def part(i):
             seen.append(get())
             if i == 1:
                 raise ValueError("part 1 fails")
             return i
-        try:
+        for _ in range(2):
             put(2)
             with pytest.raises(ValueError, match="part 1 fails"):
                 run_parts(part, range(3))
-            assert get() == 2
-        finally:
-            put(before)
-        assert seen == [1] * 3  # every part ran, each with one BLAS thread
+            assert get() == 1
+        put(2)
+        assert run_parts(part, [0, 2]) == [0, 2]
+        assert get() == 1
+        assert seen == [1] * 8  # every part ran, each with one BLAS thread
+
+    @needs_blas
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
+    @pytest.mark.skipif(not openblas_exports("blas_thread_shutdown_"),
+                        reason="OpenBLAS exports no blas_thread_shutdown_")
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="no BLAS worker on one core")
+    def test_the_first_part_call_ends_the_blas_worker_pool_for_good(self):
+        # OpenBLAS starts a worker at load that spins for ~120 ms of CPU; a
+        # restored count, or a second set, would start another one
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OMP_NUM_THREADS="2", OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _THREADS_AFTER_PART_CALLS],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "1", "1"]
 
     @needs_blas
     @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")

@@ -376,20 +376,27 @@ class TestMicroBatches:
                     assert np.abs(a - b).max() <= 1e-6 * scale
 
     @needs_blas
-    def test_blas_thread_count_is_restored_even_on_an_error(self):
+    def test_blas_is_held_at_one_thread_for_good_even_on_an_error(self, monkeypatch):
+        # a count the caller raises before a step is one again before its
+        # micro-batches run, and stays one after the step
         get, put = tensor_core._blas_threads()
-        before = get()
         params, spec, x, bases, target = self.batch()
-        try:
-            put(2)
-            sr_batch_step(params, spec, x, bases, target)
-            assert get() == 2
-            with pytest.raises(ValueError, match="shape mismatch"):
-                # one sample short: only the last micro-batch fails
-                sr_batch_step(params, spec, x, bases, target[:-1])
-            assert get() == 2
-        finally:
-            put(before)
+        seen = []
+
+        def recording(*args):
+            seen.append(get())
+            return loss_mse(*args)
+
+        monkeypatch.setattr(training, "loss_mse", recording)
+        put(2)
+        sr_batch_step(params, spec, x, bases, target)
+        assert get() == 1
+        put(2)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            # one sample short: only the last micro-batch fails
+            sr_batch_step(params, spec, x, bases, target[:-1])
+        assert get() == 1
+        assert seen == [1] * 8  # four micro-batches a step, each with one BLAS thread
 
     def test_callers_errstate_holds_in_every_micro_batch(self, monkeypatch):
         seen = []
