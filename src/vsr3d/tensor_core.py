@@ -73,8 +73,15 @@ further core, their GEMMs on one BLAS thread (from the first such call on, the
 process's OpenBLAS runs one thread, with no worker pool), so no core or thread
 count changes a bit. Each part gathers into a band buffer the caller allocates
 (a helper's malloc arena would keep it). Other calls run in the calling thread.
+
+The first top-level run_parts call also fixes glibc's malloc thresholds for
+the process (mmap 32 MiB, trim 64 MiB, through mallopt), so the heap top
+that a layer or micro-batch frees stays mapped for the next one instead of
+being handed back and faulted again; where no mallopt is found, malloc keeps
+its own rule.
 """
 
+import collections
 import contextvars
 import enum
 import functools
@@ -92,7 +99,13 @@ DEFAULT_DTYPE = np.float32
 # the fewest output positions a band's GEMMs cover (the floor wins).
 _WINDOW_BUDGET_BYTES = 2 * 1024 * 1024
 _MIN_BAND_POSITIONS = 512
-_PARTS_LOCK = threading.Lock()  # one run_parts at a time starts helpers and sets BLAS's count
+# glibc's malloc thresholds, fixed once per process (mallopt's parameter
+# numbers, then values): mmap at glibc's 64-bit ceiling, trim at twice that,
+# the ratio of glibc's own dynamic rule, which setting either one switches off
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024
+_TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
+_PARTS_LOCK = threading.Lock()  # one top-level run_parts at a time: sets malloc, BLAS, helpers
 _IN_PART = contextvars.ContextVar("vsr3d_in_part", default=False)
 
 
@@ -165,6 +178,21 @@ def _blas_threads():
     return None
 
 
+@functools.cache
+def _malloc_thresholds():
+    """Fix glibc's mmap and trim thresholds for the process, through mallopt
+    via ctypes; nothing where mallopt is not found. Left dynamic, both stay
+    small: the heap top goes back to the kernel after each micro-batch and
+    layer, and the next one faults the same pages again."""
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def _workers() -> int:
     """Usable cores (a part call's threads, a split's parts), capped by a positive
     integer OPENBLAS_NUM_THREADS, or else OMP_NUM_THREADS."""
@@ -189,35 +217,41 @@ def run_parts(fn, items) -> list:
     """[fn(item) for item in items], each call a part run in a copy of the
     caller's contextvars context (so its np.errstate holds). The calling
     thread runs each next part not yet taken until none is left. Outside a
-    part, with OpenBLAS thread control found, up to _workers() - 1 helpers
-    started for the call take parts too, one caller at a time, joined even on
-    an error; OpenBLAS is set to one thread first, and left there for good."""
+    part, one caller at a time: the first such call fixes glibc's malloc
+    thresholds for the process, and with OpenBLAS thread control found, up
+    to _workers() - 1 helpers started for the call take parts too, joined
+    even on an error or interrupt, after each finishes only the part it is
+    in; OpenBLAS is set to one thread first, and left there for good."""
     ctx = contextvars.copy_context()
     ctx.run(_IN_PART.set, True)
     parts = [functools.partial(ctx.copy().run, fn, item) for item in items]
     # a slot for every outcome before any helper starts: storing one allocates nothing
     lost = MemoryError("a part's helper thread ended before storing its outcome")
     results, errors = [None] * len(parts), [lost] * len(parts)
-    loop = (parts, iter(range(len(parts))), results, errors)
-    blas = None if _IN_PART.get() else _blas_threads()
-    if blas is None:  # a nested call, or no BLAS control: no helper
+    claims = iter(range(len(parts)))
+    loop = (parts, claims, results, errors)
+    if _IN_PART.get():  # a nested call: no helper
         _drain(*loop)
     else:
-        get, put = blas
         with _PARTS_LOCK:
-            if get() > 1:  # only if raised: each set starts a pool that spins
-                put(1)
+            _malloc_thresholds()
+            blas = _blas_threads()
             helpers = []
             try:
-                for _ in range(min(_workers(), len(parts)) - 1):
-                    helper = threading.Thread(target=_drain, args=loop, name="vsr3d-step")
-                    try:
-                        helper.start()
-                    except RuntimeError:  # no thread to be had: the others take its parts
-                        break
-                    helpers.append(helper)
+                if blas is not None:  # without BLAS control: no helper
+                    get, put = blas
+                    if get() > 1:  # only if raised: each set starts a pool that spins
+                        put(1)
+                    for _ in range(min(_workers(), len(parts)) - 1):
+                        helper = threading.Thread(target=_drain, args=loop, name="vsr3d-step")
+                        try:
+                            helper.start()
+                        except RuntimeError:  # no thread to be had: the others take its parts
+                            break
+                        helpers.append(helper)
                 _drain(*loop)
             finally:
+                collections.deque(claims, maxlen=0)  # after an interrupt: no helper takes another
                 for helper in helpers:
                     helper.join()
     for error in filter(None, errors):

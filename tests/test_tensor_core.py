@@ -1,13 +1,16 @@
 """Tensor-core kernels against brute-force oracles and finite differences."""
 
 import contextlib
+import contextvars
 import ctypes
 import os
+import platform
 import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -321,6 +324,25 @@ for _ in range(2):
 print(*threads)
 """
 
+# the minor page faults of a full x2 step on 8 40x40 patches after one warm-up step
+_FAULTS_OF_A_WARMED_STEP = """
+import resource
+import numpy as np
+from vsr3d.model import build_architecture
+from vsr3d.training import sr_batch_step, xavier_init
+spec = build_architecture("full", 2)
+params = xavier_init(spec, 1)
+rng = np.random.default_rng(1)
+x = rng.uniform(0.1, 0.9, (8, 1, 5, 40, 40)).astype(np.float32)
+bases, target = rng.uniform(0.0, 1.0, (2, 8, 1, 1, 80, 80)).astype(np.float32)
+sr_batch_step(params, spec, x, bases, target)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+sr_batch_step(params, spec, x, bases, target)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+glibc_mallopt = platform.libc_ver()[0] == "glibc" and hasattr(ctypes.CDLL(None), "mallopt")
+
 
 class TestParts:
     """run_parts, and conv_padded's split of its bands into parts."""
@@ -506,6 +528,67 @@ class TestParts:
         assert helper_ran.is_set() and died == ["vsr3d-step"]
         assert not any(t.name == "vsr3d-step" for t in threading.enumerate())
 
+    @needs_blas
+    def test_an_interrupted_call_runs_no_later_part(self, monkeypatch):
+        # the caller's part is interrupted while the helper is inside the
+        # other part; the helper ends that part only once the caller joins
+        # it, and must then take no later part
+        helper_in, release, ran = threading.Event(), threading.Event(), []
+        real_join = threading.Thread.join
+
+        def joining(thread, timeout=None):
+            release.set()
+            real_join(thread, timeout)
+
+        def part(i):
+            ran.append(i)
+            if threading.current_thread().name == "vsr3d-step":
+                helper_in.set()
+                release.wait(timeout=10)
+                return i
+            helper_in.wait(timeout=10)
+            raise KeyboardInterrupt
+        monkeypatch.setattr(threading.Thread, "join", joining)
+        with force_pool(monkeypatch, 2), pytest.raises(KeyboardInterrupt):
+            run_parts(part, range(6))
+        assert sorted(ran) == [0, 1]
+        assert not any(t.name == "vsr3d-step" for t in threading.enumerate())
+
+    @pytest.mark.parametrize("found", [True, False])
+    def test_malloc_thresholds_are_fixed_once_and_never_in_a_part(self, monkeypatch, found):
+        # a lookup that finds mallopt, or finds none: either way every call
+        # returns its results, and only the first top-level one looks it up
+        lookups, calls = [], []
+        lib = SimpleNamespace(mallopt=lambda *args: calls.append(args)) if found else object()
+        tensor_core._blas_threads()  # its own library lookup, made before the fake
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: lookups.append(name) or lib)
+        tensor_core._malloc_thresholds.cache_clear()
+        try:
+            nested = contextvars.copy_context()
+            nested.run(tensor_core._IN_PART.set, True)
+            assert nested.run(run_parts, abs, [-1, -2]) == [1, 2]
+            assert lookups == []
+            with force_pool(monkeypatch, 2):
+                assert run_parts(lambda i: run_parts(abs, [-i, i]), range(3)) == [[0, 0], [1, 1],
+                                                                                 [2, 2]]
+                assert run_parts(abs, [-3]) == [3]
+        finally:
+            tensor_core._malloc_thresholds.cache_clear()  # the next call fixes them for real
+        assert lookups == [None]
+        assert calls == ([(-3, 32 << 20), (-1, 64 << 20)] if found else [])
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
+    @pytest.mark.skipif(not glibc_mallopt, reason="no glibc mallopt")
+    def test_a_warmed_training_step_faults_no_pages_again(self):
+        # left dynamic, glibc's trim threshold hands the heap top back after
+        # each micro-batch and layer: about 32k faults a step (135 MB of pages)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OMP_NUM_THREADS="2", OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _FAULTS_OF_A_WARMED_STEP],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1000
 
     def test_one_band_call_submits_nothing(self, monkeypatch):
         monkeypatch.setattr(threading.Thread, "start", no_pool)
