@@ -6,13 +6,16 @@ group 0 come first). SR specs end in scale^2 output groups that pixel-shuffle
 into the residual added to the bicubic-upscaled middle frame; classifier
 ("sf") specs end in one logit group per class.
 
-forward_stack is the one layer loop: it holds one padded input buffer and
-one layer output at a time. Training asks it for caches, which keep each
-layer's preactivation only; backward_stack rebuilds each layer's input from
-them (layer_input), trading one ReLU per layer for a stored activation
-(Chen et al. 2016, "Training Deep Nets with Sublinear Memory Cost").
+forward_stack is the one layer loop: it holds two padded input buffers,
+used in turn, each hidden layer writing its ReLU into the other as the
+next layer's input, and makes no hidden preactivation unless asked for
+caches. Training asks for them, and they keep each layer's preactivation
+only; backward_stack rebuilds each layer's input from them (layer_input),
+trading one ReLU per layer for a stored activation (Chen et al. 2016,
+"Training Deep Nets with Sublinear Memory Cost").
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +23,8 @@ import numpy as np
 from .bicubic import bicubic_resize
 from .frames import INPUT_FRAMES, MIDDLE_FRAME, Frame
 from .tensor_core import (DEFAULT_DTYPE, ConvWeights, PadPolicy, TemporalPad,
-                          conv_backward, conv_padded, pad_into, padded_shape,
-                          pixel_shuffle, relu, relu_backward)
+                          conv_backward, conv_out_shape, conv_padded, pad_into, padded_shape,
+                          pixel_shuffle, relu, relu_backward, zero_border)
 
 ARCH_NAMES = ("cnn2d", "v1", "v2", "v3", "full")
 SCALES = (2, 3, 4)
@@ -46,7 +49,7 @@ class LayerSpec:
         if self.activation not in ("relu", "none"):
             raise ValueError(f"unknown activation {self.activation!r}")
 
-    @property
+    @functools.cached_property  # built once: the layer loop reads it per layer
     def pad(self) -> PadPolicy:
         return PadPolicy(spatial=self.spatial_pad, temporal=self.temporal_pad)
 
@@ -196,34 +199,46 @@ def forward_stack(params, spec: ModelSpec, x: np.ndarray, want_caches: bool = Fa
     of each layer run (x itself for `start`), for backward_stack, and are
     empty otherwise.
 
-    Each layer's input is kept in the padded layout that layer reads, and
-    each layer's ReLU writes its preactivation straight into the next
-    layer's padded buffer, which is the buffer the layer has just read
-    whenever the shapes match. A 32->32 layer then holds its padded input
-    and its preactivation, not also a padded copy and a ReLU output. The
-    caches hold conv outputs, never a buffer, so the reuse is safe.
+    Each layer reads its input in the padded layout it needs, from one of
+    two buffers used in turn. A hidden layer writes its ReLU into the
+    other, band by band, as the next layer's input: the depth flatten at
+    concat_after and DUPLICATE's edge slices included. So pad_into runs only
+    on the stack's input, or on `start`'s preactivation. A buffer's zero
+    border is written when it is made; the next layer but one reuses it when
+    its shape and border match. Without caches no hidden preactivation is
+    made: a 32->32 layer holds two padded activations and its parts' bands.
+    The caches hold conv outputs, never a buffer.
     """
     check_params(params, spec)
-    layers, buf = spec.layers, None
+    layers, first = spec.layers, 0 if start is None else start + 1
     caches = [x] if want_caches and start is not None else []
-    act, rectify = x, start is not None and layers[start].activation == "relu"
-    for i in range(0 if start is None else start + 1, len(layers)):
-        layer = layers[i]
-        kd = layer.kernel[0]
-        if i == spec.concat_after:
-            act = _flatten_depth(act)
-        shape = padded_shape(act.shape, kd, layer.pad)
-        if buf is None or buf.shape != shape:
-            buf = None  # let the old buffer go before the new one is made
-            buf = np.empty(shape, dtype=act.dtype)
-        pad_into(buf, act, kd, layer.pad, rectify)
-        del act  # held in buf now; free it before the layer's output is made
-        act = conv_padded(buf, params[i], layer.pad, layer.stride)
+    out = x  # resumed after the last layer, x is the output
+    if first < len(layers):
+        # resumed, it rectifies `start`'s preactivation: every layer but the last has a ReLU
+        act = _flatten_depth(x) if first == spec.concat_after else x
+        kd, pad = layers[first].kernel[0], layers[first].pad
+        buf = pad_into(np.empty(padded_shape(act.shape, kd, pad), x.dtype), act, kd, pad,
+                       rectify=start is not None)
+        spare = None  # layer i-1's input buffer
+        for i in range(first, len(layers) - 1):
+            layer, nxt = layers[i], layers[i + 1]
+            n, c, d, h, w = conv_out_shape(buf.shape, params[i].kernel.shape, layer.pad,
+                                           layer.stride)
+            shape = padded_shape((n, c * d, 1, h, w) if i + 1 == spec.concat_after else
+                                 (n, c, d, h, w), nxt.kernel[0], nxt.pad)
+            if spare is None or spare.shape != shape or layers[i - 1].spatial_pad != nxt.spatial_pad:
+                spare = None  # let the old buffer go before the new one is made
+                spare = zero_border(np.empty(shape, x.dtype), nxt.spatial_pad)
+            pre = conv_padded(buf, params[i], layer.pad, layer.stride, relu_into=spare,
+                              keep=want_caches)
+            if want_caches:
+                caches.append(pre)
+            buf, spare = spare, buf
+        out = conv_padded(buf, params[-1], layers[-1].pad, layers[-1].stride)
         if want_caches:
-            caches.append(act)
-        rectify = layer.activation == "relu"
+            caches.append(out)
     # the last layer has no activation
-    return (_flatten_depth(act) if spec.concat_after == len(layers) else act), caches
+    return (_flatten_depth(out) if spec.concat_after == len(layers) else out), caches
 
 
 def backward_stack(params, spec: ModelSpec, x: np.ndarray, caches, grad_out: np.ndarray,

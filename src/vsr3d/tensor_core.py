@@ -25,13 +25,22 @@ stored slice once. DUPLICATE's added slices hold data and stay stored.
 
 That stored layout is padded_shape's; pad_into writes an input into a
 buffer of it (spatial border zeroed, DUPLICATE's slices copied), and
-conv_padded runs a layer on such a buffer. The model's layer loop keeps
-every layer's input in this layout and has each layer's ReLU write through
-pad_into into the next layer's buffer; conv_forward makes its own padded
-copy for single calls, and conv_backward one only where it needs it.
+conv_padded runs a layer on such a buffer. conv_padded can also write its
+output's ReLU into the next layer's buffer of that layout (relu_into), from
+each band while the band is in cache, with no pad_into. The model's layer
+loop runs on two such buffers in turn, and pads only the stack's input;
+conv_forward makes its own padded copy for single calls, and conv_backward
+one only where it needs it.
 
-- The forward is one GEMM per output slice and band, written in place in
-  (O, H, W) order.
+- The forward makes one GEMM call per band and run of output slices that
+  share a tap range, written in place in (O, H, W) order. ZERO's edge
+  slices each take their own call, so a 5-slice ZERO layer makes three
+  calls per band; a run of interior slices is one batched np.matmul over a
+  strided stack of the gather's row blocks, each C*kH*kW rows after the
+  last, which runs the same GEMMs as one call per slice. Then the band gets
+  its bias in one add and, with relu_into, its ReLU. Without a kept output
+  the GEMMs write into a one-band scratch, so an inference layer makes no
+  preactivation array.
 - The backward is one loop over one gather too, in either of two modes.
   With the input gradient it gathers the zero-dilated output gradient: the
   input gradient is its forward with the kernel flipped on all three axes
@@ -71,8 +80,10 @@ span two or more bands runs its (sample, band) list as contiguous parts,
 taken by the calling thread and helpers that live for the call, one per
 further core, their GEMMs on one BLAS thread (from the first such call on, the
 process's OpenBLAS runs one thread, with no worker pool), so no core or thread
-count changes a bit. Each part gathers into a band buffer the caller allocates
-(a helper's malloc arena would keep it). Other calls run in the calling thread.
+count changes a bit. Each part gathers into a band buffer, and writes into a
+scratch band, that the caller allocates (a helper's malloc arena would keep
+them); the parts' bands cover disjoint rows of the output and of relu_into.
+Other calls run in the calling thread.
 
 The first top-level run_parts call also fixes glibc's malloc thresholds for
 the process (mmap 32 MiB, trim 64 MiB, through mallopt), so the heap top
@@ -91,7 +102,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 DEFAULT_DTYPE = np.float32
 
@@ -294,12 +305,25 @@ def pad_into(buf: np.ndarray, x: np.ndarray, kernel_depth: int, pad: PadPolicy,
         np.maximum(x, 0, out=inner)
     else:
         np.copyto(inner, x)
-    buf[..., :s, :] = buf[..., hp - s:, :] = 0
-    buf[..., :s] = buf[..., wp - s:] = 0
-    if d:  # DUPLICATE: each added depth slice copies the edge slice beside it
-        buf[:, :, :d] = buf[:, :, d:d + 1]
-        buf[:, :, -d:] = buf[:, :, -d - 1:-d]
+    zero_border(buf, s)
+    if d:
+        _copy_edge_slices(buf, d)
     return buf
+
+
+def zero_border(buf: np.ndarray, s: int) -> np.ndarray:
+    """Zero the s rows and columns on each spatial side of buf; returns buf."""
+    if s:
+        hp, wp = buf.shape[3:]
+        buf[..., :s, :] = buf[..., hp - s:, :] = 0
+        buf[..., :s] = buf[..., wp - s:] = 0
+    return buf
+
+
+def _copy_edge_slices(buf: np.ndarray, d: int):
+    """DUPLICATE's d > 0 added depth slices at each end copy the edge slice beside them."""
+    buf[:, :, :d] = buf[:, :, d:d + 1]
+    buf[:, :, -d:] = buf[:, :, -d - 1:-d]
 
 
 def _pad_stored(x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> tuple[np.ndarray, int]:
@@ -335,29 +359,35 @@ def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: tuple[int, int], ho:
     along one row of W. Every band is a view of buf, valid until the next."""
     sh, sw = stride
     cols = buf.reshape(-1, buf.shape[4] * wo)
+    # (N, D, C, kH, kW, ho, wo): every window of the input, one view for all bands
+    win = sliding_window_view(xp, (kh, kw), axis=(3, 4))[:, :, :, ::sh, ::sw]
+    win = win.transpose(0, 2, 1, 5, 6, 3, 4)
     for n, y0, y1 in bands:
-        band = xp[n, :, :, y0 * sh:(y1 - 1) * sh + kh]
-        win = sliding_window_view(band, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-        np.copyto(buf[..., :y1 - y0, :], win.transpose(1, 0, 4, 5, 2, 3))
+        np.copyto(buf[..., :y1 - y0, :], win[n, ..., y0:y1, :])
         yield n, y0, y1, cols[:, :(y1 - y0) * wo]
 
 
-def _slice_blocks(xp: np.ndarray, kernel_shape, stride: tuple[int, int], t: int, bands, buf):
-    """Yield (n, z, span, taps, block) per band of a padded input (as
-    _column_bands) and per output slice z of its valid correlation, t
-    implicit zero slices per depth end: block is the band's column rows of
-    z's taps [max(0, t-z), min(kD, stored+t-z)), those on stored slices, taps
-    their kernel columns, span the band's output positions. Blocks are views
-    of one buffer, valid until the next band."""
+@functools.cache
+def _tap_blocks(stored: int, kernel_shape, t: int) -> tuple:
+    """(z, taps, rows) per output slice z of a valid correlation over `stored`
+    depth slices and t implicit zero slices per end: its taps [max(0, t-z),
+    min(kD, stored+t-z)), those on stored slices, as kernel columns, and
+    their rows of a band's gather (as _column_bands yields it)."""
     _, in_g, kd, kh, kw = kernel_shape
-    do, ho, wo = _out_extents(xp.shape, kernel_shape, stride, t)
     per = in_g * kh * kw
-    bounds = [(z, max(0, t - z), min(kd, xp.shape[2] + t - z)) for z in range(do)]
-    blocks = [(z, slice(k0 * per, k1 * per), slice((z + k0 - t) * per, (z + k1 - t) * per))
-              for z, k0, k1 in bounds]
-    for n, y0, y1, cols in _column_bands(xp, kh, kw, stride, ho, wo, bands, buf):
-        for z, taps, rows in blocks:
-            yield n, z, slice(y0 * wo, y1 * wo), taps, cols[rows]
+    bounds = [(z, max(0, t - z), min(kd, stored + t - z)) for z in range(stored + 2 * t - kd + 1)]
+    return tuple((z, slice(k0 * per, k1 * per), slice((z + k0 - t) * per, (z + k1 - t) * per))
+                 for z, k0, k1 in bounds)
+
+
+@functools.cache
+def _tap_runs(stored: int, kernel_shape, t: int) -> tuple:
+    """(z0, z1, taps, rows) per run of output slices [z0, z1) that share one
+    tap range (as _tap_blocks): rows are z0's, and each next slice's start
+    C*kH*kW rows on."""
+    runs = [list(run) for _, run in itertools.groupby(_tap_blocks(stored, kernel_shape, t),
+                                                      key=lambda block: block[1])]
+    return tuple((run[0][0], run[0][0] + len(run)) + run[0][1:] for run in runs)
 
 
 def _kmat(kernel: np.ndarray) -> np.ndarray:
@@ -389,33 +419,68 @@ def conv_forward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     return conv_padded(xp, weights, pad, stride)
 
 
-def conv_padded(xp: np.ndarray, weights: ConvWeights, pad: PadPolicy,
-                stride: tuple[int, int] = (1, 1)) -> np.ndarray:
-    """conv_forward of an input already in padded_shape's layout for `pad`
-    (ZERO's depth slices implicit), unchecked: per band, one GEMM per output
-    slice over its stored taps, in place, then the bias; its bands split
-    into parts as the module says."""
-    kernel = weights.kernel
-    kd, kh, kw = kernel.shape[2:]
-    t = _stored_pads(kd, pad)[2]
-    kmat, bias = _kmat(kernel), weights.bias.astype(xp.dtype)[:, None]
-    out = np.empty((xp.shape[0], kernel.shape[0]) + _out_extents(xp.shape, kernel.shape, stride, t),
-                   dtype=xp.dtype)
-    planes = out.reshape(out.shape[:3] + (-1,))
-    ho, wo = out.shape[3:]
+def conv_out_shape(xp_shape, kernel_shape, pad: PadPolicy,
+                   stride: tuple[int, int] = (1, 1)) -> tuple[int, ...]:
+    """Shape of conv_padded's output for an input of padded shape xp_shape."""
+    t = _stored_pads(kernel_shape[2], pad)[2]
+    return (xp_shape[0], kernel_shape[0]) + _out_extents(xp_shape, kernel_shape, stride, t)
 
-    def run(bands, buf):
-        for n, z, span, taps, block in _slice_blocks(xp, kernel.shape, stride, t, bands, buf):
-            np.matmul(kmat[:, taps], block, out=planes[n, :, z, span])
-            planes[n, :, z, span] += bias
+
+def conv_padded(xp: np.ndarray, weights: ConvWeights, pad: PadPolicy,
+                stride: tuple[int, int] = (1, 1), relu_into: np.ndarray | None = None,
+                keep: bool = True) -> np.ndarray | None:
+    """conv_forward of an input already in padded_shape's layout for `pad`
+    (ZERO's depth slices implicit), unchecked: per band, one GEMM call per
+    run of output slices sharing a tap range, in place, then one bias add;
+    its bands split into parts as the module says.
+
+    relu_into, a C-contiguous buffer in padded_shape's layout for the
+    output (or for its depth flatten) with a zero spatial border, gets each
+    band's max(0, out) in its interior rows, DUPLICATE's edge slices too,
+    while the band is in cache. Without `keep` the output is not made (None
+    is returned): each part's GEMMs write into a one-band scratch."""
+    kernel = weights.kernel
+    n_b, o, do, ho, wo = conv_out_shape(xp.shape, kernel.shape, pad, stride)
+    in_g, kd, kh, kw = kernel.shape[1:]
+    t, per = _stored_pads(kd, pad)[2], in_g * kh * kw
+    kmat, bias = _kmat(kernel), weights.bias.astype(xp.dtype)[:, None, None]
+    out = np.empty((n_b, o, do, ho, wo), dtype=xp.dtype) if keep else None
+    planes = out.reshape(n_b, o, do, -1) if keep else None
+    if relu_into is not None:  # its border widths follow from the shapes
+        s = (relu_into.shape[3] - ho) // 2
+        nxt = relu_into.reshape((n_b, o, -1) + relu_into.shape[3:])
+        d = (nxt.shape[2] - do) // 2
+        inner = nxt[:, :, d:d + do, s:s + ho, s:s + wo]
+
+    def run(bands, buf, scratch):
+        # per run, its kernel columns and its row blocks: one view for one
+        # slice, else a stack of views each C*kH*kW rows after the last
+        cols = buf.reshape(-1, buf.shape[4] * wo)
+        runs = [(z0, z1, kmat[:, taps], cols[rows] if z1 - z0 == 1 else
+                 as_strided(cols[rows], (z1 - z0, rows.stop - rows.start, cols.shape[1]),
+                            (per * cols.strides[0],) + cols.strides, writeable=False))
+                for z0, z1, taps, rows in _tap_runs(xp.shape[2], kernel.shape, t)]
+        for n, y0, y1, _ in _column_bands(xp, kh, kw, stride, ho, wo, bands, buf):
+            p = (y1 - y0) * wo
+            pre = planes[n, :, :, y0 * wo:y1 * wo] if keep else scratch[..., :p]
+            for z0, z1, kcols, blocks in runs:
+                into = pre[:, z0] if blocks.ndim == 2 else pre[:, z0:z1].swapaxes(0, 1)
+                np.matmul(kcols, blocks[..., :p], out=into)
+            pre += bias
+            if relu_into is not None:
+                np.maximum(pre.reshape(o, do, y1 - y0, wo), 0, out=inner[n, :, :, y0:y1])
+                if d:
+                    _copy_edge_slices(nxt[n:n + 1, :, :, s + y0:s + y1], d)
 
     bands, buf = _bands(xp, kh, kw, ho, wo)
+    scratch = None if keep else np.empty((o, do, buf.shape[4] * wo), dtype=xp.dtype)
     if len(bands) == len(xp) or _IN_PART.get():
-        run(bands, buf)
+        run(bands, buf, scratch)
     else:
         parts = np.array_split(bands, min(_workers(), len(bands)))
-        bufs = [buf] + [np.empty_like(buf) for _ in parts[1:]]
-        run_parts(lambda i: run(parts[i], bufs[i]), range(len(parts)))
+        work = [(buf, scratch)] + [(np.empty_like(buf), None if keep else np.empty_like(scratch))
+                                   for _ in parts[1:]]
+        run_parts(lambda i: run(parts[i], *work[i]), range(len(parts)))
     return out
 
 
@@ -470,11 +535,16 @@ def conv_backward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     # faster than (rows, P) @ (P, taps), and updates a contiguous row range
     grad_kmat_t = np.zeros((kd * cols * kh * kw, rows), dtype=kernel.dtype)
     # the gather's output positions are paired's: the input's, or grad_out's
-    plan = _bands(src, kh, kw, *paired.shape[3:])
-    for n, z, span, taps, block in _slice_blocks(src, gathered.shape, src_stride, src_t, *plan):
-        if input_grad:
-            np.matmul(kmat[:, taps], block, out=grad_planes[n, :, z, span])
-        grad_kmat_t[taps] += block @ planes[n, :, z, span].T
+    extents = paired.shape[3:]
+    blocks = _tap_blocks(src.shape[2], gathered.shape, src_t)
+    for n, y0, y1, band in _column_bands(src, kh, kw, src_stride, *extents,
+                                         *_bands(src, kh, kw, *extents)):
+        span = slice(y0 * extents[1], y1 * extents[1])
+        for z, taps, at in blocks:
+            block = band[at]
+            if input_grad:
+                np.matmul(kmat[:, taps], block, out=grad_planes[n, :, z, span])
+            grad_kmat_t[taps] += block @ planes[n, :, z, span].T
     # the gradient of `gathered` in its own layout, unflipped if it is flipped
     grad_kernel = grad_kmat_t.T.reshape(rows, kd, cols, kh, kw).transpose(0, 2, 1, 3, 4)
     if input_grad:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from vsr3d import tensor_core
+from vsr3d import model, tensor_core
 from vsr3d.bicubic import bicubic_resize
 from vsr3d.frames import Frame
 from vsr3d.model import (ARCH_NAMES, LayerSpec, ModelSpec, backward_stack,
                          build_architecture, count_parameters, dump_feature_maps,
                          forward, forward_stack, stack_windows, zero_params)
-from vsr3d.reference import REFERENCE_WEIGHT_COUNTS, forward_stack_loop
+from vsr3d.reference import MID_STACK_SPEC, REFERENCE_WEIGHT_COUNTS, forward_stack_loop
 from vsr3d.scene import build_sf_net
 from vsr3d.tensor_core import ConvWeights, TemporalPad, conv_forward
 
@@ -273,6 +273,58 @@ class TestInPlaceStack:
         # one 32-group activation in the padded layout of the 3D layers
         activation = 32 * 5 * 146 * 178 * 4
         assert peak < 2.5 * activation
+
+
+class TestSplitStack:
+    """Each layer writes its bias, ReLU and padding into the next layer's
+    buffer band by band, from whichever part runs the band."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name,spec,shape", [
+        # 2 bands for L1, 24 for each later layer
+        ("full", build_architecture("full", 2), (1, 1, 5, 96, 128)),
+        # a DUPLICATE layer after a ReLU layer, then a mid-stack concat:
+        # 2, 6 and 3 bands
+        ("mid-stack", MID_STACK_SPEC, (1, 1, 5, 120, 120))])
+    def test_split_stack_matches_conv_forward_chain(self, monkeypatch, name, spec, shape, workers):
+        params = random_params(spec, seed=11)
+        x = np.random.default_rng(12).random(shape).astype(np.float32)
+        want, pres = _conv_chain(params, spec, x)
+        monkeypatch.setattr(tensor_core, "_workers", lambda: workers)
+        plain, no_caches = forward_stack(params, spec, x)
+        got, caches = forward_stack(params, spec, x, want_caches=True)
+        assert no_caches == [] and np.array_equal(plain, want) and np.array_equal(got, want)
+        assert len(caches) == len(pres)
+        assert all(np.array_equal(pre, ref) for pre, ref in zip(caches, pres))
+
+    def test_untraced_forward_pads_once_in_two_buffers(self, monkeypatch):
+        import tracemalloc
+
+        calls = []
+        def pad_into(*args, **kwargs):
+            calls.append(args[1].shape)
+            return tensor_core.pad_into(*args, **kwargs)
+        monkeypatch.setattr(model, "pad_into", pad_into)
+        monkeypatch.setattr(tensor_core, "_workers", lambda: 2)
+        spec = build_architecture("full", 2)
+        params = random_params(spec, seed=1)
+        h, w = 144, 176
+        x = np.random.default_rng(2).random((1, 1, 5, h, w)).astype(np.float32)
+        forward_stack(params, spec, x)
+        assert calls == [x.shape]
+        tracemalloc.start()
+        try:
+            forward_stack(params, spec, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two padded 32-group inputs, the output, and per part one band of
+        # the 32-group layers' gather and one of their output
+        padded = np.empty((1, 32, 5, h + 2, w + 2), dtype=np.float32)
+        bands, gather = tensor_core._bands(padded, 3, 3, h, w)
+        band = gather.nbytes + 32 * 5 * gather.shape[4] * w * 4
+        assert len(bands) > 2
+        assert peak <= 2 * padded.nbytes + 4 * h * w * 4 + 2 * band
 
 
 class TestForward:
