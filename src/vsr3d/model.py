@@ -191,10 +191,12 @@ def layer_input(spec: ModelSpec, x: np.ndarray, caches, i: int) -> np.ndarray:
 
 def forward_stack(params, spec: ModelSpec, x: np.ndarray, want_caches: bool = False,
                   start: int | None = None):
-    """Apply the layer stack to (N, C, D, H, W) input.
+    """Apply the layer stack to an (N, 1, INPUT_FRAMES, H, W) input.
 
-    With `start`, x is instead layer `start`'s preactivation and the stack
-    runs on from there, which lets gradient checks probe one layer at a time.
+    With `start`, x is instead layer `start`'s preactivation, (N, its out
+    groups, its depth, H, W), and the stack runs on from there, which lets
+    gradient checks probe one layer at a time. Any other shape of x is a
+    ValueError.
     Returns (out, caches); with `want_caches`, caches hold the preactivation
     of each layer run (x itself for `start`), for backward_stack, and are
     empty otherwise.
@@ -203,22 +205,27 @@ def forward_stack(params, spec: ModelSpec, x: np.ndarray, want_caches: bool = Fa
     two buffers used in turn. A hidden layer writes its ReLU into the
     other, band by band, as the next layer's input: the depth flatten at
     concat_after and DUPLICATE's edge slices included. So pad_into runs only
-    on the stack's input, or on `start`'s preactivation. A buffer's zero
-    border is written when it is made; the next layer but one reuses it when
-    its shape and border match. Without caches no hidden preactivation is
-    made: a 32->32 layer holds two padded activations and its parts' bands.
-    The caches hold conv outputs, never a buffer.
+    on the stack's input, or on `start`'s rectified preactivation. A
+    buffer's zero border is written when it is made; the next layer but one
+    reuses it when its shape and border match. Without caches no hidden
+    preactivation is made: a 32->32 layer holds two padded activations and
+    its parts' bands. The caches hold conv outputs, never a buffer.
     """
     check_params(params, spec)
     layers, first = spec.layers, 0 if start is None else start + 1
+    reads = ((1, INPUT_FRAMES) if start is None else
+             (layers[start].out_groups, spec.depth_trace()[start]))
+    if x.ndim != 5 or x.shape[1:3] != reads:
+        raise ValueError(f"input shape {x.shape} does not match the (N, {reads[0]}, {reads[1]}, "
+                         f"H, W) the spec reads")
     caches = [x] if want_caches and start is not None else []
     out = x  # resumed after the last layer, x is the output
     if first < len(layers):
-        # resumed, it rectifies `start`'s preactivation: every layer but the last has a ReLU
-        act = _flatten_depth(x) if first == spec.concat_after else x
+        # resumed, x is `start`'s preactivation: every layer but the last has a ReLU
+        act = x if start is None else relu(x)
+        act = _flatten_depth(act) if first == spec.concat_after else act
         kd, pad = layers[first].kernel[0], layers[first].pad
-        buf = pad_into(np.empty(padded_shape(act.shape, kd, pad), x.dtype), act, kd, pad,
-                       rectify=start is not None)
+        buf = pad_into(np.empty(padded_shape(act.shape, kd, pad), x.dtype), act, kd, pad)
         spare = None  # layer i-1's input buffer
         for i in range(first, len(layers) - 1):
             layer, nxt = layers[i], layers[i + 1]

@@ -27,20 +27,17 @@ That stored layout is padded_shape's; pad_into writes an input into a
 buffer of it (spatial border zeroed, DUPLICATE's slices copied), and
 conv_padded runs a layer on such a buffer. conv_padded can also write its
 output's ReLU into the next layer's buffer of that layout (relu_into), from
-each band while the band is in cache, with no pad_into. The model's layer
+each band while the band is in cache, with no pad_into; DUPLICATE's edge
+slices of that buffer are copied once, after the bands. The model's layer
 loop runs on two such buffers in turn, and pads only the stack's input;
 conv_forward makes its own padded copy for single calls, and conv_backward
 one only where it needs it.
 
-- The forward makes one GEMM call per band and run of output slices that
-  share a tap range, written in place in (O, H, W) order. ZERO's edge
-  slices each take their own call, so a 5-slice ZERO layer makes three
-  calls per band; a run of interior slices is one batched np.matmul over a
-  strided stack of the gather's row blocks, each C*kH*kW rows after the
-  last, which runs the same GEMMs as one call per slice. Then the band gets
-  its bias in one add and, with relu_into, its ReLU. Without a kept output
-  the GEMMs write into a one-band scratch, so an inference layer makes no
-  preactivation array.
+- The forward makes one GEMM per band and output slice, its stored taps'
+  kernel columns against their row block of the gather, written in place
+  in (O, H, W) order. Then the band gets its bias in one add and, with
+  relu_into, its ReLU. Without a kept output the GEMMs write into a
+  one-band scratch, so an inference layer makes no preactivation array.
 - The backward is one loop over one gather too, in either of two modes.
   With the input gradient it gathers the zero-dilated output gradient: the
   input gradient is its forward with the kernel flipped on all three axes
@@ -102,7 +99,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_DTYPE = np.float32
 
@@ -292,19 +289,14 @@ def padded_shape(shape, kernel_depth: int, pad: PadPolicy) -> tuple[int, ...]:
     return n, c, depth + 2 * d, h + 2 * s, w + 2 * s
 
 
-def pad_into(buf: np.ndarray, x: np.ndarray, kernel_depth: int, pad: PadPolicy,
-             rectify: bool = False) -> np.ndarray:
-    """Write x, or max(0, x) with `rectify`, into buf (shaped by padded_shape)
-    in the layout conv_padded reads: x inside, zeros on the spatial border,
-    and DUPLICATE's copies of the edge slices. Every element is written, so
-    buf may be fresh or may hold an earlier layer's input. Returns buf."""
+def pad_into(buf: np.ndarray, x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> np.ndarray:
+    """Write x into buf (shaped by padded_shape) in the layout conv_padded
+    reads: x inside, zeros on the spatial border, and DUPLICATE's copies of
+    the edge slices. Every element is written, so buf may be fresh or may
+    hold an earlier layer's input. Returns buf."""
     d, s, _ = _stored_pads(kernel_depth, pad)
     _, _, dp, hp, wp = buf.shape
-    inner = buf[:, :, d:dp - d, s:hp - s, s:wp - s]
-    if rectify:
-        np.maximum(x, 0, out=inner)
-    else:
-        np.copyto(inner, x)
+    np.copyto(buf[:, :, d:dp - d, s:hp - s, s:wp - s], x)
     zero_border(buf, s)
     if d:
         _copy_edge_slices(buf, d)
@@ -326,18 +318,10 @@ def _copy_edge_slices(buf: np.ndarray, d: int):
     buf[:, :, -d:] = buf[:, :, -d - 1:-d]
 
 
-def _pad_stored(x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> tuple[np.ndarray, int]:
-    """(padded input, t): the copy the gather reads, and the t zero depth
-    slices per end that ZERO leaves implicit as tap bounds."""
+def _pad_stored(x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> np.ndarray:
+    """The padded copy of x that the gather reads."""
     xp = np.empty(padded_shape(x.shape, kernel_depth, pad), dtype=x.dtype)
-    return pad_into(xp, x, kernel_depth, pad), _stored_pads(kernel_depth, pad)[2]
-
-
-def _out_extents(xp_shape, kernel_shape, stride, t: int) -> tuple[int, int, int]:
-    """(D, H, W) of a valid correlation over already padded extents, with t
-    implicit zero slices at each depth end."""
-    (dp, hp, wp), (kd, kh, kw), (sh, sw) = xp_shape[2:], kernel_shape[2:], stride
-    return dp + 2 * t - kd + 1, (hp - kh) // sh + 1, (wp - kw) // sw + 1
+    return pad_into(xp, x, kernel_depth, pad)
 
 
 def _bands(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int):
@@ -380,16 +364,6 @@ def _tap_blocks(stored: int, kernel_shape, t: int) -> tuple:
                  for z, k0, k1 in bounds)
 
 
-@functools.cache
-def _tap_runs(stored: int, kernel_shape, t: int) -> tuple:
-    """(z0, z1, taps, rows) per run of output slices [z0, z1) that share one
-    tap range (as _tap_blocks): rows are z0's, and each next slice's start
-    C*kH*kW rows on."""
-    runs = [list(run) for _, run in itertools.groupby(_tap_blocks(stored, kernel_shape, t),
-                                                      key=lambda block: block[1])]
-    return tuple((run[0][0], run[0][0] + len(run)) + run[0][1:] for run in runs)
-
-
 def _kmat(kernel: np.ndarray) -> np.ndarray:
     """(O, kD*C*kH*kW): a kernel's columns in the row order of kD consecutive
     stored slices of the gather."""
@@ -405,45 +379,50 @@ def conv_forward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     padded extents.
     """
     kernel = weights.kernel
-    in_g = kernel.shape[1]
+    in_g, kd = kernel.shape[1:3]
     if x.ndim != 5:
         raise ValueError(f"input must be rank 5, got shape {x.shape}")
     if x.shape[1] != in_g:
         raise ValueError(f"input has {x.shape[1]} groups, kernel expects {in_g}")
     if min(stride) < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    xp, t = _pad_stored(x, kernel.shape[2], pad)
-    padded = (xp.shape[2] + 2 * t,) + xp.shape[3:]
-    if any(p < k for p, k in zip(padded, kernel.shape[2:])):
+    stored = padded_shape(x.shape, kd, pad)
+    if min(conv_out_shape(stored, kernel.shape, pad, stride)[2:]) < 1:
+        padded = (stored[2] + 2 * _stored_pads(kd, pad)[2],) + stored[3:]
         raise ValueError(f"kernel {kernel.shape[2:]} larger than padded input {padded}")
-    return conv_padded(xp, weights, pad, stride)
+    return conv_padded(_pad_stored(x, kd, pad), weights, pad, stride)
 
 
 def conv_out_shape(xp_shape, kernel_shape, pad: PadPolicy,
                    stride: tuple[int, int] = (1, 1)) -> tuple[int, ...]:
-    """Shape of conv_padded's output for an input of padded shape xp_shape."""
+    """Shape of conv_padded's output for an input of padded shape xp_shape:
+    a valid correlation over its extents, ZERO's implicit depth slices
+    included."""
     t = _stored_pads(kernel_shape[2], pad)[2]
-    return (xp_shape[0], kernel_shape[0]) + _out_extents(xp_shape, kernel_shape, stride, t)
+    (dp, hp, wp), (kd, kh, kw), (sh, sw) = xp_shape[2:], kernel_shape[2:], stride
+    return (xp_shape[0], kernel_shape[0], dp + 2 * t - kd + 1, (hp - kh) // sh + 1,
+            (wp - kw) // sw + 1)
 
 
 def conv_padded(xp: np.ndarray, weights: ConvWeights, pad: PadPolicy,
                 stride: tuple[int, int] = (1, 1), relu_into: np.ndarray | None = None,
                 keep: bool = True) -> np.ndarray | None:
     """conv_forward of an input already in padded_shape's layout for `pad`
-    (ZERO's depth slices implicit), unchecked: per band, one GEMM call per
-    run of output slices sharing a tap range, in place, then one bias add;
-    its bands split into parts as the module says.
+    (ZERO's depth slices implicit), unchecked: per band, one GEMM per output
+    slice over its stored taps, in place, then one bias add; its bands
+    split into parts as the module says.
 
     relu_into, a C-contiguous buffer in padded_shape's layout for the
     output (or for its depth flatten) with a zero spatial border, gets each
-    band's max(0, out) in its interior rows, DUPLICATE's edge slices too,
-    while the band is in cache. Without `keep` the output is not made (None
-    is returned): each part's GEMMs write into a one-band scratch."""
+    band's max(0, out) in its interior rows while the band is in cache;
+    DUPLICATE's edge slices are copied once all bands are done. Without
+    `keep` the output is not made (None is returned): each part's GEMMs
+    write into a one-band scratch."""
     kernel = weights.kernel
     n_b, o, do, ho, wo = conv_out_shape(xp.shape, kernel.shape, pad, stride)
-    in_g, kd, kh, kw = kernel.shape[1:]
-    t, per = _stored_pads(kd, pad)[2], in_g * kh * kw
+    kh, kw = kernel.shape[3:]
     kmat, bias = _kmat(kernel), weights.bias.astype(xp.dtype)[:, None, None]
+    blocks = _tap_blocks(xp.shape[2], kernel.shape, _stored_pads(kernel.shape[2], pad)[2])
     out = np.empty((n_b, o, do, ho, wo), dtype=xp.dtype) if keep else None
     planes = out.reshape(n_b, o, do, -1) if keep else None
     if relu_into is not None:  # its border widths follow from the shapes
@@ -453,24 +432,13 @@ def conv_padded(xp: np.ndarray, weights: ConvWeights, pad: PadPolicy,
         inner = nxt[:, :, d:d + do, s:s + ho, s:s + wo]
 
     def run(bands, buf, scratch):
-        # per run, its kernel columns and its row blocks: one view for one
-        # slice, else a stack of views each C*kH*kW rows after the last
-        cols = buf.reshape(-1, buf.shape[4] * wo)
-        runs = [(z0, z1, kmat[:, taps], cols[rows] if z1 - z0 == 1 else
-                 as_strided(cols[rows], (z1 - z0, rows.stop - rows.start, cols.shape[1]),
-                            (per * cols.strides[0],) + cols.strides, writeable=False))
-                for z0, z1, taps, rows in _tap_runs(xp.shape[2], kernel.shape, t)]
-        for n, y0, y1, _ in _column_bands(xp, kh, kw, stride, ho, wo, bands, buf):
-            p = (y1 - y0) * wo
-            pre = planes[n, :, :, y0 * wo:y1 * wo] if keep else scratch[..., :p]
-            for z0, z1, kcols, blocks in runs:
-                into = pre[:, z0] if blocks.ndim == 2 else pre[:, z0:z1].swapaxes(0, 1)
-                np.matmul(kcols, blocks[..., :p], out=into)
+        for n, y0, y1, band in _column_bands(xp, kh, kw, stride, ho, wo, bands, buf):
+            pre = planes[n, :, :, y0 * wo:y1 * wo] if keep else scratch[..., :band.shape[1]]
+            for z, taps, rows in blocks:
+                np.matmul(kmat[:, taps], band[rows], out=pre[:, z])
             pre += bias
             if relu_into is not None:
                 np.maximum(pre.reshape(o, do, y1 - y0, wo), 0, out=inner[n, :, :, y0:y1])
-                if d:
-                    _copy_edge_slices(nxt[n:n + 1, :, :, s + y0:s + y1], d)
 
     bands, buf = _bands(xp, kh, kw, ho, wo)
     scratch = None if keep else np.empty((o, do, buf.shape[4] * wo), dtype=xp.dtype)
@@ -481,6 +449,8 @@ def conv_padded(xp: np.ndarray, weights: ConvWeights, pad: PadPolicy,
         work = [(buf, scratch)] + [(np.empty_like(buf), None if keep else np.empty_like(scratch))
                                    for _ in parts[1:]]
         run_parts(lambda i: run(parts[i], *work[i]), range(len(parts)))
+    if relu_into is not None and d:
+        _copy_edge_slices(nxt, d)
     return out
 
 
@@ -503,13 +473,11 @@ def conv_backward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     in float32 they agree to rounding, not bit for bit.
     """
     kernel = weights.kernel
-    out_g, in_g, kd, kh, kw = kernel.shape
+    kd, kh, kw = kernel.shape[2:]
     d, s, t = _stored_pads(kd, pad)
-    do, ho, wo = _out_extents(padded_shape(x.shape, kd, pad), kernel.shape, stride, t)
-    n_b = x.shape[0]
-    if grad_out.shape != (n_b, out_g, do, ho, wo):
-        raise ValueError(
-            f"grad_out shape {grad_out.shape} does not match output {(n_b, out_g, do, ho, wo)}")
+    out_shape = conv_out_shape(padded_shape(x.shape, kd, pad), kernel.shape, pad, stride)
+    if grad_out.shape != out_shape:
+        raise ValueError(f"grad_out shape {grad_out.shape} does not match output {out_shape}")
     grad_bias = grad_out.sum(axis=(0, 2, 3, 4), dtype=grad_out.dtype)
 
     if input_grad:
@@ -521,13 +489,13 @@ def conv_backward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
         src = _dilate_into(grad_out, (h + kh - 1, w + kw - 1), (kh - 1 - s, kw - 1 - s), stride)
         gathered = kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
         src_stride, src_t = (1, 1), kd - 1 - t
-        paired = x if not d else _pad_stored(x, kd, PadPolicy(0, pad.temporal))[0]
+        paired = x if not d else _pad_stored(x, kd, PadPolicy(0, pad.temporal))
         grad_x = np.empty(paired.shape, dtype=grad_out.dtype)
         grad_planes = grad_x.reshape(paired.shape[:3] + (-1,))
     else:
         # gather the padded input, paired with the output gradient: at layer 0
         # it has far fewer rows than the output gradient
-        src, gathered = _pad_stored(x, kd, pad)[0], kernel
+        src, gathered = _pad_stored(x, kd, pad), kernel
         src_stride, src_t, paired, grad_x = stride, t, grad_out, None
     rows, cols = gathered.shape[:2]
     kmat, planes = _kmat(gathered), paired.reshape(paired.shape[:3] + (-1,))

@@ -747,6 +747,17 @@ def _wider_window(real):
 
 
 class TestVerify:
+    def test_only_verify_loads_the_loop_oracles(self):
+        # every other command would compile the oracle module for nothing
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, vsr3d.cli; print('vsr3d.reference' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_all_checks_pass(self, capsys):
         for argv, dtype in ((["verify"], "[float32]"), (["verify", "--f64"], "[float64]")):
             assert main(argv) == 0

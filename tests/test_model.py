@@ -128,6 +128,21 @@ class TestForwardStack:
             assert np.array_equal(out, whole)
             assert len(tail) == len(spec.layers) - i and tail[0] is pre
 
+    @pytest.mark.parametrize("shape", [(1, 2, 5, 8, 8), (1, 1, 4, 8, 8)])
+    def test_input_the_spec_cannot_read_is_refused(self, shape):
+        spec = build_architecture("v1", 2)
+        x = np.zeros(shape, dtype=np.float32)
+        with pytest.raises(ValueError) as refused:
+            forward_stack(random_params(spec), spec, x)
+        assert str(shape) in str(refused.value) and "(N, 1, 5, H, W)" in str(refused.value)
+
+    def test_resumed_input_must_be_the_layers_preactivation(self):
+        spec = build_architecture("v1", 2)
+        pre = np.zeros((1, 32, 4, 8, 8), dtype=np.float32)
+        with pytest.raises(ValueError) as refused:
+            forward_stack(random_params(spec), spec, pre, start=1)
+        assert str(pre.shape) in str(refused.value) and "(N, 32, 5, H, W)" in str(refused.value)
+
     def test_backward_shapes_roundtrip(self):
         spec = build_architecture("v1", 2)
         params = random_params(spec, seed=1)

@@ -652,6 +652,26 @@ class TestTapBounds:
         np.testing.assert_allclose(gw.kernel, want_k, rtol=0, atol=1e-12)
         np.testing.assert_allclose(gw.bias, want_b, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("temporal", [TemporalPad.ZERO, TemporalPad.DUPLICATE])
+    def test_fewer_stored_slices_than_taps_float32(self, temporal, d, stride):
+        # a 3-tap layer on 1 or 2 stored slices, strided too, in the
+        # production dtype: the forward and both backward modes
+        x, w = random_case(56 + d, n=2, cin=3, cout=4, d=d, h=7, w=6)
+        pad = PadPolicy(spatial=1, temporal=temporal)
+        out = conv_forward(x, w, pad, stride=stride)
+        np.testing.assert_allclose(out, reference.conv_forward_loop(x, w, pad, stride=stride),
+                                   rtol=0, atol=1e-5)
+        g = np.random.default_rng(57).standard_normal(out.shape).astype(np.float32)
+        want_x, want_k, want_b = reference.conv_backward_loop(x, w, pad, g, stride=stride)
+        for input_grad in (True, False):
+            gx, gw = conv_backward(x, w, pad, g, stride=stride, input_grad=input_grad)
+            if input_grad:
+                assert_close_to_largest(gx, want_x, 1e-5)
+            assert_close_to_largest(gw.kernel, want_k, 1e-5)
+            assert_close_to_largest(gw.bias, want_b, 1e-5)
+
     def test_none_shallower_than_kernel_raises(self):
         x, w = random_case(54, d=2)
         with pytest.raises(ValueError, match="larger than padded input"):

@@ -8,9 +8,10 @@ Makes small seeded clips with numpy and vsr3d.write_clip, seeded Xavier
 checkpoints with vsr3d.save_checkpoint, and then runs vsr3d.cli.main for
 `train` (`full` with the mean loss, `v1` with the sum), `sf-train`,
 `upscale` (`full` with the trained scene checkpoint, x3 through the
-scale-2 checkpoint, and bicubic), `scene`, and `evaluate` (a candidate
-clip, and `--method bicubic`). Every output file and every command's
-stdout and exit code land under OUT_DIR, named relative to it, so that
+scale-2 checkpoint, a small stack whose 8-group layers feed a DUPLICATE
+layer, and bicubic), `scene`, and `evaluate` (a candidate clip, and
+`--method bicubic`). Every output file and every command's stdout and
+exit code land under OUT_DIR, named relative to it, so that
 
     diff -r OLD_OUT NEW_OUT
 
@@ -80,6 +81,7 @@ RUNS = [
                          "--sf-checkpoint", "sf.ckpt"]),
     ("upscale_x3", ["upscale", "lr.y4m", "up_x3.y4m", "--checkpoint", "full.ckpt",
                     "--scale", "3"]),
+    ("upscale_dup", ["upscale", "lr.y4m", "up_dup.y4m", "--checkpoint", "dup.ckpt"]),
     ("upscale_bicubic", ["upscale", "lr.y4m", "up_bicubic.y4m", "--method", "bicubic"]),
     ("scene", ["scene", "lr.y4m", "--sf-checkpoint", "sf.ckpt", "--csv", "scene.csv"]),
     ("evaluate", ["evaluate", "hr.y4m", "up_full_sf.y4m", "--csv", "evaluate.csv"]),
@@ -100,6 +102,15 @@ def run(out_dir: str) -> int:
     vsr3d.write_clip(halved(hr), "lr.y4m")
     spec = vsr3d.build_architecture("full", 2)
     vsr3d.save_checkpoint(vsr3d.xavier_init(spec, 4), spec, {"arch": "full"}, "full.ckpt")
+    # at QCIF's half the 8-group layers split their bands over the parts, and
+    # the second one writes the edge slices of the DUPLICATE layer's input
+    zero, dup = vsr3d.TemporalPad.ZERO, vsr3d.TemporalPad.DUPLICATE
+    dup_spec = vsr3d.ModelSpec([vsr3d.LayerSpec("conv3d", 1, 8, (3, 3, 3), zero),
+                                vsr3d.LayerSpec("conv3d", 8, 8, (3, 3, 3), zero),
+                                vsr3d.LayerSpec("conv3d", 8, 4, (3, 3, 3), dup),
+                                vsr3d.LayerSpec("conv2d", 20, 4, (1, 3, 3), activation="none")],
+                               concat_after=3)
+    vsr3d.save_checkpoint(vsr3d.xavier_init(dup_spec, 6), dup_spec, {}, "dup.ckpt")
     failed = 0
     for name, argv in RUNS:
         stdout = io.StringIO()
