@@ -8,7 +8,7 @@ implemented on numpy alone, with brute-force oracles and gradient checks
 guarding the fast paths.
 """
 
-from .bicubic import bicubic_resize, degrade_clip, resize_plane, upscale_chroma
+from .bicubic import bicubic_resize, bicubic_upscale, degrade_clip, resize_plane, upscale_chroma
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_config
 from .frames import Frame, VideoClip
@@ -33,7 +33,7 @@ __all__ = [
     "ConvWeights", "DatasetRecipe", "Frame", "GradCheckReport", "LayerSpec",
     "ModelSpec", "PadPolicy", "RunConfig", "SFInput", "SceneLabel",
     "TemporalPad", "TrainResult", "TrainingDiverged", "VideoClip",
-    "WindowSample", "adam_step", "bicubic_resize", "build_architecture",
+    "WindowSample", "adam_step", "bicubic_resize", "bicubic_upscale", "build_architecture",
     "build_sf_net", "classify_window", "confusion_csv", "confusion_matrix",
     "conv_forward", "count_parameters", "degrade_clip", "detect_format",
     "dump_feature_maps", "extract_dataset", "format_metric", "forward",

@@ -1,10 +1,12 @@
 """Separable cubic resampling with the a = -0.5 kernel.
 
-Conventions match the resampler most SR evaluations assume: pixel-centre
+One kernel, with the conventions most SR evaluations assume: pixel-centre
 coordinate mapping u = (i + 0.5) * (nIn / nOut) - 0.5, kernel support widened
 by the inverse scale when shrinking (antialias), per-output-sample weights
 renormalised to sum to 1, out-of-range taps clamped to the edge sample, and
 the final plane clipped to [0, 1]. All arithmetic is float64 internally.
+bicubic_upscale is the base every SR output is a residual on; upscale_chroma
+sizes a frame's chroma to the 4:2:0 extent of the luma it joins.
 
 Each axis is one banded GEMM: per block of _BLOCK outputs, the taps are
 folded (clamped edge taps summed) into a small dense matrix over the span of
@@ -19,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frames import Frame, chroma_extent
+from .frames import Frame, VideoClip, chroma_extent
 from .tensor_core import run_parts
 
 _SUPPORT = 2.0  # half-width of the cubic kernel
@@ -40,8 +42,6 @@ def cubic(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BicubicKernel:
-    antialias: bool = True
-
     def weights(self, n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
         """Tap indices and normalized weights for one axis.
 
@@ -52,7 +52,7 @@ class BicubicKernel:
         if n_out < 1:
             raise ValueError("output extent must be >= 1")
         scale = n_out / n_in
-        if self.antialias and scale < 1.0:
+        if scale < 1.0:
             kscale = scale
             width = 2.0 * _SUPPORT / scale
         else:
@@ -98,10 +98,9 @@ def _tap_filter(plane: np.ndarray, n_out: int, kernel, axis: int) -> np.ndarray:
     return out
 
 
-def resize_plane(plane, out_h: int, out_w: int, kernel: BicubicKernel | None = None) -> np.ndarray:
+def resize_plane(plane, out_h: int, out_w: int) -> np.ndarray:
     """Resize one 2D plane; float64 result clipped to [0, 1]."""
-    if kernel is None:
-        kernel = BicubicKernel()
+    kernel = BicubicKernel()
     p = np.asarray(plane, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError(f"expected a 2D plane, got shape {p.shape}")
@@ -115,22 +114,18 @@ def bicubic_resize(frame: Frame, out_w: int, out_h: int) -> Frame:
     return Frame(resize_plane(frame.luma, out_h, out_w))
 
 
-def upscale_chroma(frame: Frame, scale: float, hr_luma=None) -> Frame:
-    """Bicubic-resize the chroma planes by `scale`, leaving luma unfiltered.
+def bicubic_upscale(frame: Frame, scale: int) -> Frame:
+    """The luma upscaled by an integer scale: the base an SR output is a residual on."""
+    return bicubic_resize(frame, frame.width * scale, frame.height * scale)
 
-    The luma slot of the result is `hr_luma` when given (the full-resolution
-    plane produced elsewhere); without it the original luma is kept, which is
-    only geometry-consistent for scale 1.
-    """
+
+def upscale_chroma(frame: Frame, hr_luma) -> Frame:
+    """`hr_luma` with the frame's chroma planes resized to its 4:2:0 extent."""
     if frame.chroma is None:
         raise ValueError("frame has no chroma planes")
-    luma = frame.luma if hr_luma is None else np.asarray(hr_luma)
-    out_h, out_w = luma.shape
-    ch, cw = chroma_extent(out_h, out_w)
-    if (ch, cw) != chroma_extent(round(frame.height * scale), round(frame.width * scale)):
-        raise ValueError("luma geometry does not match the requested chroma scale")
+    ch, cw = chroma_extent(*np.shape(hr_luma))
     u, v = frame.chroma
-    return Frame(luma, (resize_plane(u, ch, cw), resize_plane(v, ch, cw)))
+    return Frame(hr_luma, (resize_plane(u, ch, cw), resize_plane(v, ch, cw)))
 
 
 def degrade_clip(clip, scale: int):
@@ -139,8 +134,6 @@ def degrade_clip(clip, scale: int):
     Standard degradation for training data and for training-free baselines;
     chroma is dropped (the evaluation pipeline is luma-only).
     """
-    from .frames import VideoClip
-
     if min(clip.height, clip.width) < scale:
         raise ValueError(f"clip {clip.width}x{clip.height} is smaller than scale {scale}")
     h = clip.height - clip.height % scale

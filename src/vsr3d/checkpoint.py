@@ -55,11 +55,8 @@ def _parse_layer_line(text: str) -> LayerSpec:
     kv = dict(p.split("=", 1) for p in parts[1:])
     kd, kh, kw = (int(v) for v in kv["kernel"].split("x"))
     sh, sw = (int(v) for v in kv["stride"].split("x"))
-    sizes = (int(kv["in"]), int(kv["out"]), kd, kh, kw, sh, sw)
-    if min(sizes) < 1 or int(kv["spad"]) < 0:
-        raise ValueError(f"sizes and strides must be positive in {text!r}")
-    return LayerSpec(parts[0], *sizes[:2], (kd, kh, kw), TemporalPad(kv["tpad"]), kv["act"],
-                     (sh, sw), int(kv["spad"]))
+    return LayerSpec(parts[0], int(kv["in"]), int(kv["out"]), (kd, kh, kw),
+                     TemporalPad(kv["tpad"]), kv["act"], (sh, sw), int(kv["spad"]))
 
 
 def _require_finite(w: ConvWeights, i: int, path: str):

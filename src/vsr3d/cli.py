@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .bicubic import bicubic_resize, degrade_clip, upscale_chroma
+from .bicubic import bicubic_resize, bicubic_upscale, degrade_clip, upscale_chroma
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import COMMANDS, FIELD_DOCS, ConfigError, RunConfig, load_config
 from .frames import MIDDLE_FRAME, Frame, VideoClip
@@ -61,11 +61,6 @@ def _check_outputs(*paths: str):
     for path in filter(None, paths):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-
-
-def _bicubic(frame: Frame, scale: int) -> Frame:
-    """The clamped bicubic upscale of a frame's luma."""
-    return bicubic_resize(frame, frame.width * scale, frame.height * scale)
 
 
 def _stem(path: str) -> str:
@@ -124,7 +119,7 @@ def cmd_train(cfg: RunConfig) -> int:
                    lr=cfg.lr, weight_decay=cfg.weight_decay, loss_form=cfg.loss_form,
                    val_samples=val, meta={"arch": cfg.arch}, **loop)
     # what the zero model would give, scored as val_psnr scores the model
-    baseline = mean_psnr([psnr(_bicubic(Frame(s.lr_frames[MIDDLE_FRAME]), cfg.scale),
+    baseline = mean_psnr([psnr(bicubic_upscale(Frame(s.lr_frames[MIDDLE_FRAME]), cfg.scale),
                                Frame(s.hr_target), border=cfg.scale) for s in val])
     print(f"final validation PSNR {result.final_val:.2f} dB "
           f"(bicubic baseline {baseline:.2f} dB)")
@@ -157,7 +152,7 @@ def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
             raise ConfigError(f"--method bicubic runs no model; drop {', '.join(unused)}")
 
         def runner(window):
-            return _bicubic(window[MIDDLE_FRAME], rs)
+            return bicubic_upscale(window[MIDDLE_FRAME], rs)
     else:
         params, spec, _ = _load(cfg.checkpoint, "sr")
         runner = partial(forward, params, spec, scale=rs)
@@ -177,7 +172,7 @@ def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
                   f"to {cfg.dump_features}")
         src = clip[centre]
         if src.chroma is not None:
-            sr = upscale_chroma(src, rs, hr_luma=sr.luma)
+            sr = upscale_chroma(src, sr.luma)
         out_frames.append(sr)
     write_clip(VideoClip(out_frames, frame_rate=clip.frame_rate), out_path,
                fmt=cfg.format or None)
@@ -359,8 +354,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     # FIELD_DOCS holds the RunConfig keys; the other arguments are passed on below
-    overrides = {key: ",".join(value) if isinstance(value, list) else value
-                 for key, value in vars(args).items() if key in FIELD_DOCS}
+    overrides = {key: value for key, value in vars(args).items() if key in FIELD_DOCS}
     try:
         file_keys = set()
         cfg = load_config(args.config, overrides, file_keys)

@@ -3,12 +3,12 @@
 Each RunConfig field is the one declaration of a run option. Its type and
 default are the field's; its metadata holds the help text, the subcommands
 whose flag sets it, the flag where that is not `--field-name`, whether the
-flag takes several paths (joined with commas into the value), and its rule:
-the tuple of values it takes (read from the module that implements the
-option; the default stays allowed as "unset"), the least value of a
-bounded int, or "positive" or "non-negative" for a float, which must also
-be finite. The command line, FIELD_DOCS and validation are derived from
-these fields.
+flag takes several paths (kept as a list; a file's value is split at
+commas), and its rule: the tuple of values it takes (read from the module
+that implements the option; the default stays allowed as "unset"), the
+least value of a bounded int, or "positive" or "non-negative" for a float,
+which must also be finite. The command line, FIELD_DOCS and validation
+are derived from these fields.
 
 A config file holds any subset of RunConfig's fields, one `key = value` per
 line, with `#` comments and blank lines ignored. Unknown keys are rejected
@@ -65,10 +65,10 @@ class RunConfig:
                          ("train", "upscale", "evaluate", "param-count"), rule=SCALES)
     seed: int = _option(0, "single seed every random choice derives from", tuple(COMMANDS),
                         rule=0)
-    train_clips: str = _option("", "comma-separated training clip paths", TRAIN, "--data",
-                               paths=True)
-    val_clips: str = _option("", "comma-separated validation clip paths (empty: hold out "
-                             "training samples)", TRAIN, "--val", paths=True)
+    train_clips: str = _option("", "training clip paths (comma-separated in a config file)",
+                               TRAIN, "--data", paths=True)
+    val_clips: str = _option("", "validation clip paths, comma-separated in a config file "
+                             "(empty: hold out training samples)", TRAIN, "--val", paths=True)
     frame_stride: int = _option(5, "extract windows from every Nth frame", TRAIN, rule=1)
     subimages_per_frame: int = _option(10, "random crops per extracted frame", TRAIN, rule=1)
     lr_patch_size: int = _option(0, "LR crop edge in pixels (0: per-scale default "
@@ -98,10 +98,10 @@ class RunConfig:
     sf_layers: int = _option(3, f"scene classifier depth ({_choices(SF_LAYERS)})", SF_TRAIN,
                              "--layers", rule=SF_LAYERS)
     per_class: int = _option(200, "scene training samples per class", SF_TRAIN, rule=1)
-    scenes_a: str = _option("", "comma-separated clip paths forming scene pool A", SF_TRAIN,
-                            paths=True)
-    scenes_b: str = _option("", "comma-separated clip paths forming scene pool B", SF_TRAIN,
-                            paths=True)
+    scenes_a: str = _option("", "clip paths forming scene pool A (comma-separated in a config "
+                            "file)", SF_TRAIN, paths=True)
+    scenes_b: str = _option("", "clip paths forming scene pool B (comma-separated in a config "
+                            "file)", SF_TRAIN, paths=True)
     sf_epochs: int = _option(20, "passes over the scene training set", SF_TRAIN, "--epochs",
                              rule=1)
     sf_batch_size: int = _option(SF_BATCH, "scene windows per optimizer step", SF_TRAIN,
@@ -130,7 +130,10 @@ class RunConfig:
         return w, h
 
     def path_list(self, field_name: str) -> list:
+        """A path field's paths: a flag's list as given, a file's text split at commas."""
         raw = getattr(self, field_name)
+        if isinstance(raw, list):
+            return [p for p in raw if p]
         return [p.strip() for p in raw.split(",") if p.strip()]
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bicubic import bicubic_resize
+from .bicubic import bicubic_resize, bicubic_upscale
 from .frames import INPUT_FRAMES, MIDDLE_FRAME, Frame
 from .tensor_core import (DEFAULT_DTYPE, ConvWeights, PadPolicy, TemporalPad,
                           conv_backward, conv_out_shape, conv_padded, pad_into, padded_shape,
@@ -48,6 +48,9 @@ class LayerSpec:
             raise ValueError("conv2d layers need kernel depth 1 and no temporal padding")
         if self.activation not in ("relu", "none"):
             raise ValueError(f"unknown activation {self.activation!r}")
+        sizes = (self.in_groups, self.out_groups, *self.kernel, *self.stride)
+        if min(sizes) < 1 or self.spatial_pad < 0:
+            raise ValueError(f"sizes and strides must be positive in {self!r}")
 
     @functools.cached_property  # built once: the layer loop reads it per layer
     def pad(self) -> PadPolicy:
@@ -296,8 +299,7 @@ def forward(params, spec: ModelSpec, window, scale: int | None = None) -> Frame:
     window = _net_window(spec, window, scale)
     out, _ = forward_stack(params, spec, stack_windows([window]))
     residual = pixel_shuffle(out, spec.scale)[0, 0, 0]
-    middle = window[MIDDLE_FRAME]
-    base = bicubic_resize(middle, middle.width * spec.scale, middle.height * spec.scale)
+    base = bicubic_upscale(window[MIDDLE_FRAME], spec.scale)
     return Frame(base.luma + residual)   # Frame clamps to [0, 1]
 
 

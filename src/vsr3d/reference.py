@@ -188,10 +188,10 @@ def resize_matrix(n_in: int, n_out: int, kernel) -> np.ndarray:
     return mat
 
 
-def resize_dense(plane, out_h: int, out_w: int, kernel=BicubicKernel()) -> np.ndarray:
+def resize_dense(plane, out_h: int, out_w: int) -> np.ndarray:
     """resize_plane as the product of two resize_matrix, clipped to [0, 1]."""
-    rows = resize_matrix(plane.shape[0], out_h, kernel)
-    cols = resize_matrix(plane.shape[1], out_w, kernel)
+    rows = resize_matrix(plane.shape[0], out_h, BicubicKernel())
+    cols = resize_matrix(plane.shape[1], out_w, BicubicKernel())
     return np.clip(rows @ np.asarray(plane, dtype=np.float64) @ cols.T, 0.0, 1.0)
 
 

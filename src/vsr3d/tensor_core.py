@@ -370,6 +370,17 @@ def _kmat(kernel: np.ndarray) -> np.ndarray:
     return kernel.transpose(0, 2, 1, 3, 4).reshape(kernel.shape[0], -1)
 
 
+def _check_input(x: np.ndarray, kernel: np.ndarray, stride: tuple[int, int]):
+    """Refuse what no conv pass can run: a rank other than 5, a group count
+    the kernel does not take, or a stride below 1."""
+    if x.ndim != 5:
+        raise ValueError(f"input must be rank 5, got shape {x.shape}")
+    if x.shape[1] != kernel.shape[1]:
+        raise ValueError(f"input has {x.shape[1]} groups, kernel expects {kernel.shape[1]}")
+    if min(stride) < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+
+
 def conv_forward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
                  stride: tuple[int, int] = (1, 1)) -> np.ndarray:
     """Correlate a (N, C, D, H, W) tensor with a bank of 3D filters.
@@ -379,13 +390,8 @@ def conv_forward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     padded extents.
     """
     kernel = weights.kernel
-    in_g, kd = kernel.shape[1:3]
-    if x.ndim != 5:
-        raise ValueError(f"input must be rank 5, got shape {x.shape}")
-    if x.shape[1] != in_g:
-        raise ValueError(f"input has {x.shape[1]} groups, kernel expects {in_g}")
-    if min(stride) < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    kd = kernel.shape[2]
+    _check_input(x, kernel, stride)
     stored = padded_shape(x.shape, kd, pad)
     if min(conv_out_shape(stored, kernel.shape, pad, stride)[2:]) < 1:
         padded = (stored[2] + 2 * _stored_pads(kd, pad)[2],) + stored[3:]
@@ -474,6 +480,7 @@ def conv_backward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     """
     kernel = weights.kernel
     kd, kh, kw = kernel.shape[2:]
+    _check_input(x, kernel, stride)
     d, s, t = _stored_pads(kd, pad)
     out_shape = conv_out_shape(padded_shape(x.shape, kd, pad), kernel.shape, pad, stride)
     if grad_out.shape != out_shape:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bicubic import resize_plane
+from .bicubic import bicubic_upscale, resize_plane
 from .checkpoint import save_checkpoint
 from .frames import INPUT_FRAMES, MIDDLE_FRAME, Frame, VideoClip
 from .metrics import mean_psnr, psnr
@@ -313,7 +313,7 @@ def train(spec: ModelSpec, samples: list[WindowSample], *, loss_form: str = "mea
     """
     if spec.kind != "sr":
         raise ValueError("train needs an SR spec")
-    bases_all = [resize_plane(s.lr_frames[MIDDLE_FRAME], *s.hr_target.shape).astype(DEFAULT_DTYPE)
+    bases_all = [bicubic_upscale(Frame(s.lr_frames[MIDDLE_FRAME]), spec.scale).luma
                  for s in samples]
 
     def batch_loss(params, idx):

@@ -89,7 +89,7 @@ def _check_even(w: int, h: int):
 
 def _read_yuv_frames(fh, w: int, h: int, frame_rate, delimited: bool) -> VideoClip:
     frames = []
-    cw, ch = w // 2, h // 2
+    ch, cw = chroma_extent(h, w)
     frame_bytes = w * h + 2 * cw * ch
     file_bytes = os.fstat(fh.fileno()).st_size
     while True:

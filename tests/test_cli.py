@@ -224,6 +224,16 @@ class TestTrain:
             assert [s.source_id for s in got] == [s.source_id for s in exp]
             assert all(np.array_equal(g.lr_frames, e.lr_frames) for g, e in zip(got, exp))
 
+    def test_clip_paths_with_commas_pass_through_flags(self, clips, tmp_path, capsys):
+        # a flag's paths reach the reader as given; only a config file's
+        # value is split at commas
+        clip = tmp_path / "a,b.y4m"
+        clip.write_bytes(clips["hr"].read_bytes())
+        argv = ["train", "--data", str(clip), "--val", str(clip), "--arch", "v1",
+                "--lr-patch-size", "16", "--subimages-per-frame", "2", "--frame-stride", "4",
+                "--batch-size", "4", "--max-steps", "1", "--out", str(tmp_path / "m.ckpt")]
+        assert main(argv) == 0, capsys.readouterr().err
+
     def test_too_small_to_hold_out_is_config_error(self, clips, tmp_path, capsys):
         # one extracted sample and no --val: nothing would be left to train on
         out, log = tmp_path / "m.ckpt", tmp_path / "m.csv"

@@ -92,6 +92,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             LayerSpec("conv2d", 4, 4, (1, 3, 3), TemporalPad.ZERO)
 
+    def test_sizes_checked(self):
+        # a zero group count or stride, or a negative pad, is refused when the
+        # layer is built, not deep inside a forward
+        with pytest.raises(ValueError, match="must be positive"):
+            ModelSpec([LayerSpec("conv3d", 1, 0, (3, 3, 3), TemporalPad.ZERO),
+                       LayerSpec("conv3d", 0, 4, (3, 3, 3), TemporalPad.NONE, "none")],
+                      None, 1, "sf")
+        for bad in ({"stride": (0, 1)}, {"spatial_pad": -1}):
+            with pytest.raises(ValueError, match="must be positive"):
+                LayerSpec("conv3d", 1, 4, (3, 3, 3), **bad)
+
 
 class TestForwardStack:
     def test_flatten_is_group_major(self):

@@ -285,6 +285,20 @@ class TestConvBackward:
         with pytest.raises(ValueError, match="grad_out"):
             conv_backward(x, w, NO_PAD, np.zeros((1, 2, 1, 1, 1), dtype=np.float32))
 
+    def test_input_checked_as_the_forward_checks_it(self):
+        # a 4-group input against a 2-group kernel, a rank-4 input and a zero
+        # stride end in the forward's messages, not inside numpy
+        x, w = random_case(16)
+        g = conv_forward(x, w, NO_PAD)
+        cases = [(np.concatenate([x, x], axis=1), (1, 1), "input has 4 groups, kernel expects 2"),
+                 (x[0], (1, 1), "input must be rank 5"), (x, (0, 1), "stride must be >= 1")]
+        for bad, stride, message in cases:
+            with pytest.raises(ValueError, match=message):
+                conv_forward(bad, w, NO_PAD, stride)
+            for input_grad in (True, False):
+                with pytest.raises(ValueError, match=message):
+                    conv_backward(bad, w, NO_PAD, g, stride, input_grad)
+
 
 def force_pool(monkeypatch, workers):
     """Run parts on the caller and up to `workers` - 1 helpers, split into as many."""
@@ -312,15 +326,24 @@ def openblas_exports(symbol: str) -> bool:
 
 
 # the process's OS threads after numpy loads OpenBLAS, then after each of two
-# top-level part calls
+# top-level part calls: a joined helper can stay listed for a moment, so each
+# count is the one it settles on, polled until one thread is left or 2 s pass
 _THREADS_AFTER_PART_CALLS = """
 import os
+import time
 import numpy
 from vsr3d.tensor_core import run_parts
+
+def settled():
+    deadline = time.monotonic() + 2.0
+    while (n := len(os.listdir("/proc/self/task"))) > 1 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return n
+
 threads = [len(os.listdir("/proc/self/task"))]
 for _ in range(2):
     run_parts(abs, [-1, -2])
-    threads.append(len(os.listdir("/proc/self/task")))
+    threads.append(settled())
 print(*threads)
 """
 
