@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from vsr3d import bicubic
-from vsr3d.bicubic import BicubicKernel, bicubic_resize, degrade_clip, resize_plane, upscale_chroma
-from vsr3d.frames import Frame, VideoClip
+from vsr3d.bicubic import (BicubicKernel, bicubic_resize, bicubic_upscale, degrade_clip, resize_plane,
+                           upscale_chroma)
+from vsr3d.frames import Frame, VideoClip, chroma_extent
 from vsr3d.reference import resize_dense
 
 
@@ -120,6 +121,43 @@ class TestChroma:
     def test_missing_chroma_rejected(self):
         with pytest.raises(ValueError):
             upscale_chroma(Frame(np.zeros((8, 8))), np.zeros((16, 16)))
+
+    def test_odd_luma_gets_rounded_up_chroma(self):
+        # the chroma follows the luma it joins, whatever scale produced it
+        f = self.make_frame(10, 6, seed=12)
+        hr_luma = np.zeros((15, 9))
+        out = upscale_chroma(f, hr_luma)
+        assert [p.shape for p in out.chroma] == [chroma_extent(15, 9)] * 2 == [(8, 5)] * 2
+        assert np.array_equal(out.luma, hr_luma)
+
+    def test_given_luma_replaces_the_frames(self):
+        f = self.make_frame(8, 8, seed=13)
+        hr_luma = np.random.default_rng(14).random((24, 24)).astype(np.float32)
+        out = upscale_chroma(f, hr_luma)
+        assert np.array_equal(out.luma, hr_luma)
+        assert [p.shape for p in out.chroma] == [(12, 12)] * 2
+
+
+class TestBicubicUpscale:
+    """The one base every SR output is a residual on."""
+
+    @pytest.mark.parametrize("scale", [2, 3, 4])
+    def test_matches_resize_to_the_scaled_extent(self, scale):
+        f = Frame(np.random.default_rng(scale).random((7, 10)))
+        out = bicubic_upscale(f, scale)
+        assert out.luma.shape == (7 * scale, 10 * scale)
+        assert np.array_equal(out.luma, bicubic_resize(f, 10 * scale, 7 * scale).luma)
+
+    def test_scale_one_keeps_the_luma(self):
+        f = Frame(np.random.default_rng(21).random((9, 6)))
+        assert np.array_equal(bicubic_upscale(f, 1).luma, f.luma)
+
+    def test_upscales_luma_only(self):
+        rng = np.random.default_rng(22)
+        f = Frame(rng.random((8, 6)), (rng.random((4, 3)), rng.random((4, 3))))
+        out = bicubic_upscale(f, 2)
+        assert out.chroma is None
+        assert np.array_equal(out.luma, bicubic_upscale(Frame(f.luma), 2).luma)
 
 
 class TestFrameTypes:
