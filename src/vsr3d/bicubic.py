@@ -12,11 +12,12 @@ Each axis is one banded GEMM: per block of _BLOCK outputs, the taps are
 folded (clamped edge taps summed) into a small dense matrix over the span of
 input rows or columns they touch, and the block is one matmul over that span
 (cache blocking, Goto and van de Geijn 2008). Only these per-block bands are
-kept, cached per (n_in, n_out, kernel). SSIM's Gaussian window runs through
-the same filter as valid-mode taps.
+kept, cached per (n_in, n_out, taps), where taps is a module-level tap
+function such as bicubic_taps, so equal calls find the same key. SSIM's
+Gaussian window runs through the same filter as valid-mode taps
+(metrics._window_taps).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,37 +41,35 @@ def cubic(t: np.ndarray) -> np.ndarray:
     return np.where(t <= 1.0, near, np.where(t < 2.0, far, 0.0))
 
 
-@dataclass(frozen=True)
-class BicubicKernel:
-    def weights(self, n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
-        """Tap indices and normalized weights for one axis.
+def bicubic_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tap indices and normalized weights of the cubic kernel for one axis.
 
-        Returns (idx, wts), each (n_out, taps). Indices are raw grid
-        positions and may fall outside [0, n_in); callers clamp them, which
-        realises the replicated-edge boundary.
-        """
-        if n_out < 1:
-            raise ValueError("output extent must be >= 1")
-        scale = n_out / n_in
-        if scale < 1.0:
-            kscale = scale
-            width = 2.0 * _SUPPORT / scale
-        else:
-            kscale = 1.0
-            width = 2.0 * _SUPPORT
-        u = (np.arange(n_out, dtype=np.float64) + 0.5) / scale - 0.5
-        taps = int(np.ceil(width)) + 2
-        left = np.floor(u - width / 2.0).astype(np.int64)
-        idx = left[:, None] + np.arange(taps, dtype=np.int64)[None, :]
-        wts = cubic(kscale * (u[:, None] - idx))
-        wts /= wts.sum(axis=1, keepdims=True)
-        return idx, wts
+    Returns (idx, wts), each (n_out, taps). Indices are raw grid
+    positions and may fall outside [0, n_in); callers clamp them, which
+    realises the replicated-edge boundary.
+    """
+    if n_out < 1:
+        raise ValueError("output extent must be >= 1")
+    scale = n_out / n_in
+    if scale < 1.0:
+        kscale = scale
+        width = 2.0 * _SUPPORT / scale
+    else:
+        kscale = 1.0
+        width = 2.0 * _SUPPORT
+    u = (np.arange(n_out, dtype=np.float64) + 0.5) / scale - 0.5
+    taps = int(np.ceil(width)) + 2
+    left = np.floor(u - width / 2.0).astype(np.int64)
+    idx = left[:, None] + np.arange(taps, dtype=np.int64)[None, :]
+    wts = cubic(kscale * (u[:, None] - idx))
+    wts /= wts.sum(axis=1, keepdims=True)
+    return idx, wts
 
 
 @lru_cache(maxsize=64)
-def _bands(n_in: int, n_out: int, kernel) -> tuple:
+def _bands(n_in: int, n_out: int, taps) -> tuple:
     """(first output, first input, dense weights) per block of _BLOCK outputs."""
-    idx, wts = kernel.weights(n_in, n_out)
+    idx, wts = taps(n_in, n_out)
     idx = np.clip(idx, 0, n_in - 1)
     bands = []
     for lo in range(0, n_out, _BLOCK):
@@ -83,13 +82,13 @@ def _bands(n_in: int, n_out: int, kernel) -> tuple:
     return tuple(bands)
 
 
-def _tap_filter(plane: np.ndarray, n_out: int, kernel, axis: int) -> np.ndarray:
-    """Apply the taps of any hashable `kernel` with BicubicKernel's weights()
-    contract along `axis` of a float64 plane."""
+def _tap_filter(plane: np.ndarray, n_out: int, taps, axis: int) -> np.ndarray:
+    """Apply the taps of a tap function with bicubic_taps' contract along
+    `axis` of a float64 plane."""
     shape = list(plane.shape)
     n_in, shape[axis] = shape[axis], n_out
     out = np.empty(shape)
-    for lo, first, dense in _bands(n_in, n_out, kernel):
+    for lo, first, dense in _bands(n_in, n_out, taps):
         hi, span = lo + dense.shape[0], slice(first, first + dense.shape[1])
         if axis == 0:
             np.matmul(dense, plane[span], out=out[lo:hi])
@@ -100,11 +99,10 @@ def _tap_filter(plane: np.ndarray, n_out: int, kernel, axis: int) -> np.ndarray:
 
 def resize_plane(plane, out_h: int, out_w: int) -> np.ndarray:
     """Resize one 2D plane; float64 result clipped to [0, 1]."""
-    kernel = BicubicKernel()
     p = np.asarray(plane, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError(f"expected a 2D plane, got shape {p.shape}")
-    p = _tap_filter(_tap_filter(p, out_h, kernel, axis=0), out_w, kernel, axis=1)
+    p = _tap_filter(_tap_filter(p, out_h, bicubic_taps, axis=0), out_w, bicubic_taps, axis=1)
     return np.clip(p, 0.0, 1.0, out=p)
 
 

@@ -5,18 +5,20 @@ SSIM is the mean of local scores under an 11x11 Gaussian window (sigma 1.5,
 K1=0.01, K2=0.03, dynamic range 1), windows slid over every valid position.
 The window is separable: in strips of _STRIP output rows, converted to
 float64 one strip at a time, four maps are filtered one axis at a time
-through the resampler's banded GEMM (valid taps i..i+10 for output i): the
-two planes, their product, and the sum of their squares, since only
-var_a + var_b enters the score and the filter is linear. Along the rows,
-every full block shares one dense matrix, so all of them are one matmul
-call over strided span views: the same GEMMs and bytes as one call per
-block, but under 200 calls per 720p frame, not about 2,000. The per-pixel
-score is then formed in place. Full-frame maps were slower: a 720p float64
-map is 7 MB, and every fresh one costs its page faults.
+through the resampler's banded GEMM with the tap function _window_taps
+(valid taps i..i+10 for output i): the two planes, their product, and the
+sum of their squares, since only var_a + var_b enters the score and the
+filter is linear. Along the rows, every full block shares one dense matrix,
+so all of them are one matmul call over strided span views: the same GEMMs
+and bytes as one call per block, but under 200 calls per 720p frame, not
+about 2,000. The per-pixel score is then formed in place. Full-frame maps
+were slower: a 720p float64 map is 7 MB, and every fresh one costs its page
+faults.
 """
 
+import csv
+import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,17 +67,14 @@ def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.nd
     return win / win.sum()
 
 
-@dataclass(frozen=True)
-class _ValidWindow:
-    """The separable SSIM Gaussian as resampling taps: output i reads
-    inputs i..i+SSIM_WINDOW-1."""
-
-    def weights(self, n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
-        r = np.arange(SSIM_WINDOW, dtype=np.float64) - (SSIM_WINDOW - 1) / 2.0
-        g = np.exp(-(r * r) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
-        g /= g.sum()  # separable factors of gaussian_window()
-        idx = np.arange(n_out)[:, None] + np.arange(SSIM_WINDOW)
-        return idx, np.broadcast_to(g, idx.shape)
+def _window_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """The separable SSIM Gaussian as resampling taps (bicubic_taps'
+    contract): output i reads inputs i..i+SSIM_WINDOW-1."""
+    r = np.arange(SSIM_WINDOW, dtype=np.float64) - (SSIM_WINDOW - 1) / 2.0
+    g = np.exp(-(r * r) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
+    g /= g.sum()  # separable factors of gaussian_window()
+    idx = np.arange(n_out)[:, None] + np.arange(SSIM_WINDOW)
+    return idx, np.broadcast_to(g, idx.shape)
 
 
 def ssim(a: Frame, b: Frame, border: int = 0) -> float:
@@ -98,7 +97,7 @@ def _ssim_sum(pa: np.ndarray, pb: np.ndarray) -> float:
     h, w = (n - SSIM_WINDOW + 1 for n in pa.shape)
 
     def blur(img):
-        return _window_rows(_tap_filter(img, h, _ValidWindow(), 0), w)
+        return _window_rows(_tap_filter(img, h, _window_taps, 0), w)
 
     c1 = (SSIM_K1 * 1.0) ** 2
     c2 = (SSIM_K2 * 1.0) ** 2
@@ -130,7 +129,7 @@ def _window_rows(img: np.ndarray, w: int) -> np.ndarray:
     their spans advance by a block, so numpy runs them as one stack of the
     same per-block GEMMs (same bytes) without a Python call, and a GIL
     handoff, per block. A short last block runs alone."""
-    bands = _bands(img.shape[1], w, _ValidWindow())
+    bands = _bands(img.shape[1], w, _window_taps)
     block, span = bands[0][2].shape
     full = w // block * block
     out = np.empty((len(img), w))
@@ -153,9 +152,12 @@ def metrics_csv(rows) -> str:
     """UTF-8 CSV body for per-frame results.
 
     Rows are (sequence, frame_index, psnr_db, ssim) tuples; aggregation stays
-    with the caller so the frame order in the file is the clip order.
+    with the caller so the frame order in the file is the clip order. A cell
+    holding a comma, quote or newline (a sequence name can) is quoted as
+    RFC 4180 asks; every other cell is written as it is.
     """
-    lines = ["sequence,frame,psnr_db,ssim"]
-    for seq, idx, p, s in rows:
-        lines.append(f"{seq},{idx},{format_metric(p)},{format_metric(s)}")
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("sequence", "frame", "psnr_db", "ssim"))
+    writer.writerows((seq, idx, format_metric(p), format_metric(s)) for seq, idx, p, s in rows)
+    return out.getvalue()

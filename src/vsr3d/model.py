@@ -12,7 +12,8 @@ next layer's input, and makes no hidden preactivation unless asked for
 caches. Training asks for them, and they keep each layer's preactivation
 only; backward_stack rebuilds each layer's input from them (layer_input),
 trading one ReLU per layer for a stored activation (Chen et al. 2016,
-"Training Deep Nets with Sublinear Memory Cost").
+"Training Deep Nets with Sublinear Memory Cost"). layer_input is also how
+forward_stack resumes from a layer's preactivation.
 """
 
 import functools
@@ -23,7 +24,7 @@ import numpy as np
 from .bicubic import bicubic_resize, bicubic_upscale
 from .frames import INPUT_FRAMES, MIDDLE_FRAME, Frame
 from .tensor_core import (DEFAULT_DTYPE, ConvWeights, PadPolicy, TemporalPad,
-                          conv_backward, conv_out_shape, conv_padded, pad_into, padded_shape,
+                          conv_backward, conv_out_shape, conv_padded, padded, padded_shape,
                           pixel_shuffle, relu, relu_backward, zero_border)
 
 ARCH_NAMES = ("cnn2d", "v1", "v2", "v3", "full")
@@ -184,11 +185,13 @@ def _flatten_depth(x: np.ndarray) -> np.ndarray:
     return x.reshape(n, c * d, 1, h, w)
 
 
-def layer_input(spec: ModelSpec, x: np.ndarray, caches, i: int) -> np.ndarray:
-    """Layer i's input, rebuilt from forward_stack's caches: the stack input x
-    for i == 0, else the ReLU of layer i-1's preactivation (every layer but
-    the last has one), depth-flattened when i == concat_after."""
-    act = x if i == 0 else relu(caches[i - 1])
+def layer_input(spec: ModelSpec, i: int, prev: np.ndarray) -> np.ndarray:
+    """Layer i's input from `prev`, the stack input for i == 0, else layer
+    i-1's preactivation (every layer but the last has a ReLU), whose ReLU it
+    is; depth-flattened when i == concat_after. The one spelling of that
+    rule: forward_stack resumes with it, backward_stack and grad_check
+    rebuild each layer's input from the caches with it."""
+    act = prev if i == 0 else relu(prev)
     return _flatten_depth(act) if i == spec.concat_after else act
 
 
@@ -207,8 +210,8 @@ def forward_stack(params, spec: ModelSpec, x: np.ndarray, want_caches: bool = Fa
     Each layer reads its input in the padded layout it needs, from one of
     two buffers used in turn. A hidden layer writes its ReLU into the
     other, band by band, as the next layer's input: the depth flatten at
-    concat_after and DUPLICATE's edge slices included. So pad_into runs only
-    on the stack's input, or on `start`'s rectified preactivation. A
+    concat_after and DUPLICATE's edge slices included. So only the first
+    layer run gets a padded copy of its input, padded(layer_input(x)). A
     buffer's zero border is written when it is made; the next layer but one
     reuses it when its shape and border match. Without caches no hidden
     preactivation is made: a 32->32 layer holds two padded activations and
@@ -224,11 +227,7 @@ def forward_stack(params, spec: ModelSpec, x: np.ndarray, want_caches: bool = Fa
     caches = [x] if want_caches and start is not None else []
     out = x  # resumed after the last layer, x is the output
     if first < len(layers):
-        # resumed, x is `start`'s preactivation: every layer but the last has a ReLU
-        act = x if start is None else relu(x)
-        act = _flatten_depth(act) if first == spec.concat_after else act
-        kd, pad = layers[first].kernel[0], layers[first].pad
-        buf = pad_into(np.empty(padded_shape(act.shape, kd, pad), x.dtype), act, kd, pad)
+        buf = padded(layer_input(spec, first, x), layers[first].kernel[0], layers[first].pad)
         spare = None  # layer i-1's input buffer
         for i in range(first, len(layers) - 1):
             layer, nxt = layers[i], layers[i + 1]
@@ -263,8 +262,8 @@ def backward_stack(params, spec: ModelSpec, x: np.ndarray, caches, grad_out: np.
         g = g.reshape(pre.shape)  # undoes the depth flatten after layer concat_after
         if layer.activation == "relu":
             g = relu_backward(pre, g)
-        g, grads[i] = conv_backward(layer_input(spec, x, caches, i), params[i], layer.pad, g,
-                                    layer.stride, input_grad=input_grad or i > 0)
+        g, grads[i] = conv_backward(layer_input(spec, i, caches[i - 1] if i else x), params[i],
+                                    layer.pad, g, layer.stride, input_grad=input_grad or i > 0)
     if input_grad and spec.concat_after == 0:
         g = g.reshape(x.shape)
     return grads, g

@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from .bicubic import BicubicKernel, resize_plane
+from .bicubic import bicubic_taps, resize_plane
 from .frames import Frame
 from .metrics import gaussian_window, ssim
 from .model import (ARCH_NAMES, LayerSpec, ModelSpec, build_architecture, count_parameters,
@@ -175,12 +175,11 @@ def ssim_window_loop(a: np.ndarray, b: np.ndarray, window: np.ndarray,
     return float(np.mean(vals))
 
 
-def resize_matrix(n_in: int, n_out: int, kernel) -> np.ndarray:
-    """Dense (n_out, n_in) resampling matrix of `kernel`'s taps (BicubicKernel's
-    weights() contract), assembled row by row; contributions to clamped
-    indices are accumulated explicitly so the result can multiply an image
-    directly."""
-    idx, wts = kernel.weights(n_in, n_out)
+def resize_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """Dense (n_out, n_in) resampling matrix of bicubic_taps, assembled row
+    by row; contributions to clamped indices are accumulated explicitly so
+    the result can multiply an image directly."""
+    idx, wts = bicubic_taps(n_in, n_out)
     mat = np.zeros((n_out, n_in), dtype=np.float64)
     for i in range(n_out):
         for j, w in zip(idx[i], wts[i]):
@@ -190,8 +189,8 @@ def resize_matrix(n_in: int, n_out: int, kernel) -> np.ndarray:
 
 def resize_dense(plane, out_h: int, out_w: int) -> np.ndarray:
     """resize_plane as the product of two resize_matrix, clipped to [0, 1]."""
-    rows = resize_matrix(plane.shape[0], out_h, BicubicKernel())
-    cols = resize_matrix(plane.shape[1], out_w, BicubicKernel())
+    rows = resize_matrix(plane.shape[0], out_h)
+    cols = resize_matrix(plane.shape[1], out_w)
     return np.clip(rows @ np.asarray(plane, dtype=np.float64) @ cols.T, 0.0, 1.0)
 
 

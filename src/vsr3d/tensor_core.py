@@ -23,15 +23,14 @@ its GEMM, a contiguous range of kernel columns against the matching row
 block, so no GEMM multiplies a padded zero slice and the gather copies each
 stored slice once. DUPLICATE's added slices hold data and stay stored.
 
-That stored layout is padded_shape's; pad_into writes an input into a
-buffer of it (spatial border zeroed, DUPLICATE's slices copied), and
-conv_padded runs a layer on such a buffer. conv_padded can also write its
-output's ReLU into the next layer's buffer of that layout (relu_into), from
-each band while the band is in cache, with no pad_into; DUPLICATE's edge
-slices of that buffer are copied once, after the bands. The model's layer
-loop runs on two such buffers in turn, and pads only the stack's input;
-conv_forward makes its own padded copy for single calls, and conv_backward
-one only where it needs it.
+That stored layout is padded_shape's; padded returns an input's copy in
+it (spatial border zeroed, DUPLICATE's slices copied), and conv_padded runs
+a layer on such a copy. conv_padded can also write its output's ReLU into
+the next layer's buffer of that layout (relu_into), from each band while
+the band is in cache, with no padded copy; DUPLICATE's edge slices of that
+buffer are copied once, after the bands. The model's layer loop runs on two
+such buffers in turn, and pads only the stack's input; conv_forward pads
+its input for single calls, and conv_backward only where it needs it.
 
 - The forward makes one GEMM per band and output slice, its stored taps'
   kernel columns against their row block of the gather, written in place
@@ -289,12 +288,11 @@ def padded_shape(shape, kernel_depth: int, pad: PadPolicy) -> tuple[int, ...]:
     return n, c, depth + 2 * d, h + 2 * s, w + 2 * s
 
 
-def pad_into(buf: np.ndarray, x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> np.ndarray:
-    """Write x into buf (shaped by padded_shape) in the layout conv_padded
-    reads: x inside, zeros on the spatial border, and DUPLICATE's copies of
-    the edge slices. Every element is written, so buf may be fresh or may
-    hold an earlier layer's input. Returns buf."""
+def padded(x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> np.ndarray:
+    """x's copy in the layout conv_padded reads (padded_shape's): x inside,
+    zeros on the spatial border, and DUPLICATE's copies of the edge slices."""
     d, s, _ = _stored_pads(kernel_depth, pad)
+    buf = np.empty(padded_shape(x.shape, kernel_depth, pad), dtype=x.dtype)
     _, _, dp, hp, wp = buf.shape
     np.copyto(buf[:, :, d:dp - d, s:hp - s, s:wp - s], x)
     zero_border(buf, s)
@@ -316,12 +314,6 @@ def _copy_edge_slices(buf: np.ndarray, d: int):
     """DUPLICATE's d > 0 added depth slices at each end copy the edge slice beside them."""
     buf[:, :, :d] = buf[:, :, d:d + 1]
     buf[:, :, -d:] = buf[:, :, -d - 1:-d]
-
-
-def _pad_stored(x: np.ndarray, kernel_depth: int, pad: PadPolicy) -> np.ndarray:
-    """The padded copy of x that the gather reads."""
-    xp = np.empty(padded_shape(x.shape, kernel_depth, pad), dtype=x.dtype)
-    return pad_into(xp, x, kernel_depth, pad)
 
 
 def _bands(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int):
@@ -394,9 +386,9 @@ def conv_forward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
     _check_input(x, kernel, stride)
     stored = padded_shape(x.shape, kd, pad)
     if min(conv_out_shape(stored, kernel.shape, pad, stride)[2:]) < 1:
-        padded = (stored[2] + 2 * _stored_pads(kd, pad)[2],) + stored[3:]
-        raise ValueError(f"kernel {kernel.shape[2:]} larger than padded input {padded}")
-    return conv_padded(_pad_stored(x, kd, pad), weights, pad, stride)
+        extents = (stored[2] + 2 * _stored_pads(kd, pad)[2],) + stored[3:]
+        raise ValueError(f"kernel {kernel.shape[2:]} larger than padded input {extents}")
+    return conv_padded(padded(x, kd, pad), weights, pad, stride)
 
 
 def conv_out_shape(xp_shape, kernel_shape, pad: PadPolicy,
@@ -496,13 +488,13 @@ def conv_backward(x: np.ndarray, weights: ConvWeights, pad: PadPolicy,
         src = _dilate_into(grad_out, (h + kh - 1, w + kw - 1), (kh - 1 - s, kw - 1 - s), stride)
         gathered = kernel[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
         src_stride, src_t = (1, 1), kd - 1 - t
-        paired = x if not d else _pad_stored(x, kd, PadPolicy(0, pad.temporal))
+        paired = x if not d else padded(x, kd, PadPolicy(0, pad.temporal))
         grad_x = np.empty(paired.shape, dtype=grad_out.dtype)
         grad_planes = grad_x.reshape(paired.shape[:3] + (-1,))
     else:
         # gather the padded input, paired with the output gradient: at layer 0
         # it has far fewer rows than the output gradient
-        src, gathered = _pad_stored(x, kd, pad), kernel
+        src, gathered = padded(x, kd, pad), kernel
         src_stride, src_t, paired, grad_x = stride, t, grad_out, None
     rows, cols = gathered.shape[:2]
     kmat, planes = _kmat(gathered), paired.reshape(paired.shape[:3] + (-1,))

@@ -33,7 +33,7 @@ DEFAULT_WEIGHT_DECAY = 5e-4
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 BIAS_LR_FACTOR = 0.1
 LR_PATCH_SIZES = {2: 80, 3: 60, 4: 40}
-LOSS_FORMS = ("mean", "sum")   # how the squared error is reduced (loss_mse)
+LOSS_FORMS = ("mean", "sum")   # how the squared error is reduced (sr_batch_step)
 # Samples per micro-batch of sr_batch_step, by measurement on two cores: a
 # `full` step of 8 LR patches of 40x40 took 405 ms in micro-batches of 2,
 # 410 ms of 1 and 740 ms as one; at 32 of 80x80, 1 halved 2's 163 MB peak
@@ -125,22 +125,15 @@ def extract_dataset(clips: list[VideoClip], recipe: DatasetRecipe, seed: int) ->
     return samples
 
 
-def loss_mse(pred: np.ndarray, target: np.ndarray, form: str = "mean"):
-    """Half squared error and its gradient.
-
-    form 'mean': loss = 0.5 * mean(d^2), grad = d / numel (size-independent,
-    the default the stated learning rates assume). form 'sum': the literal
-    0.5 * sum(d^2) with grad = d.
-    """
+def loss_mse(pred: np.ndarray, target: np.ndarray):
+    """Half summed squared error 0.5 * sum(d^2), d = pred - target, summed in
+    float64, and its gradient d. The mean of LOSS_FORMS divides both by the
+    element count afterwards (sr_batch_step's norm)."""
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
     d = pred - target
     d64 = np.asarray(d, dtype=np.float64)
-    if form == "mean":
-        return 0.5 * float(np.mean(d64 * d64)), d / d.size
-    if form == "sum":
-        return 0.5 * float(np.sum(d64 * d64)), d
-    raise ValueError(f"unknown loss form {form!r}")
+    return 0.5 * float(np.sum(d64 * d64)), d
 
 
 def xavier_init(spec: ModelSpec, seed: int) -> list[ConvWeights]:
@@ -229,7 +222,7 @@ def sr_batch_step(params, spec: ModelSpec, x, bases, target, form: str = "mean")
         raise ValueError(f"unknown loss form {form!r}")
 
     def head(out, lo, hi):
-        loss, grad = loss_mse(pixel_shuffle(out, spec.scale) + bases[lo:hi], target[lo:hi], "sum")
+        loss, grad = loss_mse(pixel_shuffle(out, spec.scale) + bases[lo:hi], target[lo:hi])
         return loss, pixel_unshuffle(grad, spec.scale)
 
     return batch_step(params, spec, x, head, target.size if form == "mean" else 1)
@@ -269,10 +262,13 @@ def fit(spec: ModelSpec, count: int, batch_loss, validate=None, *, epochs: int =
     shuffle = np.random.default_rng((seed, 1))
     rows = []
     meta = dict(meta or {})
+    saved = False  # whether this run has written a checkpoint yet
 
     def checkpoint(step):
+        nonlocal saved
         if out_path:
             save_checkpoint(params, spec, {**meta, "step": step, "seed": seed}, out_path)
+            saved = True
 
     def batches():
         for _ in range(epochs):
@@ -285,7 +281,7 @@ def fit(spec: ModelSpec, count: int, batch_loss, validate=None, *, epochs: int =
         for idx in islice(batches(), max_steps or None):
             loss, grads = batch_loss(params, idx)
             if not math.isfinite(loss):
-                checkpoint_note = " (checkpoint kept)" if out_path and step else ""
+                checkpoint_note = " (checkpoint kept)" if saved else ""
                 raise TrainingDiverged(f"loss {loss} at step {step + 1}{checkpoint_note}")
             params = adam_step(params, grads, state)
             step += 1
@@ -410,7 +406,7 @@ def grad_check(spec: ModelSpec, seed: int = 0, *, tolerance: float,
     x = rng.uniform(0.1, 0.9, (1, 1, INPUT_FRAMES, 6, 6)).astype(dtype)
     out, caches = forward_stack(params, spec, x, want_caches=True)
     target = rng.uniform(0.0, 1.0, out.shape).astype(dtype)
-    _, grad = loss_mse(out, target, form="sum")
+    _, grad = loss_mse(out, target)
     grads, gx = backward_stack(params, spec, x, caches, grad)
 
     params64 = [ConvWeights(w.kernel.astype(np.float64), w.bias.astype(np.float64))
@@ -444,8 +440,8 @@ def grad_check(spec: ModelSpec, seed: int = 0, *, tolerance: float,
         pre = caches64[i]
         out_g, taps = w.kernel.shape[0], w.kernel[0].size
         bank = ConvWeights(np.eye(taps).reshape((taps,) + w.kernel.shape[1:]), np.zeros(taps))
-        windows = conv_forward(layer_input(spec, x64, caches64, i), bank, layer.pad,
-                               layer.stride)[0]
+        windows = conv_forward(layer_input(spec, i, caches64[i - 1] if i else x64), bank,
+                               layer.pad, layer.stride)[0]
         unit = np.eye(out_g).reshape(out_g, out_g, 1, 1, 1)
         # direction o*taps + j puts tap j's window on output group o
         kernel_dirs = (unit[:, None] * windows[None, :, None]).reshape((-1,) + pre.shape[1:])

@@ -747,13 +747,11 @@ def _nudged_kernel_gradient(real):
 
 
 def _wider_window(real):
-    @dataclasses.dataclass(frozen=True)
-    class Wider(real):  # sigma 1.6, not 1.5
-        def weights(self, n_in, n_out):
-            idx, _ = super().weights(n_in, n_out)
-            g = np.exp(-(np.arange(11) - 5.0) ** 2 / (2 * 1.6 ** 2))
-            return idx, np.broadcast_to(g / g.sum(), idx.shape)
-    return Wider
+    def wider(n_in, n_out):  # sigma 1.6, not 1.5
+        idx, _ = real(n_in, n_out)
+        g = np.exp(-(np.arange(11) - 5.0) ** 2 / (2 * 1.6 ** 2))
+        return idx, np.broadcast_to(g / g.sum(), idx.shape)
+    return wider
 
 
 class TestVerify:
@@ -800,7 +798,7 @@ class TestVerify:
     @pytest.mark.parametrize("module, name, perturb, line", [
         (reference, "conv_backward", _nudged_kernel_gradient,
          "convolution gradients vs loop oracle"),
-        (metrics, "_ValidWindow", _wider_window, "SSIM vs window oracle"),
+        (metrics, "_window_taps", _wider_window, "SSIM vs window oracle"),
         (reference, "resize_plane", lambda real: lambda *args: real(*args) + 1e-9,
          "bicubic resize vs dense oracle"),
     ], ids=["kernel-gradient", "ssim-window", "resize"])

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -67,6 +69,13 @@ class TestSsim:
         a, b = textured(24, 24, 1), textured(24, 24, 2)
         assert ssim(a, b) == ssim(b, a)
 
+    def test_second_ssim_of_the_same_geometry_reuses_the_bands(self):
+        a, b = textured(43, 31, 3), textured(43, 31, 4)
+        ssim(a, b)
+        misses = bicubic._bands.cache_info().misses
+        ssim(b, a)
+        assert bicubic._bands.cache_info().misses == misses
+
     def test_window_normalized(self):
         win = gaussian_window()
         assert win.shape == (11, 11)
@@ -89,7 +98,7 @@ class TestSsim:
         assert ssim(a, b, border=border) == pytest.approx(want, abs=1e-12)
         h, w = 20 - 2 * border, 16 - 2 * border   # valid windows
         assert h in (20, 14)   # strips of 7, 7, 6 rows and of 7, 7
-        window = metrics._ValidWindow()
+        window = metrics._window_taps
         assert len(bicubic._bands(7 + 10, 7, window)) == 2
         assert len(bicubic._bands(w + 10, w, window)) == -(-w // small_blocks) > 1
 
@@ -105,7 +114,7 @@ class TestSsim:
         assert got == pytest.approx(ssim_window_loop(a.luma, b.luma, gaussian_window()),
                                     abs=1e-9)
         monkeypatch.setattr(metrics, "_window_rows", lambda img, w: bicubic._tap_filter(
-            img, w, metrics._ValidWindow(), 1))
+            img, w, metrics._window_taps, 1))
         assert got.hex() == ssim(a, b).hex()
 
     def test_row_pass_is_one_matmul_call_per_map_and_strip(self, monkeypatch):
@@ -158,6 +167,13 @@ class TestCsv:
         assert lines[0] == "sequence,frame,psnr_db,ssim"
         assert lines[1] == "seq,0,inf,1.0000"
         assert lines[2] == "seq,1,31.2500,0.9313"
+
+    def test_sequence_with_comma_or_quote_reads_back(self):
+        rows = [("cand,v2", 0, math.inf, 1.0), ('say "hi"', 1, 31.25, 0.93125)]
+        got = list(csv.DictReader(io.StringIO(metrics_csv(rows))))
+        assert [(r["sequence"], r["frame"], r["psnr_db"], r["ssim"]) for r in got] == [
+            ("cand,v2", "0", "inf", "1.0000"), ('say "hi"', "1", "31.2500", "0.9313")]
+        assert all(None not in r for r in got)  # no row has more cells than the header
 
     def test_format_metric(self):
         assert format_metric(math.inf) == "inf"

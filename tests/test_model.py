@@ -327,10 +327,10 @@ class TestSplitStack:
         import tracemalloc
 
         calls = []
-        def pad_into(*args, **kwargs):
-            calls.append(args[1].shape)
-            return tensor_core.pad_into(*args, **kwargs)
-        monkeypatch.setattr(model, "pad_into", pad_into)
+        def padded(*args, **kwargs):
+            calls.append(args[0].shape)
+            return tensor_core.padded(*args, **kwargs)
+        monkeypatch.setattr(model, "padded", padded)
         monkeypatch.setattr(tensor_core, "_workers", lambda: 2)
         spec = build_architecture("full", 2)
         params = random_params(spec, seed=1)

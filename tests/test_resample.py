@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vsr3d import bicubic
-from vsr3d.bicubic import (BicubicKernel, bicubic_resize, bicubic_upscale, degrade_clip, resize_plane,
+from vsr3d.bicubic import (bicubic_resize, bicubic_taps, bicubic_upscale, degrade_clip, resize_plane,
                            upscale_chroma)
 from vsr3d.frames import Frame, VideoClip, chroma_extent
 from vsr3d.reference import resize_dense
@@ -16,12 +16,12 @@ class TestKernel:
 
     @pytest.mark.parametrize("n_in,n_out", [(8, 8), (8, 16), (16, 8), (7, 3), (5, 13), (100, 48)])
     def test_weight_rows_sum_to_one(self, n_in, n_out):
-        _, wts = BicubicKernel().weights(n_in, n_out)
+        _, wts = bicubic_taps(n_in, n_out)
         assert np.max(np.abs(wts.sum(axis=1) - 1.0)) < 1e-9
 
     def test_downscale_widens_support(self):
-        idxu, _ = BicubicKernel().weights(16, 32)
-        idxd, _ = BicubicKernel().weights(32, 8)
+        idxu, _ = bicubic_taps(16, 32)
+        idxd, _ = bicubic_taps(32, 8)
         assert idxd.shape[1] > idxu.shape[1]
 
 
@@ -76,18 +76,25 @@ class TestBands:
     @pytest.mark.parametrize("n_in,n_out", [(23, 1), (23, 9), (9, 23), (40, 17), (17, 40),
                                             (21, 21)])
     def test_matches_dense_oracle_across_blocks(self, small_blocks, n_in, n_out):
-        kernel = BicubicKernel()
         p = np.random.default_rng(n_in * 64 + n_out).random((n_in, n_in + 3))
         got = resize_plane(p, n_out, n_out + 2)
         want = resize_dense(p, n_out, n_out + 2)
         assert np.max(np.abs(got - want)) < 1e-12
         for extent_in, extent_out in ((n_in, n_out), (n_in + 3, n_out + 2)):
-            bands = bicubic._bands(extent_in, extent_out, kernel)
+            bands = bicubic._bands(extent_in, extent_out, bicubic_taps)
             assert len(bands) == -(-extent_out // small_blocks)
+
+    def test_second_resize_at_the_same_sizes_reuses_the_bands(self):
+        # the tap function is one object, so equal sizes find one cache key
+        p = np.random.default_rng(7).random((37, 29))
+        resize_plane(p, 53, 19)
+        misses = bicubic._bands.cache_info().misses
+        resize_plane(p, 53, 19)
+        assert bicubic._bands.cache_info().misses == misses
 
     def test_bands_cover_only_touched_inputs(self, small_blocks):
         # an 8x enlargement: each block of 5 outputs reads a few inputs, not all 12
-        bands = bicubic._bands(12, 96, BicubicKernel())
+        bands = bicubic._bands(12, 96, bicubic_taps)
         assert len(bands) == 20
         assert max(dense.shape[1] for _, _, dense in bands) <= 7
 

@@ -24,8 +24,7 @@ from vsr3d.tensor_core import (
     TemporalPad,
     conv_backward,
     conv_forward,
-    pad_into,
-    padded_shape,
+    padded,
     pixel_shuffle,
     pixel_unshuffle,
     relu,
@@ -788,17 +787,12 @@ class TestRelu:
         assert max_rel_err(ana, central_diff(loss, x, 1e-6)) < 1e-6
 
 
-def _pad_into(x, kernel_depth, pad):
-    return pad_into(np.empty(padded_shape(x.shape, kernel_depth, pad), dtype=x.dtype),
-                    x, kernel_depth, pad)
-
-
 class TestTemporalExtrapolate:
     def test_zero_policy_stores_no_depth_slices(self):
         # ZERO's zero slices are tap bounds of the GEMMs, not stored data
         rng = np.random.default_rng(30)
         x = rng.random((1, 2, 5, 3, 3)).astype(np.float32)
-        out = _pad_into(x, 3, PadPolicy(spatial=1, temporal=TemporalPad.ZERO))
+        out = padded(x, 3, PadPolicy(spatial=1, temporal=TemporalPad.ZERO))
         assert out.shape == (1, 2, 5, 5, 5)
         np.testing.assert_array_equal(out[..., 1:-1, 1:-1], x)
         assert not out[..., [0, -1], :].any() and not out[..., [0, -1]].any()
@@ -806,19 +800,19 @@ class TestTemporalExtrapolate:
     def test_duplicate_policy_copies_outermost(self):
         rng = np.random.default_rng(31)
         x = rng.random((1, 1, 5, 3, 3)).astype(np.float32)
-        out = _pad_into(x, 3, PadPolicy(temporal=TemporalPad.DUPLICATE))
+        out = padded(x, 3, PadPolicy(temporal=TemporalPad.DUPLICATE))
         np.testing.assert_array_equal(out[:, :, 0], x[:, :, 0])
         np.testing.assert_array_equal(out[:, :, 6], x[:, :, 4])
 
     def test_constant_tensor_stays_constant_under_duplicate(self):
         x = np.full((1, 1, 5, 2, 2), 0.7, dtype=np.float32)
-        out = _pad_into(x, 3, PadPolicy(temporal=TemporalPad.DUPLICATE))
+        out = padded(x, 3, PadPolicy(temporal=TemporalPad.DUPLICATE))
         np.testing.assert_array_equal(out, np.full((1, 1, 7, 2, 2), 0.7, dtype=np.float32))
 
     @pytest.mark.parametrize("policy", [TemporalPad.ZERO, TemporalPad.DUPLICATE])
     def test_even_kernel_depth_rejected(self, policy):
         with pytest.raises(ValueError, match="odd kernel depth"):
-            _pad_into(np.zeros((1, 1, 2, 2, 2), dtype=np.float32), 2, PadPolicy(temporal=policy))
+            padded(np.zeros((1, 1, 2, 2, 2), dtype=np.float32), 2, PadPolicy(temporal=policy))
 
 
 class TestPixelShuffle:

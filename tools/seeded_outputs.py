@@ -9,9 +9,11 @@ checkpoints with vsr3d.save_checkpoint, and then runs vsr3d.cli.main for
 `train` (`full` with the mean loss, `v1` with the sum), `sf-train`,
 `upscale` (`full` with the trained scene checkpoint, x3 through the
 scale-2 checkpoint, a small stack whose 8-group layers feed a DUPLICATE
-layer, and bicubic), `scene`, and `evaluate` (a candidate clip, and
-`--method bicubic`). Every output file and every command's stdout and
-exit code land under OUT_DIR, named relative to it, so that
+layer, and bicubic), `scene`, `evaluate` (a candidate clip, and
+`--method bicubic`), and `verify` in float32 and float64, whose lines
+carry each oracle check's worst difference. Every output file and every
+command's stdout and exit code land under OUT_DIR, named relative to it,
+so that
 
     diff -r OLD_OUT NEW_OUT
 
@@ -87,6 +89,8 @@ RUNS = [
     ("evaluate", ["evaluate", "hr.y4m", "up_full_sf.y4m", "--csv", "evaluate.csv"]),
     ("evaluate_bicubic", ["evaluate", "hr.y4m", "--method", "bicubic", "--scale", "2",
                           "--csv", "evaluate_bicubic.csv"]),
+    ("verify", ["verify"]),
+    ("verify_f64", ["verify", "--f64"]),
 ]
 
 
