@@ -13,14 +13,18 @@ folded (clamped edge taps summed) into a small dense matrix over the span of
 input rows or columns they touch, and the block is one matmul over that span
 (cache blocking, Goto and van de Geijn 2008). Only these per-block bands are
 kept, cached per (n_in, n_out, taps), where taps is a module-level tap
-function such as bicubic_taps, so equal calls find the same key. SSIM's
-Gaussian window runs through the same filter as valid-mode taps
-(metrics._window_taps).
+function such as bicubic_taps, so equal calls find the same key. A run of
+equal blocks, each span one block on, keeps one matrix and runs along axis 1
+as one matmul call over a strided stack of its spans (the same GEMMs and
+bytes): SSIM's full blocks (metrics._window_taps), but of resizes only a
+same-size one's inner blocks, as a block's span moves _BLOCK / scale inputs.
 """
 
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .frames import Frame, VideoClip, chroma_extent
 from .tensor_core import run_parts
@@ -68,7 +72,8 @@ def bicubic_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=64)
 def _bands(n_in: int, n_out: int, taps) -> tuple:
-    """(first output, first input, dense weights) per block of _BLOCK outputs."""
+    """(first output, first input, dense weights) per block of _BLOCK outputs;
+    a block equal to the one before, its span one block on, shares its array."""
     idx, wts = taps(n_in, n_out)
     idx = np.clip(idx, 0, n_in - 1)
     bands = []
@@ -77,6 +82,8 @@ def _bands(n_in: int, n_out: int, taps) -> tuple:
         first = int(i.min())
         dense = np.zeros((len(i), int(i.max()) + 1 - first))
         np.add.at(dense, (np.arange(len(i))[:, None], i - first), w)
+        if bands and bands[-1][1] + _BLOCK == first and np.array_equal(bands[-1][2], dense):
+            dense = bands[-1][2]
         dense.flags.writeable = False
         bands.append((lo, first, dense))
     return tuple(bands)
@@ -84,16 +91,26 @@ def _bands(n_in: int, n_out: int, taps) -> tuple:
 
 def _tap_filter(plane: np.ndarray, n_out: int, taps, axis: int) -> np.ndarray:
     """Apply the taps of a tap function with bicubic_taps' contract along
-    `axis` of a float64 plane."""
+    `axis` of a float64 plane: one matmul call per block, or along axis 1
+    per run of two or more blocks sharing an array."""
     shape = list(plane.shape)
     n_in, shape[axis] = shape[axis], n_out
     out = np.empty(shape)
-    for lo, first, dense in _bands(n_in, n_out, taps):
-        hi, span = lo + dense.shape[0], slice(first, first + dense.shape[1])
-        if axis == 0:
-            np.matmul(dense, plane[span], out=out[lo:hi])
-        else:
-            np.matmul(plane[:, span], dense.T, out=out[:, lo:hi])
+    for _, run in groupby(_bands(n_in, n_out, taps), key=lambda band: id(band[2])):
+        run = list(run)
+        if axis == 1 and len(run) > 1:
+            lo, first, dense = run[0]
+            block, span = dense.shape
+            spans = sliding_window_view(plane[:, first:], span, axis=1)[:, ::block][:, :len(run)]
+            np.matmul(spans.transpose(1, 0, 2), dense.T, out=out[:, lo:lo + block * len(run)]
+                      .reshape(len(out), -1, block).transpose(1, 0, 2))
+            continue
+        for lo, first, dense in run:
+            hi, span = lo + dense.shape[0], slice(first, first + dense.shape[1])
+            if axis == 0:
+                np.matmul(dense, plane[span], out=out[lo:hi])
+            else:
+                np.matmul(plane[:, span], dense.T, out=out[:, lo:hi])
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bicubic import bicubic_resize, bicubic_upscale, degrade_clip, upscale_chroma
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import COMMANDS, FIELD_DOCS, ConfigError, RunConfig, load_config
+from .config import COMMANDS, FIELD_TYPES, ConfigError, RunConfig, load_config
 from .frames import MIDDLE_FRAME, Frame, VideoClip
 from .metrics import format_metric, mean_psnr, metrics_csv, psnr, ssim
 from .model import ARCH_NAMES, build_architecture, count_parameters, dump_feature_maps, forward
@@ -353,8 +353,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # FIELD_DOCS holds the RunConfig keys; the other arguments are passed on below
-    overrides = {key: value for key, value in vars(args).items() if key in FIELD_DOCS}
+    # FIELD_TYPES holds the RunConfig keys; the other arguments are passed on below
+    overrides = {key: value for key, value in vars(args).items() if key in FIELD_TYPES}
     try:
         file_keys = set()
         cfg = load_config(args.config, overrides, file_keys)

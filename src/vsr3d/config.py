@@ -7,7 +7,7 @@ flag takes several paths (kept as a list; a file's value is split at
 commas), and its rule: the tuple of values it takes (read from the module
 that implements the option; the default stays allowed as "unset"), the
 least value of a bounded int, or "positive" or "non-negative" for a float,
-which must also be finite. The command line, FIELD_DOCS and validation
+which must also be finite. The command line, FIELD_TYPES and validation
 are derived from these fields.
 
 A config file holds any subset of RunConfig's fields, one `key = value` per
@@ -137,15 +137,14 @@ class RunConfig:
         return [p.strip() for p in raw.split(",") if p.strip()]
 
 
-_TYPES = {f.name: f.type for f in fields(RunConfig)}
-FIELD_DOCS = {f.name: f.metadata["doc"] for f in fields(RunConfig)}
+FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
     try:
-        return _TYPES[key](raw)
+        return FIELD_TYPES[key](raw)
     except ValueError:
-        raise ConfigError(f"config key {key!r} wants {_TYPES[key]}, got {raw!r}") from None
+        raise ConfigError(f"config key {key!r} wants {FIELD_TYPES[key]}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -158,7 +157,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if "=" not in body:
             raise ConfigError(f"{source}:{ln}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _TYPES:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"{source}:{ln}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{ln}: duplicate config key {key!r}")
@@ -186,7 +185,7 @@ def load_config(path: str | None, overrides: dict | None = None,
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _TYPES:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, value)
     _validate(cfg)

@@ -4,16 +4,14 @@ PSNR is 10*log10(1/MSE) on [0,1] data, +inf when the planes agree exactly.
 SSIM is the mean of local scores under an 11x11 Gaussian window (sigma 1.5,
 K1=0.01, K2=0.03, dynamic range 1), windows slid over every valid position.
 The window is separable: in strips of _STRIP output rows, converted to
-float64 one strip at a time, four maps are filtered one axis at a time
-through the resampler's banded GEMM with the tap function _window_taps
-(valid taps i..i+10 for output i): the two planes, their product, and the
-sum of their squares, since only var_a + var_b enters the score and the
-filter is linear. Along the rows, every full block shares one dense matrix,
-so all of them are one matmul call over strided span views: the same GEMMs
-and bytes as one call per block, but under 200 calls per 720p frame, not
-about 2,000. The per-pixel score is then formed in place. Full-frame maps
-were slower: a 720p float64 map is 7 MB, and every fresh one costs its page
-faults.
+float64 one strip at a time, four maps are filtered one axis at a time by
+the resampler's banded filter (bicubic._tap_filter) with the tap function
+_window_taps (valid taps i..i+10 for output i): the two planes, their
+product, and the sum of their squares, since only var_a + var_b enters the
+score and the filter is linear. The window's full blocks share one matrix,
+so a map's row pass is one matmul call over them: under 200 calls per 720p
+frame, not about 2,000. The per-pixel score is then formed in place.
+Full-frame maps were slower: each fresh 7 MB 720p map costs page faults.
 """
 
 import csv
@@ -21,9 +19,8 @@ import io
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .bicubic import _bands, _tap_filter
+from .bicubic import _tap_filter
 from .frames import Frame
 
 SSIM_WINDOW = 11
@@ -97,10 +94,9 @@ def _ssim_sum(pa: np.ndarray, pb: np.ndarray) -> float:
     h, w = (n - SSIM_WINDOW + 1 for n in pa.shape)
 
     def blur(img):
-        return _window_rows(_tap_filter(img, h, _window_taps, 0), w)
+        return _tap_filter(_tap_filter(img, h, _window_taps, 0), w, _window_taps, 1)
 
-    c1 = (SSIM_K1 * 1.0) ** 2
-    c2 = (SSIM_K2 * 1.0) ** 2
+    c1, c2 = SSIM_K1 ** 2, SSIM_K2 ** 2   # (K * L)^2 at dynamic range L = 1
     mu_a, mu_b = blur(pa), blur(pb)
     num = mu_a * mu_b
     mu_a *= mu_a
@@ -122,23 +118,6 @@ def _ssim_sum(pa: np.ndarray, pb: np.ndarray) -> float:
     mu_a *= var
     num /= mu_a
     return float(num.sum())
-
-
-def _window_rows(img: np.ndarray, w: int) -> np.ndarray:
-    """The valid window along axis 1. Full blocks share one dense matrix and
-    their spans advance by a block, so numpy runs them as one stack of the
-    same per-block GEMMs (same bytes) without a Python call, and a GIL
-    handoff, per block. A short last block runs alone."""
-    bands = _bands(img.shape[1], w, _window_taps)
-    block, span = bands[0][2].shape
-    full = w // block * block
-    out = np.empty((len(img), w))
-    np.matmul(sliding_window_view(img, span, axis=1)[:, ::block].transpose(1, 0, 2),
-              bands[0][2].T, out=out[:, :full].reshape(len(img), -1, block).transpose(1, 0, 2))
-    if full < w:
-        lo, first, dense = bands[-1]
-        np.matmul(img[:, first:first + dense.shape[1]], dense.T, out=out[:, lo:])
-    return out
 
 
 def format_metric(value: float) -> str:

@@ -79,7 +79,7 @@ process's OpenBLAS runs one thread, with no worker pool), so no core or thread
 count changes a bit. Each part gathers into a band buffer, and writes into a
 scratch band, that the caller allocates (a helper's malloc arena would keep
 them); the parts' bands cover disjoint rows of the output and of relu_into.
-Other calls run in the calling thread.
+Other calls, and all without OpenBLAS control, run in the calling thread.
 
 The first top-level run_parts call also fixes glibc's malloc thresholds for
 the process (mmap 32 MiB, trim 64 MiB, through mallopt), so the heap top
@@ -440,7 +440,7 @@ def conv_padded(xp: np.ndarray, weights: ConvWeights, pad: PadPolicy,
 
     bands, buf = _bands(xp, kh, kw, ho, wo)
     scratch = None if keep else np.empty((o, do, buf.shape[4] * wo), dtype=xp.dtype)
-    if len(bands) == len(xp) or _IN_PART.get():
+    if len(bands) == len(xp) or _IN_PART.get() or _blas_threads() is None:
         run(bands, buf, scratch)
     else:
         parts = np.array_split(bands, min(_workers(), len(bands)))

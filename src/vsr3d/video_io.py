@@ -238,6 +238,10 @@ def _write_pgmdir(clip: VideoClip, path: str):
         os.makedirs(path, exist_ok=True)
         for name in names:
             os.replace(os.path.join(tmp, name), os.path.join(path, name))
+        for name in os.listdir(path):  # a longer clip's frames past this one's
+            index = name.removesuffix(".pgm")
+            if index.isdecimal() and int(index) >= len(names) and name == f"{int(index):06d}.pgm":
+                os.remove(os.path.join(path, name))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from vsr3d.cli import _build_parser
-from vsr3d.config import FIELD_DOCS, load_config
+from vsr3d.config import FIELD_TYPES, load_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 # top-level modules that loading bench/workloads.py imports from bench/
@@ -88,5 +88,5 @@ def test_command_lines_parse_and_validate(name, tmp_path):
         args = parser.parse_args(command.argv)
         assert args.command == command.argv[0]
         overrides = {key: ",".join(value) if isinstance(value, list) else value
-                     for key, value in vars(args).items() if key in FIELD_DOCS}
+                     for key, value in vars(args).items() if key in FIELD_TYPES}
         load_config(args.config, overrides)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,18 @@ class TestSplitStack:
         assert no_caches == [] and np.array_equal(plain, want) and np.array_equal(got, want)
         assert len(caches) == len(pres)
         assert all(np.array_equal(pre, ref) for pre, ref in zip(caches, pres))
+
+    def test_forward_without_blas_control_runs_its_bands_inline(self, monkeypatch):
+        # run_parts starts no helper then, so a split would only cost buffers;
+        # where os.sched_getaffinity is missing (macOS, Windows), counting the
+        # cores to split over raised AttributeError
+        spec = build_architecture("full", 2)
+        params = random_params(spec, seed=11)
+        x = np.random.default_rng(12).random((1, 1, 5, 96, 128)).astype(np.float32)
+        want = forward_stack(params, spec, x)[0]
+        monkeypatch.setattr(tensor_core, "_blas_threads", lambda: None)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert forward_stack(params, spec, x)[0].tobytes() == want.tobytes()
 
     def test_untraced_forward_pads_once_in_two_buffers(self, monkeypatch):
         import tracemalloc

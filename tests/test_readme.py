@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from vsr3d.cli import _build_parser
-from vsr3d.config import FIELD_DOCS, load_config
+from vsr3d.config import FIELD_TYPES, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 COMMAND_LINES = [line.split("#", 1)[0].strip()
@@ -29,5 +29,5 @@ def test_command_line_parses_and_validates(line):
     args = _build_parser().parse_args(argv)
     assert args.command == argv[0]
     overrides = {key: ",".join(value) if isinstance(value, list) else value
-                 for key, value in vars(args).items() if key in FIELD_DOCS}
+                 for key, value in vars(args).items() if key in FIELD_TYPES}
     load_config(args.config, overrides)

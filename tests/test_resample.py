@@ -1,11 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vsr3d import bicubic
 from vsr3d.bicubic import (bicubic_resize, bicubic_taps, bicubic_upscale, degrade_clip, resize_plane,
                            upscale_chroma)
 from vsr3d.frames import Frame, VideoClip, chroma_extent
+from vsr3d.metrics import SSIM_WINDOW, _window_taps
 from vsr3d.reference import resize_dense
+
+# the resizes of the benchmark's workloads (luma and chroma, up and down)
+BENCH_SIZES = [(720, 360), (360, 720), (1280, 640), (640, 1280), (144, 72), (72, 144),
+               (176, 88), (88, 176), (36, 72), (44, 88), (720, 27), (1280, 48)]
+
+
+def check_shared_arrays(n_in, n_out):
+    """The window's full blocks share one array. No resize block shares its
+    first block's, whose span folds clamped edge taps, and only a same-size
+    resize has blocks whose spans advance by one block."""
+    window = bicubic._bands(n_in, n_in - SSIM_WINDOW + 1, _window_taps)
+    full = {id(dense) for _, _, dense in window if len(dense) == bicubic._BLOCK}
+    assert len(full) <= 1
+    resize = bicubic._bands(n_in, n_out, bicubic_taps)
+    assert all(dense is not resize[0][2] for _, _, dense in resize[1:])
+    assert len({id(dense) for _, _, dense in resize}) == len(resize) or n_in == n_out
 
 
 class TestKernel:
@@ -91,6 +110,14 @@ class TestBands:
         misses = bicubic._bands.cache_info().misses
         resize_plane(p, 53, 19)
         assert bicubic._bands.cache_info().misses == misses
+
+    @pytest.mark.parametrize("n_in,n_out", BENCH_SIZES)
+    def test_only_the_window_shares_arrays_at_bench_sizes(self, n_in, n_out):
+        check_shared_arrays(n_in, n_out)
+
+    @given(st.integers(SSIM_WINDOW, 1500), st.integers(1, 1500))
+    def test_only_the_window_shares_arrays(self, n_in, n_out):
+        check_shared_arrays(n_in, n_out)
 
     def test_bands_cover_only_touched_inputs(self, small_blocks):
         # an 8x enlargement: each block of 5 outputs reads a few inputs, not all 12

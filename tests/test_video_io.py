@@ -226,3 +226,14 @@ class TestPgmDirOutput:
         assert sorted(p.name for p in d.iterdir()) == ["000000.pgm", "000001.pgm", "notes.txt"]
         assert len(read_clip(str(d))) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["frames"]
+
+    def test_shorter_clip_removes_the_longer_ones_frames(self, tmp_path):
+        d = tmp_path / "frames"
+        write_clip(VideoClip([Frame(np.full((4, 6), 0.8))] * 5), str(d))
+        (d / "notes.txt").write_bytes(b"mine")
+        (d / "0000002.pgm").write_bytes(b"not a frame name")
+        write_clip(VideoClip([Frame(np.full((4, 6), 0.2))] * 2), str(d))
+        assert {p.name for p in d.iterdir()} == {"000000.pgm", "000001.pgm", "0000002.pgm",
+                                                 "notes.txt"}
+        (d / "0000002.pgm").unlink()
+        assert [round(float(f.luma.mean()), 1) for f in read_clip(str(d))] == [0.2, 0.2]
