@@ -15,7 +15,7 @@ from .frames import Frame, VideoClip
 from .metrics import format_metric, metrics_csv, psnr, ssim
 from .model import (ARCH_NAMES, LayerSpec, ModelSpec, build_architecture,
                     count_parameters, dump_feature_maps, forward, forward_stack)
-from .scene import (SceneLabel, SFInput, build_sf_net, classify_window,
+from .scene import (SceneLabel, build_sf_net, classify_window,
                     confusion_csv, confusion_matrix, make_sf_dataset,
                     replace_frames, sf_accuracy, train_sf)
 from .tensor_core import (ConvWeights, PadPolicy, TemporalPad, conv_forward,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ARCH_NAMES", "CheckpointError", "ClipFormatError", "ConfigError",
     "ConvWeights", "DatasetRecipe", "Frame", "GradCheckReport", "LayerSpec",
-    "ModelSpec", "PadPolicy", "RunConfig", "SFInput", "SceneLabel",
+    "ModelSpec", "PadPolicy", "RunConfig", "SceneLabel",
     "TemporalPad", "TrainResult", "TrainingDiverged", "VideoClip",
     "WindowSample", "adam_step", "bicubic_resize", "bicubic_upscale", "build_architecture",
     "build_sf_net", "classify_window", "confusion_csv", "confusion_matrix",

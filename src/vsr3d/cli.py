@@ -27,7 +27,7 @@ from .scene import (SceneLabel, build_sf_net, confusion_csv, confusion_matrix,
                     sf_logits, softmax, train_sf)
 from .tensor_core import run_parts
 from .training import DatasetRecipe, TrainingDiverged, extract_dataset, train
-from .video_io import ClipFormatError, detect_format, read_clip, write_clip
+from .video_io import ClipFormatError, atomic_write, detect_format, read_clip, write_clip
 
 
 def _require(path: str, what: str):
@@ -70,8 +70,8 @@ def _stem(path: str) -> str:
 def _write_csv(cfg: RunConfig, text: str, what: str = ""):
     """Write text to --csv when given, naming what was written if `what`."""
     if cfg.csv_path:
-        with open(cfg.csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with atomic_write(cfg.csv_path) as fh:
+            fh.write(text.encode("utf-8"))
         if what:
             print(f"{what} -> {cfg.csv_path}")
 
@@ -132,7 +132,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def _window_logits(sf, window) -> np.ndarray:
     params, spec, _ = sf
-    return sf_logits(params, spec, [sf_input_from_window(window)])[0]
+    return sf_logits(params, spec, sf_input_from_window(window)[None])[0]
 
 
 # activations that overflow surface once, as write_clip's refusal of
@@ -260,11 +260,11 @@ def cmd_sf_train(cfg: RunConfig) -> int:
                               seed=cfg.seed + 1)
     spec = build_sf_net(cfg.sf_layers)
     print(f"vsr3d sf-train: {cfg.sf_layers}-layer classifier, "
-          f"{count_parameters(spec):,} weights, {len(train_set)} samples, seed {cfg.seed}")
+          f"{count_parameters(spec):,} weights, {len(train_set[1])} samples, seed {cfg.seed}")
     result = train_sf(spec, train_set, epochs=cfg.sf_epochs, batch_size=cfg.sf_batch_size,
                       lr=cfg.sf_lr, val_samples=val_set, meta={"arch": f"sf{cfg.sf_layers}"},
                       **loop)
-    print(f"held-out accuracy {result.final_val:.4f} on {len(val_set)} samples")
+    print(f"held-out accuracy {result.final_val:.4f} on {len(val_set[1])} samples")
     text = confusion_csv(confusion_matrix(result.params, spec, val_set))
     print(text, end="")
     _write_csv(cfg, text)

@@ -13,6 +13,7 @@ from .tensor_core import DEFAULT_DTYPE
 
 INPUT_FRAMES = 5   # the sliding window every network reads
 MIDDLE_FRAME = INPUT_FRAMES // 2   # the window's centre, the frame it upscales
+DEFAULT_FRAME_RATE = (30, 1)   # of a clip whose source declares none
 
 
 def chroma_extent(height: int, width: int) -> tuple[int, int]:
@@ -63,7 +64,7 @@ class VideoClip:
     """Ordered frames sharing one geometry. frame_rate is informational only."""
 
     frames: list[Frame] = field(default_factory=list)
-    frame_rate: tuple[int, int] = (30, 1)
+    frame_rate: tuple[int, int] = DEFAULT_FRAME_RATE
 
     def __post_init__(self):
         if not self.frames:

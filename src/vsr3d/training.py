@@ -26,6 +26,7 @@ from .model import (SCALES, ModelSpec, backward_stack, build_architecture, forwa
                     forward_stack, layer_input, zero_params)
 from .tensor_core import (DEFAULT_DTYPE, ConvWeights, conv_forward, pixel_shuffle, pixel_unshuffle,
                           run_parts)
+from .video_io import atomic_write
 
 DEFAULT_LR = 5e-4
 DEFAULT_BATCH = 32
@@ -253,7 +254,9 @@ def fit(spec: ModelSpec, count: int, batch_loss, validate=None, *, epochs: int =
     per epoch from the seed, and hands each batch of indices to
     `batch_loss(params, idx) -> (loss, grads)`. Logs (step, loss, periodic
     `validate(params)`), writes periodic and final checkpoints to out_path,
-    and aborts on a non-finite loss or gradient keeping the last checkpoint and log.
+    and aborts on a non-finite loss or gradient keeping the last checkpoint.
+    However the run ends, log_path then holds the rows logged so far; a run
+    that logs none (one that fails in its first step) leaves it as it was.
     """
     if not count:
         raise ValueError("empty dataset")
@@ -289,14 +292,11 @@ def fit(spec: ModelSpec, count: int, batch_loss, validate=None, *, epochs: int =
             rows.append((step, loss, validate(params) if due else None))
             if checkpoint_every and step % checkpoint_every == 0:
                 checkpoint(step)
-    except TrainingDiverged:  # the rows logged so far stay beside the last checkpoint
-        if log_path:
+        final_val = validate(params) if validate else None
+        checkpoint(step)
+    finally:  # a diverged or interrupted run's rows stay beside its last checkpoint
+        if log_path and rows:
             write_log(rows, log_path, val_column)
-        raise
-    final_val = validate(params) if validate else None
-    checkpoint(step)
-    if log_path:
-        write_log(rows, log_path, val_column)
     return TrainResult(params, rows, final_val)
 
 
@@ -325,11 +325,11 @@ def train(spec: ModelSpec, samples: list[WindowSample], *, loss_form: str = "mea
 
 
 def write_log(rows, path: str, val_column: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"step,loss,{val_column}\n")
-        for step, loss, val in rows:
-            val_cell = "" if val is None else f"{val:.4f}"
-            fh.write(f"{step},{loss:.8e},{val_cell}\n")
+    """The (step, loss, val) rows as CSV, replacing `path` only once written."""
+    text = f"step,loss,{val_column}\n" + "".join(
+        f"{step},{loss:.8e},{'' if val is None else f'{val:.4f}'}\n" for step, loss, val in rows)
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .frames import Frame, VideoClip, chroma_extent
+from .frames import DEFAULT_FRAME_RATE, Frame, VideoClip, chroma_extent
 
 FORMATS = ("y4m", "rawyuv420", "pgmdir")
 # 8-bit 4:2:0 under each chroma siting the Y4M spec names
@@ -123,7 +123,7 @@ def _read_y4m(path: str) -> VideoClip:
         if tokens[0] != "YUV4MPEG2":
             raise ClipFormatError("missing YUV4MPEG2 signature")
         w = h = 0
-        rate = (30, 1)
+        rate = DEFAULT_FRAME_RATE
         for tok in tokens[1:]:
             if tok.startswith("W"):
                 w = _header_int(tok[1:], "Y4M width")
@@ -150,7 +150,7 @@ def _read_rawyuv(path: str, size: tuple[int, int] | None) -> VideoClip:
         raise ClipFormatError(f"raw YUV420 geometry must be positive, got {w}x{h}")
     _check_even(w, h)
     with open(path, "rb") as fh:
-        return _read_yuv_frames(fh, w, h, (30, 1), delimited=False)
+        return _read_yuv_frames(fh, w, h, DEFAULT_FRAME_RATE, delimited=False)
 
 
 def _read_pgm(path: str) -> np.ndarray:

@@ -201,7 +201,7 @@ def test_08_scene_classifier_heldout_accuracy():
     pool_b = [textured(30 + i, 24, 96, 54) for i in range(3)]
     tr = make_sf_dataset(pool_a, pool_b, per_class=200, seed=0)
     va = make_sf_dataset(pool_a, pool_b, per_class=50, seed=1)
-    assert len(tr) == 5 * 200
+    assert len(tr[1]) == 5 * 200
     result = train_sf(build_sf_net(3), tr, epochs=20, batch_size=64, lr=1e-3,
                       seed=0, val_samples=va)
     assert result.final_val >= 0.95, result.final_val

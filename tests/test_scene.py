@@ -10,7 +10,7 @@ from vsr3d.frames import Frame, VideoClip
 from vsr3d.model import (LayerSpec, ModelSpec, backward_stack, count_parameters, forward_stack,
                          zero_params)
 from vsr3d.reference import GRAD_TOLERANCES
-from vsr3d.scene import (SF_HEIGHT, SF_WIDTH, SceneLabel, SFInput, build_sf_net,
+from vsr3d.scene import (SF_HEIGHT, SF_WIDTH, SceneLabel, build_sf_net,
                          classify_window, confusion_csv, confusion_matrix,
                          loss_cross_entropy, make_sf_dataset, replace_frames,
                          sf_accuracy, sf_batch_step, sf_input_from_window, sf_logits,
@@ -46,13 +46,6 @@ class TestLabels:
         assert [l.value for l in SceneLabel] == [0, 1, 2, 3, 4]
         assert list(SceneLabel)[-1] is SceneLabel.NO_CHANGE
 
-    def test_sfinput_geometry_enforced(self):
-        SFInput(np.zeros((5, SF_HEIGHT, SF_WIDTH), dtype=np.float32))
-        with pytest.raises(ValueError):
-            SFInput(np.zeros((5, SF_WIDTH, SF_HEIGHT), dtype=np.float32))
-        with pytest.raises(ValueError):
-            SFInput(np.zeros((4, SF_HEIGHT, SF_WIDTH), dtype=np.float32))
-
 
 class TestNet:
     @pytest.mark.parametrize("layers,n_params", [(2, 2), (3, 3)])
@@ -61,9 +54,19 @@ class TestNet:
         assert spec.kind == "sf"
         assert len(spec.layers) == n_params
         params = xavier_init(spec, 0)
-        x = SFInput(np.random.default_rng(1).random((5, SF_HEIGHT, SF_WIDTH)).astype(np.float32))
-        logits = sf_logits(params, spec, [x, x])
+        x = np.random.default_rng(1).random((5, SF_HEIGHT, SF_WIDTH)).astype(np.float32)
+        logits = sf_logits(params, spec, np.stack([x, x]))
         assert logits.shape == (2, 5)
+
+    def test_input_geometry_enforced(self):
+        spec = build_sf_net(2)
+        params = zero_params(spec)
+        assert sf_logits(params, spec, np.zeros((3, 5, SF_HEIGHT, SF_WIDTH), np.float32)).shape \
+            == (3, 5)
+        for shape in ((3, 5, SF_WIDTH, SF_HEIGHT), (3, 4, SF_HEIGHT, SF_WIDTH),
+                      (5, SF_HEIGHT, SF_WIDTH), (3, 1, 5, SF_HEIGHT, SF_WIDTH)):
+            with pytest.raises(ValueError, match="27, 48"):
+                sf_logits(params, spec, np.zeros(shape, np.float32))
 
     def test_counts_are_modest(self):
         # lightweight by construction; nothing pins the exact figure
@@ -76,9 +79,9 @@ class TestNet:
     def test_sr_spec_rejected_by_logits(self):
         from vsr3d.model import build_architecture
         spec = build_architecture("v1")
-        x = SFInput(np.zeros((5, SF_HEIGHT, SF_WIDTH), dtype=np.float32))
+        x = np.zeros((1, 5, SF_HEIGHT, SF_WIDTH), dtype=np.float32)
         with pytest.raises(ValueError, match="SF spec"):
-            sf_logits(zero_params(spec), spec, [x])
+            sf_logits(zero_params(spec), spec, x)
 
     def test_strided_stack_gradients_match_finite_differences(self):
         # narrow stand-in keeps the stride-2 + full-extent-head structure
@@ -166,7 +169,7 @@ class TestShrinkOncePerFrame:
         for c, got in enumerate(inputs):
             want = np.stack([resize_plane(f.luma, SF_HEIGHT, SF_WIDTH)
                              for f in clip.window(c)]).astype(np.float32)
-            assert np.array_equal(got.planes, want)
+            assert np.array_equal(got, want)
 
 
 class TestReplaceFrames:
@@ -206,20 +209,22 @@ class TestReplaceFrames:
 
 class TestDataset:
     def test_balanced_and_shaped(self):
-        data = make_sf_dataset([constant_clip(0.2)], [constant_clip(0.8)], per_class=3, seed=0)
-        assert len(data) == 15
+        inputs, labels = make_sf_dataset([constant_clip(0.2)], [constant_clip(0.8)],
+                                         per_class=3, seed=0)
+        assert inputs.shape == (15, 5, SF_HEIGHT, SF_WIDTH) and inputs.dtype == np.float32
+        assert labels.shape == (15,)
         counts = {lab: 0 for lab in SceneLabel}
-        for x, lab in data:
-            counts[lab] += 1
-            assert x.planes.shape == (5, SF_HEIGHT, SF_WIDTH)
+        for lab in labels:
+            counts[SceneLabel(lab)] += 1
         assert all(c == 3 for c in counts.values())
 
     def test_boundary_position_by_construction(self):
         # constant-luma scenes make the splice point directly readable
         data = make_sf_dataset([constant_clip(0.2)], [constant_clip(0.8)],
                                per_class=4, seed=1)
-        for x, lab in data:
-            means = x.planes.mean(axis=(1, 2))
+        for x, value in zip(*data):
+            lab = SceneLabel(value)
+            means = x.mean(axis=(1, 2))
             sides = np.isclose(means, means[0], atol=1e-3)
             if lab is SceneLabel.NO_CHANGE:
                 assert sides.all()
@@ -231,13 +236,34 @@ class TestDataset:
         pools = (scene_pool(1, 0.3), scene_pool(2, 0.6))
         a = make_sf_dataset(*pools, per_class=2, seed=7)
         b = make_sf_dataset(*pools, per_class=2, seed=7)
-        assert all(np.array_equal(x.planes, y.planes) and lx is ly
-                   for (x, lx), (y, ly) in zip(a, b))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_short_scene_rejected(self):
         with pytest.raises(ValueError, match="at least 5"):
             make_sf_dataset([constant_clip(0.2, frames=4)], [constant_clip(0.8)],
                             per_class=1, seed=0)
+
+    def test_each_drawn_frame_is_shrunk_once(self, monkeypatch):
+        # 30 windows from 96 frames: some frames are drawn twice, some never
+        pools = (scene_pool(1, 0.3), scene_pool(2, 0.6))
+        frames = {id(f.luma): f for pool in pools for clip in pool for f in clip}
+        # each frame's shrink as the classifier input always made it, by content
+        want = {resize_plane(f.luma, SF_HEIGHT, SF_WIDTH).astype(np.float32).tobytes(): f
+                for f in frames.values()}
+        calls = []
+
+        def counting(plane, out_h, out_w):
+            calls.append(id(plane))
+            return resize_plane(plane, out_h, out_w)
+
+        monkeypatch.setattr(scene, "resize_plane", counting)
+        inputs, _ = make_sf_dataset(*pools, per_class=6, seed=3)
+        windows = [[want[p.tobytes()] for p in x] for x in inputs]
+        drawn = {id(f.luma) for window in windows for f in window}
+        assert sorted(calls) == sorted(drawn)
+        assert len(drawn) < min(len(frames), 5 * len(windows))
+        for x, window in zip(inputs, windows):
+            assert np.array_equal(x, sf_input_from_window(window))
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="pools"):
@@ -275,9 +301,9 @@ class TestTrainedClassifier:
     def test_confusion_matrix_concentrates_on_diagonal(self, trained_sf):
         spec, result, val_set, _, _ = trained_sf
         counts = confusion_matrix(result.params, spec, val_set)
-        assert counts.sum() == len(val_set)
+        assert counts.sum() == len(val_set[1])
         assert np.all(counts.sum(axis=1) == 10)
-        assert np.trace(counts) >= 0.95 * len(val_set)
+        assert np.trace(counts) >= 0.95 * len(val_set[1])
 
     def test_confusion_csv_layout(self, trained_sf):
         spec, result, val_set, _, _ = trained_sf
@@ -375,6 +401,5 @@ class TestClassifierStep:
 
         monkeypatch.setattr(training, "run_parts", recording)
         _, spec, x, labels = self.batch(n=12)
-        samples = [(SFInput(planes[0]), SceneLabel(int(k))) for planes, k in zip(x, labels)]
-        train_sf(spec, samples, epochs=1, batch_size=9)
+        train_sf(spec, (x[:, 0], labels), epochs=1, batch_size=9)
         assert calls == [[0, 5], [0, 2]]

@@ -466,6 +466,21 @@ class TestFit:
         assert [line.split(",")[0] for line in log.read_text().splitlines()] == \
             ["step", "1", "2"]
 
+    def test_interrupt_replaces_a_stale_log_with_the_rows_so_far(self, tmp_path):
+        spec, log = miniature_spec("v1"), tmp_path / "log.csv"
+        log.write_text("step,loss,val_psnr_db\n1,9.0,\n2,9.0,\n3,9.0,\n4,9.0,\n")
+        seen = []
+        scripted = self.scripted(spec, [1.0, 0.5], seen)
+
+        def loop(params, idx):  # Ctrl-C during step 3
+            if len(seen) == 2:
+                raise KeyboardInterrupt
+            return scripted(params, idx)
+        with pytest.raises(KeyboardInterrupt):
+            fit(spec, 8, loop, epochs=5, batch_size=2, log_path=str(log))
+        assert log.read_text() == "step,loss,val_psnr_db\n1,1.00000000e+00,\n2,5.00000000e-01,\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+
 
 class TestMiniatures:
     @pytest.mark.parametrize("name", ARCH_NAMES)

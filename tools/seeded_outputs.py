@@ -11,7 +11,10 @@ checkpoints with vsr3d.save_checkpoint, and then runs vsr3d.cli.main for
 scale-2 checkpoint, a small stack whose 8-group layers feed a DUPLICATE
 layer, and bicubic), `scene`, `evaluate` (a candidate clip, and
 `--method bicubic`), and `verify` in float32 and float64, whose lines
-carry each oracle check's worst difference. Every output file and every
+carry each oracle check's worst difference. The CSVs round PSNR and SSIM,
+so each frame of both `evaluate` pairs is scored again through
+vsr3d.psnr and vsr3d.ssim and written exactly, as float.hex(), to
+`evaluate.hex` and `evaluate_bicubic.hex`. Every output file and every
 command's stdout and exit code land under OUT_DIR, named relative to it,
 so that
 
@@ -94,6 +97,26 @@ RUNS = [
 ]
 
 
+def write_metric_hex(pairs, path: str):
+    """`frame,psnr,ssim` per (reference, candidate) pair, at --border 0."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, (ref, cand) in enumerate(pairs):
+            fh.write(f"{i},{float(vsr3d.psnr(ref, cand)).hex()},"
+                     f"{float(vsr3d.ssim(ref, cand)).hex()}\n")
+
+
+def evaluate_pairs():
+    """The frame pairs `evaluate` scores: the upscaled clip's, then those of
+    `--method bicubic --scale 2` (the reference cropped to what its LR
+    frame upsamples to)."""
+    hr, up = vsr3d.read_clip("hr.y4m"), vsr3d.read_clip("up_full_sf.y4m")   # 8-bit, as read
+    lr = vsr3d.degrade_clip(hr, 2)
+    w, h = lr.width * 2, lr.height * 2
+    bicubic = [(vsr3d.Frame(ref.luma[:h, :w]), vsr3d.bicubic_resize(low, w, h))
+               for ref, low in zip(hr, lr)]
+    return list(zip(hr, up)), bicubic
+
+
 def run(out_dir: str) -> int:
     os.makedirs(out_dir)
     os.chdir(out_dir)  # every path below, and so every printed one, is relative
@@ -124,6 +147,8 @@ def run(out_dir: str) -> int:
             fh.write(f"{stdout.getvalue()}exit {code}\n")
         print(f"{name}: exit {code}")
         failed += code != 0
+    for pairs, name in zip(evaluate_pairs(), ("evaluate", "evaluate_bicubic")):
+        write_metric_hex(pairs, f"{name}.hex")
     return 1 if failed else 0
 
 
