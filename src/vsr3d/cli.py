@@ -37,9 +37,11 @@ def _require(path: str, what: str):
         raise ConfigError(f"{what} {path!r} does not exist")
 
 
-def _read(cfg: RunConfig, path: str) -> VideoClip:
+def _read(cfg: RunConfig, path: str, chroma: bool = False) -> VideoClip:
+    """The clip at `path`; its chroma only if asked for, since only upscale
+    writes it (every other command reads luma)."""
     _require(path, "clip")
-    return read_clip(path, fmt=cfg.format or None, size=cfg.clip_size())
+    return read_clip(path, fmt=cfg.format or None, size=cfg.clip_size(), chroma=chroma)
 
 
 # model kind -> (what a missing path is called, what the model is called)
@@ -141,7 +143,7 @@ def _window_logits(sf, window) -> np.ndarray:
 def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
     if (cfg.format or detect_format(out_path)) != "pgmdir":  # a directory makes its parents
         _check_outputs(out_path)
-    clip = _read(cfg, in_path)
+    clip = _read(cfg, in_path, chroma=True)
     rs = cfg.scale
     sf, dump_centre = None, None
     if cfg.method == "bicubic":
@@ -207,10 +209,12 @@ def cmd_evaluate(cfg: RunConfig, ref_path: str, cand_path: str | None,
     elif cfg.method == "bicubic":
         lr = degrade_clip(ref, cfg.scale)
         h, w = lr.height * cfg.scale, lr.width * cfg.scale
+        cropped = (h, w) != (ref.height, ref.width)
         name = _stem(ref_path)
 
         def pair(i):  # the reference cropped to what the LR frame upsamples to
-            return Frame(ref[i].luma[:h, :w]), bicubic_resize(lr[i], w, h)
+            rf = Frame(ref[i].luma[:h, :w]) if cropped else ref[i]
+            return rf, bicubic_resize(lr[i], w, h)
     else:
         raise ConfigError("evaluate needs a candidate clip or --method bicubic")
 

@@ -2,7 +2,9 @@
 
 A Frame is a luma plane in [0, 1] plus optional 4:2:0 chroma; a VideoClip is an
 ordered list of same-geometry frames. A frame holds read-only copies of its
-planes, so nothing writes into them once the frame is built.
+planes, so nothing writes into them once the frame is built. A plane given as
+8-bit samples maps to [0, 1] as x/255, the one place that rule is written:
+the clip readers hand their decoded bytes straight to Frame.
 """
 
 from dataclasses import dataclass, field
@@ -22,9 +24,14 @@ def chroma_extent(height: int, width: int) -> tuple[int, int]:
 
 
 def _clamped_plane(data) -> np.ndarray:
-    """A read-only clamped copy of `data`, made in one pass, so a plane never
-    changes after its frame is built (scene.py memoizes on plane identity)."""
-    plane = np.clip(data, 0.0, 1.0, dtype=DEFAULT_DTYPE)
+    """A read-only [0, 1] copy of `data`, made in one pass (uint8 samples as
+    x/255, anything else clamped), so a plane never changes after its frame
+    is built (scene.py memoizes on plane identity)."""
+    data = np.asarray(data)
+    if data.dtype == np.uint8:
+        plane = np.divide(data, 255, dtype=DEFAULT_DTYPE)
+    else:
+        plane = np.clip(data, 0.0, 1.0, dtype=DEFAULT_DTYPE)
     if plane.ndim != 2:
         raise ValueError(f"plane must be 2D, got shape {plane.shape}")
     plane.flags.writeable = False

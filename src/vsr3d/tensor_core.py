@@ -75,8 +75,12 @@ it gathers into. A conv_padded call outside run_parts' parts whose samples
 span two or more bands runs its (sample, band) list as contiguous parts,
 taken by the calling thread and helpers that live for the call, one per
 further core, their GEMMs on one BLAS thread (from the first such call on, the
-process's OpenBLAS runs one thread, with no worker pool), so no core or thread
-count changes a bit. Each part gathers into a band buffer, and writes into a
+process's OpenBLAS runs one thread, with no worker pool). Such a call cuts
+each sample's rows again into near-equal bands, just enough more of them
+that the parts take equal counts, where every band of either cut covers the
+floor and every GEMM of either cut is past OpenBLAS's small-matrix path:
+each column then rounds as in one wide call, so no core or thread count
+changes a bit. Each part gathers into a band buffer, and writes into a
 scratch band, that the caller allocates (a helper's malloc arena would keep
 them); the parts' bands cover disjoint rows of the output and of relu_into.
 Other calls, and all without OpenBLAS control, run in the calling thread.
@@ -93,6 +97,7 @@ import contextvars
 import enum
 import functools
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -106,6 +111,10 @@ DEFAULT_DTYPE = np.float32
 # the fewest output positions a band's GEMMs cover (the floor wins).
 _WINDOW_BUDGET_BYTES = 2 * 1024 * 1024
 _MIN_BAND_POSITIONS = 512
+# OpenBLAS runs an (M x K) @ (K x N) GEMM with M*N*K up to this on its
+# small-matrix kernels, whose float32 results depend on N (measured at one
+# thread); above it, a column's result is that of one wide call
+_SMALL_GEMM_MNK = 10**6
 # glibc's malloc thresholds, fixed once per process (mallopt's parameter
 # numbers, then values): mmap at glibc's 64-bit ceiling, trim at twice that,
 # the ratio of glibc's own dynamic rule, which setting either one switches off
@@ -316,15 +325,31 @@ def _copy_edge_slices(buf: np.ndarray, d: int):
     buf[:, :, -d:] = buf[:, :, -d - 1:-d]
 
 
-def _bands(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int):
+def _bands(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int, parts: int = 1,
+           gemm_mk: int = 0):
     """(bands, buf): each sample n's bands (n, y0, y1) of ho output rows of a
     padded input, sized by budget and floor (a sample's last may be short),
-    and a buffer that holds one band's gather."""
+    and a buffer that holds one band's gather. For a call split into `parts`
+    with two or more bands per sample, each sample's rows are cut instead
+    into near-equal bands, just enough more of them that the parts take
+    equal counts, if every band of either cut covers the floor and its
+    GEMMs, the smallest of which has M*K = gemm_mk, are past the
+    small-matrix path: the two cuts' bytes then agree."""
     _, in_g, dp = xp.shape[:3]
     row_bytes = dp * in_g * kh * kw * wo * xp.dtype.itemsize
-    rows = min(ho, max(_WINDOW_BUDGET_BYTES // row_bytes, -(-_MIN_BAND_POSITIONS // wo), 1))
-    bands = [(n, y0, min(y0 + rows, ho)) for n in range(len(xp)) for y0 in range(0, ho, rows)]
-    return bands, np.empty((dp, in_g, kh, kw, rows, wo), dtype=xp.dtype)
+    floor = -(-_MIN_BAND_POSITIONS // wo)
+    rows = min(ho, max(_WINDOW_BUDGET_BYTES // row_bytes, floor, 1))
+    edges = list(range(0, ho, rows)) + [ho]
+    count = len(edges) - 1
+    if parts > 1 and count > 1:
+        step = parts // math.gcd(parts, len(xp))
+        even = -(-count // step) * step
+        narrowest = min(ho // even, edges[-1] - edges[-2])
+        if narrowest >= floor and narrowest * wo * gemm_mk > _SMALL_GEMM_MNK:
+            edges = [ho * i // even for i in range(even + 1)]
+    bands = [(n, y0, y1) for n in range(len(xp)) for y0, y1 in itertools.pairwise(edges)]
+    widest = max(y1 - y0 for y0, y1 in itertools.pairwise(edges))
+    return bands, np.empty((dp, in_g, kh, kw, widest, wo), dtype=xp.dtype)
 
 
 def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: tuple[int, int], ho: int, wo: int,
@@ -438,12 +463,14 @@ def conv_padded(xp: np.ndarray, weights: ConvWeights, pad: PadPolicy,
             if relu_into is not None:
                 np.maximum(pre.reshape(o, do, y1 - y0, wo), 0, out=inner[n, :, :, y0:y1])
 
-    bands, buf = _bands(xp, kh, kw, ho, wo)
+    workers = 1 if _IN_PART.get() or _blas_threads() is None else _workers()
+    bands, buf = _bands(xp, kh, kw, ho, wo, workers,
+                        o * min(taps.stop - taps.start for _, taps, _ in blocks))
     scratch = None if keep else np.empty((o, do, buf.shape[4] * wo), dtype=xp.dtype)
-    if len(bands) == len(xp) or _IN_PART.get() or _blas_threads() is None:
+    if len(bands) == len(xp) or workers == 1:
         run(bands, buf, scratch)
     else:
-        parts = np.array_split(bands, min(_workers(), len(bands)))
+        parts = np.array_split(bands, min(workers, len(bands)))
         work = [(buf, scratch)] + [(np.empty_like(buf), None if keep else np.empty_like(scratch))
                                    for _ in parts[1:]]
         run_parts(lambda i: run(parts[i], *work[i]), range(len(parts)))
@@ -526,9 +553,14 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Pass gradient where x > 0; the subgradient at exactly 0 is 0. The
-    Python scalar 0 takes grad_out's dtype, so no cast is needed."""
-    return np.where(x > 0, grad_out, 0)
+    """Pass gradient where x > 0; the subgradient at exactly 0 is 0 (+0.0).
+    The mask is applied to grad_out's bits: x > 0 as an unsigned int of
+    grad_out's width, negated to all ones or all zeros, and-ed with them,
+    which equals np.where(x > 0, grad_out, 0) bit for bit and runs faster."""
+    bits = f"u{grad_out.itemsize}"
+    mask = np.greater(x, 0).astype(bits)
+    np.negative(mask, out=mask)
+    return np.bitwise_and(mask, grad_out.view(bits), out=mask).view(grad_out.dtype)
 
 
 def pixel_shuffle(x: np.ndarray, scale: int) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Clip readers and writers: Y4M, raw planar YUV 4:2:0, and PGM directories.
 
-8-bit samples map to [0,1] as x/255; writing rounds half-up and clamps.
-Raw YUV needs an explicit geometry; Y4M carries its own header; a PGM
+Readers hand each plane's 8-bit samples to Frame, which maps them to [0,1]
+as x/255 in one pass; writing rounds half-up and clamps. The YUV readers
+decode a frame at a time into one reused byte buffer, and without `chroma`
+they seek past both chroma planes, so a luma-only clip holds one plane per
+frame. Raw YUV needs an explicit geometry; Y4M carries its own header; a PGM
 directory is one binary (P5, maxval 255) luma image per frame in
 lexicographic filename order.
 """
@@ -67,10 +70,6 @@ def to_bytes(plane: np.ndarray) -> bytes:
     return np.clip(q, 0, 255).astype(np.uint8).tobytes()
 
 
-def _from_u8(buf: bytes, h: int, w: int) -> np.ndarray:
-    return np.frombuffer(buf, dtype=np.uint8).reshape(h, w).astype(np.float32) / 255.0
-
-
 def _header_int(text, what: str) -> int:
     """A positive header integer; anything else is a ClipFormatError."""
     try:
@@ -87,11 +86,13 @@ def _check_even(w: int, h: int):
         raise ClipFormatError(f"4:2:0 needs even geometry, got {w}x{h}")
 
 
-def _read_yuv_frames(fh, w: int, h: int, frame_rate, delimited: bool) -> VideoClip:
+def _read_yuv_frames(fh, w: int, h: int, frame_rate, delimited: bool,
+                     chroma: bool) -> VideoClip:
     frames = []
     ch, cw = chroma_extent(h, w)
     frame_bytes = w * h + 2 * cw * ch
     file_bytes = os.fstat(fh.fileno()).st_size
+    buf = None
     while True:
         if delimited:
             line = fh.readline()
@@ -106,17 +107,21 @@ def _read_yuv_frames(fh, w: int, h: int, frame_rate, delimited: bool) -> VideoCl
         if file_bytes - fh.tell() < frame_bytes:
             raise ClipFormatError(f"truncated frame payload ({w}x{h} frames take "
                                   f"{frame_bytes} bytes, {file_bytes - fh.tell()} left)")
-        payload = fh.read(frame_bytes)
-        y = _from_u8(payload[: w * h], h, w)
-        u = _from_u8(payload[w * h: w * h + cw * ch], ch, cw)
-        v = _from_u8(payload[w * h + cw * ch:], ch, cw)
-        frames.append(Frame(y, (u, v)))
+        if buf is None:  # one buffer, reused by every frame: Frame copies out of it
+            buf = np.empty(frame_bytes if chroma else w * h, dtype=np.uint8)
+            y = buf[:w * h].reshape(h, w)
+            uv = (buf[w * h:w * h + cw * ch].reshape(ch, cw),
+                  buf[w * h + cw * ch:].reshape(ch, cw)) if chroma else None
+        fh.readinto(buf)
+        if not chroma:
+            fh.seek(frame_bytes - buf.size, os.SEEK_CUR)
+        frames.append(Frame(y, uv))
     if not frames:
         raise ClipFormatError("no frames in stream")
     return VideoClip(frames, frame_rate)
 
 
-def _read_y4m(path: str) -> VideoClip:
+def _read_y4m(path: str, chroma: bool) -> VideoClip:
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", "replace").strip()
         tokens = header.split(" ")
@@ -139,10 +144,10 @@ def _read_y4m(path: str) -> VideoClip:
         if w <= 0 or h <= 0:
             raise ClipFormatError("header lacks W/H geometry")
         _check_even(w, h)
-        return _read_yuv_frames(fh, w, h, rate, delimited=True)
+        return _read_yuv_frames(fh, w, h, rate, delimited=True, chroma=chroma)
 
 
-def _read_rawyuv(path: str, size: tuple[int, int] | None) -> VideoClip:
+def _read_rawyuv(path: str, size: tuple[int, int] | None, chroma: bool) -> VideoClip:
     if size is None:
         raise ClipFormatError("raw YUV420 needs an explicit geometry (--size WxH)")
     w, h = size
@@ -150,10 +155,11 @@ def _read_rawyuv(path: str, size: tuple[int, int] | None) -> VideoClip:
         raise ClipFormatError(f"raw YUV420 geometry must be positive, got {w}x{h}")
     _check_even(w, h)
     with open(path, "rb") as fh:
-        return _read_yuv_frames(fh, w, h, DEFAULT_FRAME_RATE, delimited=False)
+        return _read_yuv_frames(fh, w, h, DEFAULT_FRAME_RATE, delimited=False, chroma=chroma)
 
 
 def _read_pgm(path: str) -> np.ndarray:
+    """A binary PGM's 8-bit samples, (height, width)."""
     with open(path, "rb") as fh:
         data = fh.read()
     # header = magic, width, height, maxval as whitespace-separated tokens,
@@ -185,7 +191,7 @@ def _read_pgm(path: str) -> np.ndarray:
         raise ClipFormatError(f"{path}: only maxval 255 is supported, got {maxval}")
     if len(data) - pos < w * h:
         raise ClipFormatError(f"{path}: truncated PGM payload")
-    return _from_u8(data[pos: pos + w * h], h, w)
+    return np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos).reshape(h, w)
 
 
 def _read_pgmdir(path: str) -> VideoClip:
@@ -199,12 +205,16 @@ def _read_pgmdir(path: str) -> VideoClip:
         raise ClipFormatError(f"{path}: {exc}") from None
 
 
-def read_clip(path: str, fmt: str | None = None, size: tuple[int, int] | None = None) -> VideoClip:
+def read_clip(path: str, fmt: str | None = None, size: tuple[int, int] | None = None,
+              chroma: bool = True) -> VideoClip:
+    """A whole clip. Without `chroma`, a Y4M or raw YUV clip's frames carry
+    luma only (chroma None): each frame's chroma bytes are checked as present
+    and skipped, so a clip is refused exactly when it would be with them."""
     fmt = fmt or detect_format(path)
     if fmt == "y4m":
-        return _read_y4m(path)
+        return _read_y4m(path, chroma)
     if fmt == "rawyuv420":
-        return _read_rawyuv(path, size)
+        return _read_rawyuv(path, size, chroma)
     if fmt == "pgmdir":
         return _read_pgmdir(path)
     raise ClipFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")

@@ -606,6 +606,32 @@ class TestEvaluate:
         assert captured.err == f"error: clip {width}x{height} is smaller than scale 4\n"
         assert captured.out == "" and not csv.exists()
 
+    @pytest.mark.parametrize("width, height, cropped", [(96, 64, False), (50, 34, True)])
+    def test_bicubic_copies_a_reference_frame_only_to_crop_it(self, tmp_path, monkeypatch,
+                                                              capsys, width, height, cropped):
+        # at x4, 96x64 upsamples back in full and is scored as read; 50x34
+        # is scored as its 48x32 crop
+        import vsr3d.cli as cli
+        path = tmp_path / "ref.y4m"
+        write_clip(textured_clip(5, 3, width, height), str(path))
+        read, scored = [], []
+        real_read, real_psnr = cli.read_clip, cli.psnr
+
+        def reading(*args, **kwargs):
+            read.append(real_read(*args, **kwargs))
+            return read[-1]
+
+        def scoring(ref, cand, border):
+            scored.append(ref)
+            return real_psnr(ref, cand, border)
+        monkeypatch.setattr(cli, "read_clip", reading)
+        monkeypatch.setattr(cli, "psnr", scoring)
+        assert main(["evaluate", str(path), "--method", "bicubic", "--scale", "4"]) == 0
+        [ref] = read
+        as_read = {id(f) for f in ref} & {id(f) for f in scored}
+        assert len(scored) == 3 and len(as_read) == (0 if cropped else 3)
+        assert {f.luma.shape for f in scored} == {(32, 48) if cropped else (height, width)}
+
     def test_frame_count_mismatch(self, clips, capsys):
         assert main(["evaluate", str(clips["hr"]), str(clips["small"])]) == 1
         assert "frame count mismatch" in capsys.readouterr().err
@@ -736,6 +762,40 @@ class TestSceneLane:
 
     def test_sf_train_needs_both_pools(self, clips, capsys):
         assert main(["sf-train", "--scenes-a", str(clips["pool_a"])]) == 2
+
+
+class TestChromaReads:
+    """Only upscale, which writes chroma, reads it: every other command reads
+    its clips' luma alone."""
+
+    @pytest.mark.parametrize("command", ["upscale", "evaluate", "evaluate-bicubic", "scene",
+                                         "train", "sf-train"])
+    def test_only_upscale_reads_chroma(self, clips, sf_ckpt, tmp_path, monkeypatch, capsys,
+                                       command):
+        import vsr3d.cli as cli
+        seen, real = [], cli.read_clip
+
+        def reading(*args, **kwargs):
+            clip = real(*args, **kwargs)
+            seen.append([f.chroma is not None for f in clip])
+            return clip
+        monkeypatch.setattr(cli, "read_clip", reading)
+        small, out = str(clips["small"]), str(tmp_path / "out")
+        argv = {
+            "upscale": ["upscale", small, out + ".y4m", "--method", "bicubic"],
+            "evaluate": ["evaluate", small, small],
+            "evaluate-bicubic": ["evaluate", small, "--method", "bicubic"],
+            "scene": ["scene", small, "--sf-checkpoint", str(sf_ckpt)],
+            "train": ["train", "--data", small, "--val", small, "--arch", "v1",
+                      "--lr-patch-size", "8", "--subimages-per-frame", "1", "--frame-stride",
+                      "3", "--max-steps", "1", "--out", out + ".ckpt"],
+            "sf-train": ["sf-train", "--scenes-a", str(clips["pool_a"]), "--scenes-b",
+                         str(clips["pool_b"]), "--layers", "2", "--per-class", "5",
+                         "--epochs", "1", "--out", out + ".ckpt"],
+        }[command]
+        assert main(argv) == 0
+        assert len(seen) == 2 - (command in ("upscale", "evaluate-bicubic", "scene"))
+        assert all(has == [command == "upscale"] * len(has) for has in seen)
 
 
 def _nudged_kernel_gradient(real):

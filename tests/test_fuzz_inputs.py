@@ -3,7 +3,8 @@ headers, checkpoint headers and config files.
 
 The library may accept an input or refuse it, and refusal is only ever
 ClipFormatError, CheckpointError or ConfigError. Each refused input, passed
-to the command line, exits 1 or 2 with one line on stderr.
+to the command line, exits 1 or 2 with one line on stderr. A clip read
+without its chroma is refused exactly when, and as, the full read is.
 """
 
 import contextlib
@@ -48,7 +49,11 @@ def _cli_refuses(argv):
 
 def _check_clip(tmp, path, fmt_args=()):
     size = dict(zip(("fmt", "size"), fmt_args))
-    if _refusal(lambda: read_clip(path, **size), ClipFormatError):
+    error = _refusal(lambda: read_clip(path, **size), ClipFormatError)
+    # a read that skips chroma refuses exactly the same inputs, in the same words
+    luma_error = _refusal(lambda: read_clip(path, chroma=False, **size), ClipFormatError)
+    assert str(luma_error) == str(error) and type(luma_error) is type(error)
+    if error:
         argv = ["upscale", path, os.path.join(tmp, "o.y4m"), "--method", "bicubic"]
         if size:
             argv += ["--format", size["fmt"], "--size=" + "x".join(map(str, size["size"]))]

@@ -426,6 +426,31 @@ class TestParts:
         assert geometry[0] == [(0, 0, 64), (0, 64, 128), (0, 128, 130)]
         assert geometry[1] == geometry[0] and geometry[2] == geometry[0]
 
+    def test_split_gives_its_parts_equal_rows_in_bands_above_the_floor(self, monkeypatch):
+        # a QCIF first layer: bands of 66, 66 and 12 rows (all above the
+        # floor of 3) would give two parts 132 and 12 rows; cut into four
+        # bands of 36, they take 72 each, with the same bytes
+        x, w = random_case(34, cin=1, cout=32, d=5, h=144, w=176)
+        pad = PadPolicy(spatial=1, temporal=TemporalPad.ZERO)
+        real, parts = tensor_core._column_bands, []
+
+        def recording(xp, kh, kw, stride, ho, wo, bands, buf):
+            parts.append([(int(n), int(y0), int(y1)) for n, y0, y1 in bands])
+            yield from real(xp, kh, kw, stride, ho, wo, bands, buf)
+        monkeypatch.setattr(tensor_core, "_column_bands", recording)
+        runs = {}
+        for workers in (1, 2, 3, 4):
+            parts.clear()
+            with force_pool(monkeypatch, workers):
+                out = conv_forward(x, w, pad)
+            runs[workers] = (sorted(parts), out)
+        assert runs[1][0] == [[(0, 0, 66), (0, 66, 132), (0, 132, 144)]]
+        assert runs[2][0] == [[(0, 0, 36), (0, 36, 72)], [(0, 72, 108), (0, 108, 144)]]
+        assert runs[3][0] == [[(0, 0, 48)], [(0, 48, 96)], [(0, 96, 144)]]
+        assert runs[4][0] == [[(0, y, y + 36)] for y in range(0, 144, 36)]
+        for _, out in runs.values():
+            assert np.array_equal(out.view(np.uint32), runs[1][1].view(np.uint32))
+
     def test_a_forward_inside_a_part_gathers_the_top_level_bands(self, monkeypatch):
         # the input of the test above, at the default budget and floor: a
         # part runs its bands inline, but over the same rows as a split call
@@ -773,6 +798,22 @@ class TestRelu:
         expected = np.where(x > 0, g, 0).astype(g.dtype)
         np.testing.assert_array_equal(out.view(f"u{out.itemsize}"),
                                       expected.view(f"u{out.itemsize}"))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_equals_where_bit_for_bit(self, dtype):
+        # every pairing of NaN, +-0, +-inf and ordinary values in both arguments
+        special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-30, -2.5, 3.0,
+                            np.finfo(dtype).tiny, -np.finfo(dtype).max], dtype=dtype)
+        x, g = (a.ravel() for a in np.meshgrid(special, special))
+        bits = f"u{np.dtype(dtype).itemsize}"
+        out = relu_backward(x, g)
+        assert out.dtype == dtype and out.shape == x.shape
+        np.testing.assert_array_equal(out.view(bits), np.where(x > 0, g, 0).view(bits))
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((2, 3, 4, 5, 6)).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)[..., ::-1]  # not contiguous
+        np.testing.assert_array_equal(relu_backward(x, g).view(bits),
+                                      np.where(x > 0, g, 0).view(bits))
 
     def test_finite_differences_away_from_zero(self):
         rng = np.random.default_rng(20)

@@ -17,6 +17,82 @@ def random_clip(n=3, h=8, w=16, seed=0, chroma=True):
     return VideoClip(frames, frame_rate=(25, 1))
 
 
+def refused(path, match=None, **kwargs):
+    """Assert read_clip refuses `path` with a ClipFormatError, with the same
+    message when it skips chroma."""
+    messages = []
+    for chroma in (True, False):
+        with pytest.raises(ClipFormatError, match=match) as info:
+            read_clip(path, chroma=chroma, **kwargs)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def assert_luma_only_read_matches(path, **kwargs):
+    """read_clip without chroma gives the full read's luma bit for bit, and no chroma."""
+    full, luma = read_clip(path, **kwargs), read_clip(path, chroma=False, **kwargs)
+    assert len(luma) == len(full) and luma.frame_rate == full.frame_rate
+    for f, g in zip(full, luma):
+        assert f.chroma is not None and g.chroma is None
+        assert g.luma.dtype == f.luma.dtype and not g.luma.flags.writeable
+        assert np.array_equal(g.luma.view(np.uint32), f.luma.view(np.uint32))
+    return full
+
+
+class TestFrameFromBytes:
+    def test_every_byte_maps_to_x_over_255(self):
+        samples = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        frame = Frame(samples, (samples[:8, :8], samples[8:, 8:]))
+        want = samples.astype(np.float32) / 255
+        assert frame.luma.dtype == np.float32
+        assert np.array_equal(frame.luma.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(frame.chroma[1].view(np.uint32), want[8:, 8:].view(np.uint32))
+        for plane in (frame.luma, *frame.chroma):
+            assert not plane.flags.writeable
+            assert not np.shares_memory(plane, samples)
+
+
+class TestLumaOnlyReads:
+    def test_y4m_frames_with_parameters(self, tmp_path):
+        rng = np.random.default_rng(12)
+        w, h = 10, 6
+        frames = [rng.integers(0, 256, w * h * 3 // 2, dtype=np.uint8).tobytes()
+                  for _ in range(4)]
+        delimiters = [b"FRAME\n", b"FRAME Ip XA=1\n", b"FRAME\n", b"FRAME Ib\n"]
+        p = tmp_path / "params.y4m"
+        p.write_bytes(b"YUV4MPEG2 W10 H6 F25:1 C420jpeg\n"
+                      + b"".join(d + f for d, f in zip(delimiters, frames)))
+        full = assert_luma_only_read_matches(str(p))
+        assert len(full) == 4 and full.frame_rate == (25, 1)
+        last = np.frombuffer(frames[3], dtype=np.uint8)
+        assert np.array_equal(full[3].luma * 255, last[:w * h].reshape(h, w))
+        assert np.array_equal(full[3].chroma[1] * 255, last[-w * h // 4:].reshape(h // 2, w // 2))
+
+    def test_written_y4m(self, tmp_path):
+        p = str(tmp_path / "clip.y4m")
+        write_clip(random_clip(n=5, seed=13), p)
+        assert_luma_only_read_matches(p)
+
+    def test_raw_yuv(self, tmp_path):
+        p = str(tmp_path / "clip.yuv")
+        write_clip(random_clip(n=3, seed=14), p)
+        assert_luma_only_read_matches(p, size=(16, 8))
+        assert_luma_only_read_matches(p, fmt="rawyuv420", size=(16, 8))
+
+    def test_truncated_last_frame_refused_with_or_without_chroma(self, tmp_path):
+        # the missing bytes are chroma only: skipping chroma still checks them
+        p = tmp_path / "short.yuv"
+        p.write_bytes(bytes(16 * 8 * 3 // 2) + bytes(16 * 8 + 1))
+        refused(str(p), match="truncated frame payload", size=(16, 8))
+
+    def test_pgm_directory_is_luma_either_way(self, tmp_path):
+        d = str(tmp_path / "frames")
+        write_clip(random_clip(n=2, seed=15, chroma=False), d)
+        a, b = read_clip(d), read_clip(d, chroma=False)
+        assert all(np.array_equal(f.luma, g.luma) and f.chroma is g.chroma is None
+                   for f, g in zip(a, b))
+
+
 class TestQuantization:
     def test_half_rounds_up(self):
         assert to_bytes(np.array([[0.5]])) == bytes([128])
@@ -55,8 +131,7 @@ class TestRawYuv:
     def test_requires_size(self, tmp_path):
         p = str(tmp_path / "clip.yuv")
         write_clip(random_clip(), p)
-        with pytest.raises(ClipFormatError):
-            read_clip(p)
+        refused(p)
 
     def test_odd_geometry_rejected(self, tmp_path):
         clip = VideoClip([Frame(np.zeros((7, 10)))])
@@ -95,20 +170,17 @@ class TestY4m:
     def test_bad_signature_rejected(self, tmp_path):
         p = tmp_path / "bad.y4m"
         p.write_bytes(b"JUNKHEADER W4 H4\nFRAME\n" + bytes(24))
-        with pytest.raises(ClipFormatError):
-            read_clip(str(p))
+        refused(str(p))
 
     def test_unsupported_chroma_mode_rejected(self, tmp_path):
         p = tmp_path / "c444.y4m"
         p.write_bytes(b"YUV4MPEG2 W4 H4 F30:1 C444\n")
-        with pytest.raises(ClipFormatError):
-            read_clip(str(p))
+        refused(str(p))
 
     def test_high_bit_depth_420_rejected_at_the_header(self, tmp_path):
         p = tmp_path / "c420p10.y4m"
         p.write_bytes(b"YUV4MPEG2 W4 H4 F30:1 C420p10\nFRAME\n" + bytes(48))
-        with pytest.raises(ClipFormatError, match="unsupported chroma mode 'C420p10'"):
-            read_clip(str(p))
+        refused(str(p), match="unsupported chroma mode 'C420p10'")
 
     def test_420_siting_tags_read(self, tmp_path):
         p = tmp_path / "jpeg.y4m"
@@ -119,8 +191,7 @@ class TestY4m:
     def test_truncated_payload_rejected(self, tmp_path):
         p = tmp_path / "trunc.y4m"
         p.write_bytes(b"YUV4MPEG2 W16 H8 F30:1 C420\nFRAME\n" + bytes(10))
-        with pytest.raises(ClipFormatError):
-            read_clip(str(p))
+        refused(str(p))
 
 
 class TestPgmDir:
@@ -145,14 +216,12 @@ class TestPgmDir:
         d = tmp_path / "frames"
         d.mkdir()
         (d / "000.pgm").write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
-        with pytest.raises(ClipFormatError):
-            read_clip(str(d))
+        refused(str(d))
 
     def test_empty_dir_rejected(self, tmp_path):
         d = tmp_path / "frames"
         d.mkdir()
-        with pytest.raises(ClipFormatError):
-            read_clip(str(d))
+        refused(str(d))
 
 
 class TestDetect:
@@ -174,16 +243,14 @@ class TestHeaderErrors:
         d = tmp_path / "frames"
         d.mkdir()
         (d / "000.pgm").write_bytes(header + bytes(16))
-        with pytest.raises(ClipFormatError):
-            read_clip(str(d))
+        refused(str(d))
 
     def test_pgm_frames_of_two_geometries(self, tmp_path):
         d = tmp_path / "frames"
         d.mkdir()
         (d / "000.pgm").write_bytes(b"P5 2 2 255\n" + bytes(4))
         (d / "001.pgm").write_bytes(b"P5 4 2 255\n" + bytes(8))
-        with pytest.raises(ClipFormatError):
-            read_clip(str(d))
+        refused(str(d))
 
     @pytest.mark.parametrize("token", [b"Wabc", b"W", b"H8.5", b"F30:0", b"F0:1"])
     def test_bad_y4m_token(self, tmp_path, token):
@@ -192,8 +259,7 @@ class TestHeaderErrors:
         p = tmp_path / "bad.y4m"
         p.write_bytes(b"YUV4MPEG2 " + b" ".join(fields.values()) + b" C420\nFRAME\n"
                       + bytes(16 * 8 * 3 // 2))
-        with pytest.raises(ClipFormatError):
-            read_clip(str(p))
+        refused(str(p))
 
 
 class TestPgmDirOutput:
