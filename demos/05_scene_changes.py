@@ -35,8 +35,8 @@ val_set = make_sf_dataset(pool_a, pool_b, per_class=15, seed=1)
 spec = build_sf_net(2)
 result = train_sf(spec, train_set, epochs=15, batch_size=32, lr=1e-3, seed=0,
                   val_samples=val_set)
-print(f"held-out accuracy {result.final_val:.3f} "
-      f"on {len(val_set)} windows\n")
+print(f"validation accuracy {result.final_val:.3f} "
+      f"on {len(val_set[1])} windows\n")
 print(confusion_csv(confusion_matrix(result.params, spec, val_set)))
 
 # Slide across a hard cut: frames 0-9 from one scene, 10-19 from another.

@@ -268,7 +268,7 @@ def cmd_sf_train(cfg: RunConfig) -> int:
     result = train_sf(spec, train_set, epochs=cfg.sf_epochs, batch_size=cfg.sf_batch_size,
                       lr=cfg.sf_lr, val_samples=val_set, meta={"arch": f"sf{cfg.sf_layers}"},
                       **loop)
-    print(f"held-out accuracy {result.final_val:.4f} on {len(val_set[1])} samples")
+    print(f"validation accuracy {result.final_val:.4f} on {len(val_set[1])} samples")
     text = confusion_csv(confusion_matrix(result.params, spec, val_set))
     print(text, end="")
     _write_csv(cfg, text)

@@ -61,29 +61,27 @@ C*kH*kW terms. Splitting it into kD partial GEMMs summed afterwards adds a
 float32 rounding step that the finite-difference gradient check does not
 tolerate.
 
-A band is sized by bytes, so that the gather's writes are still in cache
-when the GEMMs read them back, and by a floor on the positions each GEMM
-covers, below which the GEMMs run short of their full rate (a forty-pixel-wide
-training patch's 32-group layers get 13 rows, not the budget's 9). Bands never
-span samples: each GEMM covers one sample anyway, and one buffer reused for every
-band stays mapped and cached, where a batch-wide band would not. For the
-32-channel layers band size does not change a result; the GEMM of a layer
-with few output groups can round differently at some band widths.
+Every conv call cuts each sample's output rows into near-equal bands by one
+rule, from the layer's shape alone. The band count is the fewest whose
+bands fit a byte budget, so that the gather's writes are still in cache when
+the GEMMs read them back, but never so many that a band covers fewer
+positions than a floor, below which the GEMMs run short of their full rate
+and can round differently (a forty-row training patch's 32-group layers get
+13, 13 and 14 rows, not the budget's 9). Bands never span samples: each GEMM
+covers one sample anyway, and one buffer reused for every band stays mapped
+and cached, where a batch-wide band would not.
 
-Every conv call plans its bands once, by that one rule, and owns the buffer
-it gathers into. A conv_padded call outside run_parts' parts whose samples
-span two or more bands runs its (sample, band) list as contiguous parts,
-taken by the calling thread and helpers that live for the call, one per
-further core, their GEMMs on one BLAS thread (from the first such call on, the
-process's OpenBLAS runs one thread, with no worker pool). Such a call cuts
-each sample's rows again into near-equal bands, just enough more of them
-that the parts take equal counts, where every band of either cut covers the
-floor and every GEMM of either cut is past OpenBLAS's small-matrix path:
-each column then rounds as in one wide call, so no core or thread count
-changes a bit. Each part gathers into a band buffer, and writes into a
-scratch band, that the caller allocates (a helper's malloc arena would keep
-them); the parts' bands cover disjoint rows of the output and of relu_into.
-Other calls, and all without OpenBLAS control, run in the calling thread.
+Every conv call owns the buffer it gathers into. A conv_padded call outside
+run_parts' parts whose samples span two or more bands runs its (sample,
+band) list as contiguous parts, taken by the calling thread and helpers that
+live for the call, one per further core, their GEMMs on one BLAS thread
+(from the first such call on, the process's OpenBLAS runs one thread, with
+no worker pool). The parts share out the same bands whatever their count,
+so no core or thread count changes a bit. Each part gathers into a band
+buffer, and writes into a scratch band, that the caller allocates (a
+helper's malloc arena would keep them); the parts' bands cover disjoint rows
+of the output and of relu_into. Other calls, and all without OpenBLAS
+control, run in the calling thread.
 
 The first top-level run_parts call also fixes glibc's malloc thresholds for
 the process (mmap 32 MiB, trim 64 MiB, through mallopt), so the heap top
@@ -97,7 +95,6 @@ import contextvars
 import enum
 import functools
 import itertools
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -108,13 +105,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 DEFAULT_DTYPE = np.float32
 
 # Column-buffer band sizing: the bytes one band of output rows may take, and
-# the fewest output positions a band's GEMMs cover (the floor wins).
+# the fewest output positions a band's GEMMs cover (the floor wins). OpenBLAS
+# runs an (M x K) @ (K x N) GEMM with M*N*K up to 10**6 on small-matrix
+# kernels whose float32 results depend on N (scipy-openblas 0.3.31); above
+# it a column rounds as in one wide call. At 512 positions every band GEMM
+# of the model's layers is above it (the 96->4 layer's 4 x 512 x 864 is
+# 1.8e6), and the first layer's bands, of one input group, are budget-wide,
+# so a forward's bytes do not depend on how its rows are cut.
 _WINDOW_BUDGET_BYTES = 2 * 1024 * 1024
 _MIN_BAND_POSITIONS = 512
-# OpenBLAS runs an (M x K) @ (K x N) GEMM with M*N*K up to this on its
-# small-matrix kernels, whose float32 results depend on N (measured at one
-# thread); above it, a column's result is that of one wide call
-_SMALL_GEMM_MNK = 10**6
 # glibc's malloc thresholds, fixed once per process (mallopt's parameter
 # numbers, then values): mmap at glibc's 64-bit ceiling, trim at twice that,
 # the ratio of glibc's own dynamic rule, which setting either one switches off
@@ -215,7 +214,7 @@ def _workers() -> int:
     cores = len(os.sched_getaffinity(0))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
+        if value.isdecimal() and int(value) > 0:
             return min(cores, int(value))
     return cores
 
@@ -325,31 +324,20 @@ def _copy_edge_slices(buf: np.ndarray, d: int):
     buf[:, :, -d:] = buf[:, :, -d - 1:-d]
 
 
-def _bands(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int, parts: int = 1,
-           gemm_mk: int = 0):
+def _bands(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int):
     """(bands, buf): each sample n's bands (n, y0, y1) of ho output rows of a
-    padded input, sized by budget and floor (a sample's last may be short),
-    and a buffer that holds one band's gather. For a call split into `parts`
-    with two or more bands per sample, each sample's rows are cut instead
-    into near-equal bands, just enough more of them that the parts take
-    equal counts, if every band of either cut covers the floor and its
-    GEMMs, the smallest of which has M*K = gemm_mk, are past the
-    small-matrix path: the two cuts' bytes then agree."""
+    padded input, and a buffer that holds the widest band's gather. The
+    count is the fewest bands of at most the budget's rows, capped so that
+    none covers fewer than the floor's positions (an output under the floor
+    is one band), and the rows are cut near-equally among them."""
     _, in_g, dp = xp.shape[:3]
     row_bytes = dp * in_g * kh * kw * wo * xp.dtype.itemsize
     floor = -(-_MIN_BAND_POSITIONS // wo)
-    rows = min(ho, max(_WINDOW_BUDGET_BYTES // row_bytes, floor, 1))
-    edges = list(range(0, ho, rows)) + [ho]
-    count = len(edges) - 1
-    if parts > 1 and count > 1:
-        step = parts // math.gcd(parts, len(xp))
-        even = -(-count // step) * step
-        narrowest = min(ho // even, edges[-1] - edges[-2])
-        if narrowest >= floor and narrowest * wo * gemm_mk > _SMALL_GEMM_MNK:
-            edges = [ho * i // even for i in range(even + 1)]
+    rows = max(_WINDOW_BUDGET_BYTES // row_bytes, floor)
+    count = max(min(-(-ho // rows), ho // floor), 1)
+    edges = [ho * i // count for i in range(count + 1)]
     bands = [(n, y0, y1) for n in range(len(xp)) for y0, y1 in itertools.pairwise(edges)]
-    widest = max(y1 - y0 for y0, y1 in itertools.pairwise(edges))
-    return bands, np.empty((dp, in_g, kh, kw, widest, wo), dtype=xp.dtype)
+    return bands, np.empty((dp, in_g, kh, kw, -(-ho // count), wo), dtype=xp.dtype)
 
 
 def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: tuple[int, int], ho: int, wo: int,
@@ -464,8 +452,7 @@ def conv_padded(xp: np.ndarray, weights: ConvWeights, pad: PadPolicy,
                 np.maximum(pre.reshape(o, do, y1 - y0, wo), 0, out=inner[n, :, :, y0:y1])
 
     workers = 1 if _IN_PART.get() or _blas_threads() is None else _workers()
-    bands, buf = _bands(xp, kh, kw, ho, wo, workers,
-                        o * min(taps.stop - taps.start for _, taps, _ in blocks))
+    bands, buf = _bands(xp, kh, kw, ho, wo)
     scratch = None if keep else np.empty((o, do, buf.shape[4] * wo), dtype=xp.dtype)
     if len(bands) == len(xp) or workers == 1:
         run(bands, buf, scratch)

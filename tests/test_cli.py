@@ -702,7 +702,7 @@ class TestSceneLane:
                      "--per-class", "5", "--epochs", "2", "--batch-size", "8",
                      "--out", str(tmp_path / "t.ckpt"), "--csv", str(csv)]) == 0
         out = capsys.readouterr().out
-        assert "2-layer classifier" in out and "held-out accuracy" in out
+        assert "2-layer classifier" in out and "validation accuracy" in out
         assert csv.read_text().splitlines()[0] == \
             "true_label,change_after_1,change_after_2,change_after_3," \
             "change_after_4,no_change"

@@ -401,6 +401,24 @@ class TestForward:
         finally:
             put(before)
 
+    @pytest.mark.parametrize("name", ["full", "v1"])
+    def test_bytes_do_not_depend_on_band_geometry(self, monkeypatch, name):
+        # at the default budget and floor every band GEMM is past OpenBLAS's
+        # small-matrix path, so a forward equals one band per layer; a short
+        # tail band under the floor (a 1-row L6 tail at 148x176) did not
+        spec = build_architecture(name, 2)
+        params = random_params(spec, seed=11)
+        rng = np.random.default_rng(12)
+        for h, w in rng.integers(20, 121, (12, 2)).tolist():
+            x = stack_windows([random_window(h, w, seed=h * w)])
+            with monkeypatch.context() as one_band:
+                one_band.setattr(tensor_core, "_WINDOW_BUDGET_BYTES", 1 << 40)
+                want = forward_stack(params, spec, x)[0]
+            for workers in (1, 2):
+                monkeypatch.setattr(tensor_core, "_workers", lambda: workers)
+                out = forward_stack(params, spec, x)[0]
+                assert np.array_equal(out.view(np.uint32), want.view(np.uint32)), (h, w, workers)
+
     @pytest.mark.parametrize("bias, level", [(2.0, 1.0), (-2.0, 0.0)])
     def test_output_is_clamped_to_unit_range(self, bias, level):
         spec = build_architecture("full", scale=2)

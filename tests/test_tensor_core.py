@@ -395,7 +395,8 @@ class TestParts:
         np.testing.assert_allclose(out, reference.conv_forward_loop(x, w, pad), atol=1e-5)
 
     @pytest.mark.parametrize("openblas, omp, want", [
-        (None, "1", 1), ("0", "1", 1), ("two", "1", 1), ("1", "9999", 1), ("-2", "x", None)])
+        (None, "1", 1), ("0", "1", 1), ("two", "1", 1), ("1", "9999", 1), ("-2", "x", None),
+        ("²", "1", 1), (None, "²", None)])
     def test_thread_variables_cap_the_workers(self, monkeypatch, openblas, omp, want):
         # a positive integer in OPENBLAS_NUM_THREADS, or else OMP_NUM_THREADS
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -406,9 +407,9 @@ class TestParts:
 
     def test_band_geometry_does_not_depend_on_workers(self, monkeypatch):
         # at the default budget and floor, 130 rows of 8 positions of 32
-        # groups take bands of 64 rows when split (the floor wins); a width
-        # chosen by the worker count would be 128 rows for one worker and
-        # 32 for four
+        # groups take two bands of 65 rows (the floor of 64 rows caps the
+        # budget's three); a width chosen by the worker count would be 128
+        # rows for one worker and 32 for four
         x, w = random_case(33, cin=32, cout=3, d=5, h=130, w=8)
         pad = PadPolicy(spatial=1, temporal=TemporalPad.ZERO)
         real, seen = tensor_core._column_bands, []
@@ -423,37 +424,42 @@ class TestParts:
             with force_pool(monkeypatch, workers):
                 conv_forward(x, w, pad)
             geometry.append(sorted(seen))
-        assert geometry[0] == [(0, 0, 64), (0, 64, 128), (0, 128, 130)]
+        assert geometry[0] == [(0, 0, 65), (0, 65, 130)]
         assert geometry[1] == geometry[0] and geometry[2] == geometry[0]
 
-    def test_split_gives_its_parts_equal_rows_in_bands_above_the_floor(self, monkeypatch):
-        # a QCIF first layer: bands of 66, 66 and 12 rows (all above the
-        # floor of 3) would give two parts 132 and 12 rows; cut into four
-        # bands of 36, they take 72 each, with the same bytes
+    def test_a_qcif_first_layer_plans_the_same_bands_at_any_worker_count(self, monkeypatch):
+        # the budget's 66 rows give three bands, cut near-equally; the parts
+        # share them out, so every worker count gathers them with the same bytes
         x, w = random_case(34, cin=1, cout=32, d=5, h=144, w=176)
         pad = PadPolicy(spatial=1, temporal=TemporalPad.ZERO)
-        real, parts = tensor_core._column_bands, []
+        real, seen = tensor_core._column_bands, []
 
         def recording(xp, kh, kw, stride, ho, wo, bands, buf):
-            parts.append([(int(n), int(y0), int(y1)) for n, y0, y1 in bands])
+            seen.extend((int(n), int(y0), int(y1)) for n, y0, y1 in bands)
             yield from real(xp, kh, kw, stride, ho, wo, bands, buf)
         monkeypatch.setattr(tensor_core, "_column_bands", recording)
-        runs = {}
+        outs = []
         for workers in (1, 2, 3, 4):
-            parts.clear()
+            seen.clear()
             with force_pool(monkeypatch, workers):
-                out = conv_forward(x, w, pad)
-            runs[workers] = (sorted(parts), out)
-        assert runs[1][0] == [[(0, 0, 66), (0, 66, 132), (0, 132, 144)]]
-        assert runs[2][0] == [[(0, 0, 36), (0, 36, 72)], [(0, 72, 108), (0, 108, 144)]]
-        assert runs[3][0] == [[(0, 0, 48)], [(0, 48, 96)], [(0, 96, 144)]]
-        assert runs[4][0] == [[(0, y, y + 36)] for y in range(0, 144, 36)]
-        for _, out in runs.values():
-            assert np.array_equal(out.view(np.uint32), runs[1][1].view(np.uint32))
+                outs.append(conv_forward(x, w, pad))
+            assert sorted(seen) == [(0, 0, 48), (0, 48, 96), (0, 96, 144)]
+        for out in outs[1:]:
+            assert np.array_equal(out.view(np.uint32), outs[0].view(np.uint32))
+
+    def test_a_training_patch_folds_its_tail_into_near_equal_bands(self):
+        # a 40-row patch's 32-group layer: the floor's 13 rows allow three
+        # bands, so 13, 13 and 14 rows rather than a 1-row tail after three 13s
+        xp = np.empty((2, 32, 5, 42, 42), dtype=np.float32)
+        bands, buf = tensor_core._bands(xp, 3, 3, 40, 40)
+        assert bands == [(n, y0, y1) for n in range(2) for y0, y1 in
+                         [(0, 13), (13, 26), (26, 40)]]
+        assert buf.shape[4] == 14
 
     def test_a_forward_inside_a_part_gathers_the_top_level_bands(self, monkeypatch):
-        # the input of the test above, at the default budget and floor: a
-        # part runs its bands inline, but over the same rows as a split call
+        # test_band_geometry_does_not_depend_on_workers' input, at the default
+        # budget and floor: a part runs its bands inline, but over the same
+        # rows as a split call
         x, w = random_case(33, cin=32, cout=3, d=5, h=130, w=8)
         pad = PadPolicy(spatial=1, temporal=TemporalPad.ZERO)
         real, seen = tensor_core._column_bands, []
@@ -468,7 +474,7 @@ class TestParts:
             top_bands = sorted(seen)
             seen.clear()
             [inner] = run_parts(lambda _: conv_forward(x, w, pad), [0])
-        assert top_bands == [(0, 0, 64), (0, 64, 128), (0, 128, 130)]
+        assert top_bands == [(0, 0, 65), (0, 65, 130)]
         assert seen == top_bands
         assert np.array_equal(inner, top)
 
