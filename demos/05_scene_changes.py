@@ -8,9 +8,9 @@ Takes about a minute. Run: python3 demos/05_scene_changes.py
 import numpy as np
 
 from vsr3d.frames import Frame, VideoClip
-from vsr3d.scene import (SceneLabel, build_sf_net, classify_window,
-                         confusion_csv, confusion_matrix, make_sf_dataset,
-                         replace_frames, train_sf)
+from vsr3d.scene import (SceneLabel, build_sf_net, confusion_csv,
+                         confusion_matrix, make_sf_dataset, replace_frames,
+                         sf_input_from_window, sf_logits, train_sf)
 
 
 def drifting(seed: int, frames: int, base: float) -> VideoClip:
@@ -43,9 +43,9 @@ print(confusion_csv(confusion_matrix(result.params, spec, val_set)))
 spliced = VideoClip(list(pool_a[0])[:10] + list(pool_b[0])[:10],
                     frame_rate=(25, 1))
 print("window verdicts around the cut (cut lands after frame 9):")
-for centre in range(6, 14):
-    label = classify_window(result.params, spec, spliced.window(centre))
-    print(f"  frame {centre:>2}: {label.name.lower()}")
+windows = np.stack([sf_input_from_window(spliced.window(c)) for c in range(6, 14)])
+for centre, logits in zip(range(6, 14), sf_logits(result.params, spec, windows)):
+    print(f"  frame {centre:>2}: {SceneLabel(int(np.argmax(logits))).name.lower()}")
 
 # Replacement copies the temporally closest same-scene frame over the
 # disparate ones; the middle frame never changes.

@@ -15,9 +15,8 @@ from .frames import Frame, VideoClip
 from .metrics import format_metric, metrics_csv, psnr, ssim
 from .model import (ARCH_NAMES, LayerSpec, ModelSpec, build_architecture,
                     count_parameters, dump_feature_maps, forward, forward_stack)
-from .scene import (SceneLabel, build_sf_net, classify_window,
-                    confusion_csv, confusion_matrix, make_sf_dataset,
-                    replace_frames, sf_accuracy, train_sf)
+from .scene import (SceneLabel, build_sf_net, confusion_csv, confusion_matrix,
+                    make_sf_dataset, replace_frames, sf_accuracy, train_sf)
 from .tensor_core import (ConvWeights, PadPolicy, TemporalPad, conv_forward,
                           pixel_shuffle, pixel_unshuffle, relu)
 from .training import (DatasetRecipe, GradCheckReport, TrainingDiverged,
@@ -34,7 +33,7 @@ __all__ = [
     "ModelSpec", "PadPolicy", "RunConfig", "SceneLabel",
     "TemporalPad", "TrainResult", "TrainingDiverged", "VideoClip",
     "WindowSample", "adam_step", "bicubic_resize", "bicubic_upscale", "build_architecture",
-    "build_sf_net", "classify_window", "confusion_csv", "confusion_matrix",
+    "build_sf_net", "confusion_csv", "confusion_matrix",
     "conv_forward", "count_parameters", "degrade_clip", "detect_format",
     "dump_feature_maps", "extract_dataset", "format_metric", "forward",
     "forward_stack", "grad_check", "init_optim", "load_checkpoint",

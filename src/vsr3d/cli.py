@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .bicubic import bicubic_resize, bicubic_upscale, degrade_clip, upscale_chroma
+from .bicubic import bicubic_upscale, degrade_clip, upscale_chroma
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import COMMANDS, FIELD_TYPES, ConfigError, RunConfig, load_config
 from .frames import MIDDLE_FRAME, Frame, VideoClip
@@ -132,9 +132,13 @@ def cmd_train(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # upscale
 
-def _window_logits(sf, window) -> np.ndarray:
+def _scene_verdict(sf, window) -> tuple[SceneLabel, float]:
+    """The classifier's label for a window and its softmax confidence; ties
+    resolve to the lowest class index."""
     params, spec, _ = sf
-    return sf_logits(params, spec, sf_input_from_window(window)[None])[0]
+    logits = sf_logits(params, spec, sf_input_from_window(window)[None])[0]
+    label = SceneLabel(int(np.argmax(logits)))
+    return label, float(softmax(logits)[label.value])
 
 
 # activations that overflow surface once, as write_clip's refusal of
@@ -166,7 +170,7 @@ def cmd_upscale(cfg: RunConfig, in_path: str, out_path: str) -> int:
     for centre in range(len(clip)):
         window = clip.window(centre)
         if sf is not None:
-            window = replace_frames(window, SceneLabel(int(np.argmax(_window_logits(sf, window)))))
+            window = replace_frames(window, _scene_verdict(sf, window)[0])
         sr = runner(window)
         if centre == dump_centre:
             written = dump_feature_maps(params, spec, window, cfg.dump_layer, cfg.dump_features, rs)
@@ -214,7 +218,7 @@ def cmd_evaluate(cfg: RunConfig, ref_path: str, cand_path: str | None,
 
         def pair(i):  # the reference cropped to what the LR frame upsamples to
             rf = Frame(ref[i].luma[:h, :w]) if cropped else ref[i]
-            return rf, bicubic_resize(lr[i], w, h)
+            return rf, bicubic_upscale(lr[i], cfg.scale)
     else:
         raise ConfigError("evaluate needs a candidate clip or --method bicubic")
 
@@ -242,9 +246,7 @@ def cmd_scene(cfg: RunConfig, in_path: str) -> int:
     lines = ["frame,label,confidence"]
     print(f"{'frame':>5}  {'label':<15}  {'confidence':>10}")
     for centre in range(len(clip)):
-        logits = _window_logits(sf, clip.window(centre))
-        label = SceneLabel(int(np.argmax(logits)))
-        conf = float(softmax(logits)[label.value])
+        label, conf = _scene_verdict(sf, clip.window(centre))
         print(f"{centre:>5}  {label.name.lower():<15}  {conf:>10.4f}")
         lines.append(f"{centre},{label.name.lower()},{conf:.4f}")
     _write_csv(cfg, "\n".join(lines) + "\n", "window report")

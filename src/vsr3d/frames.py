@@ -2,7 +2,8 @@
 
 A Frame is a luma plane in [0, 1] plus optional 4:2:0 chroma; a VideoClip is an
 ordered list of same-geometry frames. A frame holds read-only copies of its
-planes, so nothing writes into them once the frame is built. A plane given as
+planes, so nothing writes into them once the frame is built, and it compares
+and hashes by identity, so a cache can key on the frame itself. A plane given as
 8-bit samples maps to [0, 1] as x/255, the one place that rule is written:
 the clip readers hand their decoded bytes straight to Frame.
 """
@@ -26,7 +27,7 @@ def chroma_extent(height: int, width: int) -> tuple[int, int]:
 def _clamped_plane(data) -> np.ndarray:
     """A read-only [0, 1] copy of `data`, made in one pass (uint8 samples as
     x/255, anything else clamped), so a plane never changes after its frame
-    is built (scene.py memoizes on plane identity)."""
+    is built (scene.py caches shrinks by frame)."""
     data = np.asarray(data)
     if data.dtype == np.uint8:
         plane = np.divide(data, 255, dtype=DEFAULT_DTYPE)
@@ -38,7 +39,7 @@ def _clamped_plane(data) -> np.ndarray:
     return plane
 
 
-@dataclass
+@dataclass(eq=False)
 class Frame:
     """Luma plane (H, W) in [0, 1], optionally with two quarter-res chroma planes."""
 

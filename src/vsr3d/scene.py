@@ -8,15 +8,15 @@ the boundary, so the SR net only ever sees one scene.
 
 The classifier reads plain arrays: a window's input is a (5, 27, 48) float32
 stack of shrunk lumas, a batch or a dataset an (N, 5, 27, 48) array beside
-its (N,) SceneLabel values. Each frame's luma is shrunk once: consecutive
-windows share four of five frames, so `sf_input_from_window` keeps the last
-five shrunk planes in a ring keyed by the identity of the luma array (frames
-are immutable, and the ring holds each array, so its id cannot be reused
-while the entry lives); `make_sf_dataset`'s random draws keep a memo per call.
+its (N,) SceneLabel values. One function, `_shrink`, shrinks a frame, and
+each frame is shrunk once through a cache keyed by the frame (frames are
+immutable and hash by identity): consecutive windows share four of five
+frames, so `sf_input_from_window` reads an LRU cache of the last five, and
+`make_sf_dataset`'s random draws read a cache made for the call.
 """
 
-from collections import deque
 from enum import Enum
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -33,7 +33,6 @@ SF_BATCH = 64
 SF_LAYERS = (2, 3)   # classifier depths build_sf_net makes
 _SF_WIDTHS = (16, 32)   # output groups of its stride-2 layers, first to last
 _SCORE_CHUNK = 256   # samples per classifier pass when scoring
-_SHRUNK = deque(maxlen=INPUT_FRAMES)   # (luma array, its 27x48 plane), newest last
 _SF_SHAPE = (INPUT_FRAMES, SF_HEIGHT, SF_WIDTH)   # one window's classifier input
 
 
@@ -50,7 +49,8 @@ class SceneLabel(Enum):
     NO_CHANGE = 4
 
 
-def _shrunk(frame) -> np.ndarray:
+@lru_cache(maxsize=INPUT_FRAMES)   # a sliding window's frames
+def _shrink(frame) -> np.ndarray:
     """The frame's luma on the 48x27 classifier grid. Sources smaller than
     the target carry no extra detail to pool and are rejected."""
     if frame.width < SF_WIDTH or frame.height < SF_HEIGHT:
@@ -63,14 +63,7 @@ def sf_input_from_window(window) -> np.ndarray:
     """A five-frame window's (5, 27, 48) classifier input."""
     if len(window) != INPUT_FRAMES:
         raise ValueError(f"expected a five-frame window, got {len(window)}")
-    planes = []
-    for f in window:
-        plane = next((p for src, p in _SHRUNK if src is f.luma), None)
-        if plane is None:
-            plane = _shrunk(f)
-            _SHRUNK.append((f.luma, plane))
-        planes.append(plane)
-    return np.stack(planes)
+    return np.stack([_shrink(f) for f in window])
 
 
 def build_sf_net(layers: int) -> ModelSpec:
@@ -128,12 +121,6 @@ def loss_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, (grad / n).astype(logits.dtype)
 
 
-def classify_window(params, spec: ModelSpec, window) -> SceneLabel:
-    """Argmax class for one window; ties resolve to the lowest index."""
-    logits = sf_logits(params, spec, sf_input_from_window(window)[None])[0]
-    return SceneLabel(int(np.argmax(logits)))
-
-
 _REPLACEMENT = {
     SceneLabel.CHANGE_AFTER_1: (1, 1, 2, 3, 4),
     SceneLabel.CHANGE_AFTER_2: (2, 2, 2, 3, 4),
@@ -167,16 +154,12 @@ def make_sf_dataset(clips_a: list[VideoClip], clips_b: list[VideoClip],
                 raise ValueError(f"pool {name} clip {i} has {len(clip)} frames; "
                                  f"need at least {INPUT_FRAMES}")
     rng = np.random.default_rng(seed)
-    shrunk = {}   # id(frame) -> its plane; the pools keep every frame alive, so no id is reused
+    shrink = cache(_shrink.__wrapped__)   # draws revisit frames in any order
 
     def segment(pool, count):
         clip = pool[int(rng.integers(len(pool)))]
         start = int(rng.integers(len(clip) - count + 1))
-        frames = [clip[start + i] for i in range(count)]
-        for f in frames:
-            if id(f) not in shrunk:
-                shrunk[id(f)] = _shrunk(f)
-        return [shrunk[id(f)] for f in frames]
+        return [shrink(clip[start + i]) for i in range(count)]
 
     labels = np.repeat([label.value for label in SceneLabel], per_class)
     inputs = np.empty((len(labels), *_SF_SHAPE), dtype=DEFAULT_DTYPE)

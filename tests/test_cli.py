@@ -496,15 +496,15 @@ class TestEvaluate:
     def test_bicubic_scores_one_candidate_frame_at_a_time(self, clips, monkeypatch, capsys):
         import vsr3d.cli as cli
         made, most_alive = [], []
-        upsample = cli.bicubic_resize
+        upsample = cli.bicubic_upscale
 
-        def tracked(frame, out_w, out_h):
-            out = upsample(frame, out_w, out_h)
+        def tracked(frame, scale):
+            out = upsample(frame, scale)
             made.append(weakref.ref(out))
             most_alive.append(sum(ref() is not None for ref in made))
             return out
 
-        monkeypatch.setattr(cli, "bicubic_resize", tracked)
+        monkeypatch.setattr(cli, "bicubic_upscale", tracked)
         # each frame is a part, whose candidate is gone when it returns: at
         # most one alive per worker, and one on a pool of one
         assert main(["evaluate", str(clips["hr"]), "--method", "bicubic"]) == 0

@@ -223,6 +223,13 @@ class TestFrameTypes:
         assert f.luma.dtype == np.float32
         assert peak < 1.5 * f.luma.nbytes
 
+    def test_frames_compare_and_hash_by_identity(self):
+        plane = np.random.default_rng(3).random((4, 6))
+        f, g = Frame(plane), Frame(plane.copy())
+        assert f != g and not f == g
+        assert f == f
+        assert hash(f) == hash(f) and len({f, g, f}) == 2
+
     def test_chroma_extents_checked(self):
         with pytest.raises(ValueError):
             Frame(np.zeros((8, 8)), (np.zeros((3, 4)), np.zeros((4, 4))))

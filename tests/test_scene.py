@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,15 +7,15 @@ import pytest
 from vsr3d import scene, tensor_core, training
 from vsr3d.bicubic import resize_plane
 from vsr3d.checkpoint import load_checkpoint
+from vsr3d.cli import _scene_verdict
 from vsr3d.frames import Frame, VideoClip
 from vsr3d.model import (LayerSpec, ModelSpec, backward_stack, count_parameters, forward_stack,
                          zero_params)
 from vsr3d.reference import GRAD_TOLERANCES
 from vsr3d.scene import (SF_HEIGHT, SF_WIDTH, SceneLabel, build_sf_net,
-                         classify_window, confusion_csv, confusion_matrix,
-                         loss_cross_entropy, make_sf_dataset, replace_frames,
-                         sf_accuracy, sf_batch_step, sf_input_from_window, sf_logits,
-                         softmax, train_sf)
+                         confusion_csv, confusion_matrix, loss_cross_entropy,
+                         make_sf_dataset, replace_frames, sf_accuracy, sf_batch_step,
+                         sf_input_from_window, sf_logits, softmax, train_sf)
 from vsr3d.tensor_core import ConvWeights
 from vsr3d.training import grad_check, xavier_init
 
@@ -134,18 +135,18 @@ class TestSoftmaxLoss:
             loss_cross_entropy(np.zeros((2, 5)), np.zeros(3, dtype=int))
 
 
-class TestClassifyWindow:
+class TestSceneVerdict:
     def test_tie_breaks_to_lowest_index(self):
         spec = build_sf_net(2)
         window = [Frame(np.full((SF_HEIGHT, SF_WIDTH), 0.5, dtype=np.float32))] * 5
         # all-zero parameters emit identical logits for every class
-        assert classify_window(zero_params(spec), spec, window) is SceneLabel.CHANGE_AFTER_1
+        label, conf = _scene_verdict((zero_params(spec), spec, {}), window)
+        assert label is SceneLabel.CHANGE_AFTER_1 and conf == pytest.approx(0.2)
 
     def test_small_source_rejected(self):
-        spec = build_sf_net(2)
         tiny = [Frame(np.zeros((20, 40), dtype=np.float32))] * 5
         with pytest.raises(ValueError, match="smaller"):
-            classify_window(zero_params(spec), spec, tiny)
+            sf_input_from_window(tiny)
 
     def test_window_length_checked(self):
         with pytest.raises(ValueError, match="five-frame"):
@@ -165,11 +166,68 @@ class TestShrinkOncePerFrame:
         inputs = [sf_input_from_window(clip.window(c)) for c in range(len(clip))]
         assert len(calls) == 25
         assert all(a is f.luma for a, f in zip(calls, clip))
-        assert len(scene._SHRUNK) <= 5
+        assert scene._shrink.cache_info().currsize <= 5
         for c, got in enumerate(inputs):
             want = np.stack([resize_plane(f.luma, SF_HEIGHT, SF_WIDTH)
                              for f in clip.window(c)]).astype(np.float32)
             assert np.array_equal(got, want)
+
+    def test_interleaved_windows_match_serial_ones(self):
+        # a window shrunk while another is part-way through its frames, as a
+        # second thread may do, changes neither result
+        class PausingFrame(Frame):
+            """Runs `pause` once, at the first read of its luma after it is set."""
+            pause = None
+
+            @property
+            def luma(self):
+                pause, self.pause = self.pause, None
+                if pause:
+                    pause()
+                return self._luma
+
+            @luma.setter
+            def luma(self, plane):
+                self._luma = plane
+
+        planes = [f.luma for f in scene_pool(8, 0.5, frames=12)[0]]
+        serial = VideoClip([Frame(p) for p in planes])
+        clip = VideoClip([PausingFrame(p) for p in planes])
+        want = [sf_input_from_window(serial.window(c)) for c in range(len(serial))]
+        inner = []
+        clip[6].pause = lambda: inner.append(sf_input_from_window(clip.window(7)))
+        got = [sf_input_from_window(clip.window(c)) for c in range(len(clip))]
+        assert len(inner) == 1 and np.array_equal(inner[0], want[7])
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_threads_sliding_over_one_clip_match_serial(self):
+        clip = scene_pool(9, 0.5, frames=12)[0]
+        want = [sf_input_from_window(clip.window(c)) for c in range(len(clip))]
+        scene._shrink.cache_clear()
+        errors, mismatches = [], []
+
+        def slide(order):
+            try:
+                for _ in range(20):
+                    for c in order:
+                        if not np.array_equal(sf_input_from_window(clip.window(c)), want[c]):
+                            mismatches.append(c)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        orders = [range(12), range(11, -1, -1), range(0, 12, 2)]
+        threads = [threading.Thread(target=slide, args=(o,)) for o in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and not mismatches
 
 
 class TestReplaceFrames:
@@ -294,9 +352,11 @@ class TestTrainedClassifier:
         spec, result, _, _, _ = trained_sf
         blk = Frame(np.zeros((54, 96), dtype=np.float32))
         wht = Frame(np.full((54, 96), 1.0, dtype=np.float32))
-        assert classify_window(result.params, spec, [blk, blk, wht, wht, wht]) \
-            is SceneLabel.CHANGE_AFTER_2
-        assert classify_window(result.params, spec, [wht] * 5) is SceneLabel.NO_CHANGE
+        windows = np.stack([sf_input_from_window(w) for w in ([blk, blk, wht, wht, wht],
+                                                              [wht] * 5)])
+        labels = np.argmax(sf_logits(result.params, spec, windows), axis=1)
+        assert [SceneLabel(int(v)) for v in labels] == [SceneLabel.CHANGE_AFTER_2,
+                                                        SceneLabel.NO_CHANGE]
 
     def test_confusion_matrix_concentrates_on_diagonal(self, trained_sf):
         spec, result, val_set, _, _ = trained_sf

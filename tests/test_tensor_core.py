@@ -284,6 +284,30 @@ class TestConvBackward:
         with pytest.raises(ValueError, match="grad_out"):
             conv_backward(x, w, NO_PAD, np.zeros((1, 2, 1, 1, 1), dtype=np.float32))
 
+    @pytest.mark.parametrize("cin, cout, d, kd, temporal", [
+        (32, 32, 5, 3, TemporalPad.ZERO), (32, 32, 5, 3, TemporalPad.NONE),
+        (96, 4, 1, 1, TemporalPad.NONE)])
+    def test_gradients_across_band_cuts(self, monkeypatch, cin, cout, d, kd, temporal):
+        # a training batch's layers: each band writes its own columns of the
+        # input gradient, so it equals one band per sample bit for bit, while
+        # the kernel gradient sums its bands in cut order and moves by rounding.
+        # Cuts: one band per sample, the default, 256 KiB, and the floor's
+        # (13-row bands, the only one that cuts the 96->4 layer's 4 groups)
+        x, w = random_case(41, n=2, cin=cin, cout=cout, d=d, h=40, w=40, kd=kd)
+        pad = PadPolicy(spatial=1, temporal=temporal)
+        g = np.random.default_rng(42).standard_normal(
+            conv_forward(x, w, pad).shape).astype(np.float32)
+        grads = []
+        for budget in (1 << 40, tensor_core._WINDOW_BUDGET_BYTES, 256 * 1024, 1):
+            with monkeypatch.context() as cut:
+                cut.setattr(tensor_core, "_WINDOW_BUDGET_BYTES", budget)
+                gx, gw = conv_backward(x, w, pad, g)
+            grads.append((gx, gw.kernel))
+        (want_x, want_k), *others = grads
+        for gx, gk in others:
+            assert np.array_equal(gx.view(np.uint32), want_x.view(np.uint32))
+            assert_close_to_largest(gk, want_k, 1e-5)
+
     def test_input_checked_as_the_forward_checks_it(self):
         # a 4-group input against a 2-group kernel, a rank-4 input and a zero
         # stride end in the forward's messages, not inside numpy
