@@ -20,7 +20,7 @@ from .scene import (SceneLabel, build_sf_net, confusion_csv, confusion_matrix,
 from .tensor_core import (ConvWeights, PadPolicy, TemporalPad, conv_forward,
                           pixel_shuffle, pixel_unshuffle, relu)
 from .training import (DatasetRecipe, GradCheckReport, TrainingDiverged,
-                       TrainResult, WindowSample, adam_step, extract_dataset,
+                       TrainResult, adam_step, extract_dataset,
                        grad_check, init_optim, loss_mse, miniature_spec,
                        train, xavier_init)
 from .video_io import ClipFormatError, detect_format, read_clip, write_clip
@@ -32,7 +32,7 @@ __all__ = [
     "ConvWeights", "DatasetRecipe", "Frame", "GradCheckReport", "LayerSpec",
     "ModelSpec", "PadPolicy", "RunConfig", "SceneLabel",
     "TemporalPad", "TrainResult", "TrainingDiverged", "VideoClip",
-    "WindowSample", "adam_step", "bicubic_resize", "bicubic_upscale", "build_architecture",
+    "adam_step", "bicubic_resize", "bicubic_upscale", "build_architecture",
     "build_sf_net", "confusion_csv", "confusion_matrix",
     "conv_forward", "count_parameters", "degrade_clip", "detect_format",
     "dump_feature_maps", "extract_dataset", "format_metric", "forward",

@@ -100,29 +100,27 @@ def cmd_train(cfg: RunConfig) -> int:
     spec = build_architecture(cfg.arch, cfg.scale)
     print(f"vsr3d train: arch {cfg.arch} x{cfg.scale}, {count_parameters(spec):,} weights, "
           f"seed {cfg.seed}")
-    clips = [_read(cfg, p) for p in paths]
     recipe = DatasetRecipe(scale=cfg.scale, frame_stride=cfg.frame_stride,
                            subimages_per_frame=cfg.subimages_per_frame,
                            lr_patch_size=cfg.lr_patch_size or None)
-    samples = extract_dataset(clips, recipe, seed=cfg.seed)
+    # the clips go as each set is extracted: no frame is alive while training runs
+    lr, hr = extract_dataset([_read(cfg, p) for p in paths], recipe, seed=cfg.seed)
     if cfg.val_clips:
-        val_clips = [_read(cfg, p) for p in cfg.path_list("val_clips")]
-        val = extract_dataset(val_clips, recipe, seed=cfg.seed + 1)
-        train_samples = samples
+        val = extract_dataset([_read(cfg, p) for p in cfg.path_list("val_clips")], recipe,
+                              seed=cfg.seed + 1)
     else:
-        # hold out every 20th extracted sample
-        val = samples[::20]
-        train_samples = [s for i, s in enumerate(samples) if i % 20]
-        if not train_samples:
+        held = np.arange(len(lr)) % 20 == 0   # hold out every 20th extracted sample
+        val, lr, hr = (lr[held], hr[held]), lr[~held], hr[~held]
+        if not len(lr):
             raise ConfigError("dataset too small to hold out validation samples; "
                               "supply --val clips")
-    print(f"{len(train_samples)} training / {len(val)} validation samples")
-    result = train(spec, train_samples, epochs=cfg.epochs, batch_size=cfg.batch_size,
+    print(f"{len(lr)} training / {len(val[0])} validation samples")
+    result = train(spec, (lr, hr), epochs=cfg.epochs, batch_size=cfg.batch_size,
                    lr=cfg.lr, weight_decay=cfg.weight_decay, loss_form=cfg.loss_form,
                    val_samples=val, meta={"arch": cfg.arch}, **loop)
-    # what the zero model would give, scored as val_psnr scores the model
-    baseline = mean_psnr([psnr(bicubic_upscale(Frame(s.lr_frames[MIDDLE_FRAME]), cfg.scale),
-                               Frame(s.hr_target), border=cfg.scale) for s in val])
+    # what the zero model would give, scored as train's validation scores the model
+    baseline = mean_psnr([psnr(bicubic_upscale(Frame(x[MIDDLE_FRAME]), cfg.scale), Frame(y),
+                               border=cfg.scale) for x, y in zip(*val)])
     print(f"final validation PSNR {result.final_val:.2f} dB "
           f"(bicubic baseline {baseline:.2f} dB)")
     print(f"checkpoint written to {cfg.out_path}")

@@ -3,7 +3,11 @@ gradient verification.
 
 Every entry point is seeded and deterministic: the same (data, seed, hyper)
 triple reproduces every logged loss and checkpoint byte. Each input clip is
-treated as a single scene, so extracted windows never straddle a cut.
+treated as a single scene, so extracted windows never straddle a cut. The SR
+training set is one (lr, hr) array pair, as the classifier's is (inputs,
+labels): it copies its crops out of the clips, so they can go before training
+starts, and it stores no bicubic base, since a base is a function of its LR
+stack and each batch makes its own.
 
 Both nets train through one step (batch_step): its batch runs as parts
 (Huang et al. 2019, GPipe) on every usable core, OpenBLAS at one thread,
@@ -45,13 +49,6 @@ class TrainingDiverged(RuntimeError):
     """Loss or a gradient stopped being finite."""
 
 
-@dataclass
-class WindowSample:
-    lr_frames: np.ndarray        # (5, p, p) float32
-    hr_target: np.ndarray        # (p*scale, p*scale) float32
-    source_id: tuple             # (clip, centre frame, (y, x) HR origin)
-
-
 @dataclass(frozen=True)
 class DatasetRecipe:
     scale: int = 2
@@ -66,6 +63,8 @@ class DatasetRecipe:
             raise ValueError("stride and subimages/frame must be >= 1")
         if self.lr_patch_size is None:
             object.__setattr__(self, "lr_patch_size", LR_PATCH_SIZES[self.scale])
+        if self.lr_patch_size < 1:
+            raise ValueError(f"lr_patch_size must be >= 1, got {self.lr_patch_size}")
 
     @property
     def hr_patch_size(self) -> int:
@@ -81,17 +80,19 @@ def _cell_edges(extent: int, cells: int) -> list[int]:
     return edges
 
 
-def extract_dataset(clips: list[VideoClip], recipe: DatasetRecipe, seed: int) -> list[WindowSample]:
+def extract_dataset(clips: list[VideoClip], recipe: DatasetRecipe,
+                    seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded patch windows: every frame_stride-th centre frame contributes
     subimages_per_frame non-overlapping HR crops whose five co-located
     neighbours are bicubic-downscaled into the LR input stack. Edge windows
-    replicate the first/last frame."""
+    replicate the first/last frame. Returns (lr, hr), clip by clip and centre
+    by centre: an (N, 5, p, p) and an (N, p*scale, p*scale) float32 array,
+    each owning its data, so no clip frame outlives the call through them."""
     if not clips:
         raise ValueError("no clips supplied")
-    rng = np.random.default_rng(seed)
-    p_hr = recipe.hr_patch_size
-    p_lr = recipe.lr_patch_size
-    samples = []
+    p_hr, p_lr = recipe.hr_patch_size, recipe.lr_patch_size
+    per_frame = recipe.subimages_per_frame
+    grids = []   # every clip is checked before anything is allocated
     for ci, clip in enumerate(clips):
         if len(clip) < INPUT_FRAMES:
             raise ValueError(f"clip {ci} has {len(clip)} frames; need at least {INPUT_FRAMES}")
@@ -100,30 +101,32 @@ def extract_dataset(clips: list[VideoClip], recipe: DatasetRecipe, seed: int) ->
                 f"clip {ci} is {clip.width}x{clip.height}, smaller than the "
                 f"{p_hr}x{p_hr} HR patch")
         gy, gx = clip.height // p_hr, clip.width // p_hr
-        if recipe.subimages_per_frame > gy * gx:
+        if per_frame > gy * gx:
             raise ValueError(
-                f"cannot place {recipe.subimages_per_frame} non-overlapping "
+                f"cannot place {per_frame} non-overlapping "
                 f"{p_hr}x{p_hr} patches on a {clip.width}x{clip.height} frame")
-        ey = _cell_edges(clip.height, gy)
-        ex = _cell_edges(clip.width, gx)
+        grids.append((gy, gx))
+    count = per_frame * sum(len(range(0, len(clip), recipe.frame_stride)) for clip in clips)
+    lr = np.empty((count, INPUT_FRAMES, p_lr, p_lr), DEFAULT_DTYPE)
+    hr = np.empty((count, p_hr, p_hr), DEFAULT_DTYPE)
+    rng = np.random.default_rng(seed)
+    n = 0
+    for clip, (gy, gx) in zip(clips, grids):
+        ey, ex = _cell_edges(clip.height, gy), _cell_edges(clip.width, gx)
         for centre in range(0, len(clip), recipe.frame_stride):
             window = clip.window(centre)
             # one crop per randomly chosen grid cell, jittered inside the
             # cell: seeded, spread over the frame, and never overlapping
-            cells = rng.choice(gy * gx, size=recipe.subimages_per_frame, replace=False)
-            origins: list[tuple[int, int]] = []
+            cells = rng.choice(gy * gx, size=per_frame, replace=False)
             for cell in sorted(int(c) for c in cells):
                 r, c = divmod(cell, gx)
                 y = int(rng.integers(ey[r], ey[r + 1] - p_hr + 1))
                 x = int(rng.integers(ex[c], ex[c + 1] - p_hr + 1))
-                origins.append((y, x))
-            for y, x in origins:
-                lr = np.stack([
-                    resize_plane(f.luma[y:y + p_hr, x:x + p_hr], p_lr, p_lr).astype(DEFAULT_DTYPE)
-                    for f in window])
-                hr = np.asarray(window[MIDDLE_FRAME].luma[y:y + p_hr, x:x + p_hr], DEFAULT_DTYPE)
-                samples.append(WindowSample(lr, hr, (ci, centre, (y, x))))
-    return samples
+                for k, f in enumerate(window):
+                    lr[n, k] = resize_plane(f.luma[y:y + p_hr, x:x + p_hr], p_lr, p_lr)
+                hr[n] = window[MIDDLE_FRAME].luma[y:y + p_hr, x:x + p_hr]
+                n += 1
+    return lr, hr
 
 
 def loss_mse(pred: np.ndarray, target: np.ndarray):
@@ -229,13 +232,6 @@ def sr_batch_step(params, spec: ModelSpec, x, bases, target, form: str = "mean")
     return batch_step(params, spec, x, head, target.size if form == "mean" else 1)
 
 
-def val_psnr(params, spec: ModelSpec, samples, border: int) -> float:
-    """Mean PSNR of the model's upscaled middle frames over the samples,
-    skipping infinite values (exact predictions)."""
-    return mean_psnr([psnr(forward(params, spec, [Frame(p) for p in s.lr_frames]),
-                           Frame(s.hr_target), border=border) for s in samples])
-
-
 class TrainResult(NamedTuple):
     params: list
     log_rows: list              # (step, loss, val or None)
@@ -300,28 +296,33 @@ def fit(spec: ModelSpec, count: int, batch_loss, validate=None, *, epochs: int =
     return TrainResult(params, rows, final_val)
 
 
-def train(spec: ModelSpec, samples: list[WindowSample], *, loss_form: str = "mean",
-          val_samples: list[WindowSample] | None = None, **loop) -> TrainResult:
+def train(spec: ModelSpec, data: tuple[np.ndarray, np.ndarray], *, loss_form: str = "mean",
+          val_samples: tuple[np.ndarray, np.ndarray] | None = None, **loop) -> TrainResult:
     """Seeded mini-batch training of an SR spec through `fit`, which takes
     the loop options (epochs, batch_size, lr, seed, weight_decay, val_every,
-    out_path, log_path, checkpoint_every, max_steps, meta). Validation is
-    the mean PSNR on val_samples with the scale as border.
+    out_path, log_path, checkpoint_every, max_steps, meta), on
+    extract_dataset's (lr, hr) pair. A batch's bases are its middle LR
+    frames through bicubic_upscale, made per batch as `forward` makes its
+    base. Validation is the mean PSNR of `forward` on val_samples, another
+    such pair (none if it is empty), with the scale as border, skipping
+    infinite values (exact predictions).
     """
     if spec.kind != "sr":
         raise ValueError("train needs an SR spec")
-    bases_all = [bicubic_upscale(Frame(s.lr_frames[MIDDLE_FRAME]), spec.scale).luma
-                 for s in samples]
+    lr, hr = data
 
     def batch_loss(params, idx):
-        x = np.stack([samples[i].lr_frames for i in idx])[:, None]            # (N,1,5,p,p)
-        target = np.stack([samples[i].hr_target for i in idx])[:, None, None]  # (N,1,1,P,P)
-        bases = np.stack([bases_all[i] for i in idx])[:, None, None]
-        return sr_batch_step(params, spec, x, bases, target, loss_form)
+        x = lr[idx]                                                      # (N,5,p,p)
+        bases = np.stack([bicubic_upscale(Frame(m), spec.scale).luma for m in x[:, MIDDLE_FRAME]])
+        return sr_batch_step(params, spec, x[:, None], bases[:, None, None],
+                             hr[idx][:, None, None], loss_form)
 
     def validate(params):
-        return val_psnr(params, spec, val_samples, spec.scale)
+        return mean_psnr([psnr(forward(params, spec, [Frame(p) for p in x]), Frame(y),
+                               border=spec.scale) for x, y in zip(*val_samples)])
 
-    return fit(spec, len(samples), batch_loss, validate if val_samples else None, **loop)
+    return fit(spec, len(lr), batch_loss,
+               validate if val_samples and len(val_samples[0]) else None, **loop)
 
 
 def write_log(rows, path: str, val_column: str):

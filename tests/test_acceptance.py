@@ -60,12 +60,12 @@ def textured(seed: int, frames: int, w: int, h: int) -> VideoClip:
     return VideoClip(out, frame_rate=(25, 1))
 
 
-def bicubic_patch_psnr(samples, scale: int) -> float:
+def bicubic_patch_psnr(data, scale: int) -> float:
     vals = []
-    for s in samples:
-        p = s.hr_target.shape[-1]
-        base = np.clip(resize_plane(s.lr_frames[2], p, p), 0, 1).astype(np.float32)
-        vals.append(psnr(Frame(base), Frame(s.hr_target), border=scale))
+    for lr, hr in zip(*data):
+        p = hr.shape[-1]
+        base = np.clip(resize_plane(lr[2], p, p), 0, 1).astype(np.float32)
+        vals.append(psnr(Frame(base), Frame(hr), border=scale))
     return float(np.mean(vals))
 
 
@@ -80,7 +80,7 @@ def desk_model():
     spec = build_architecture("full", 2)
     result = train(spec, tr, epochs=2, batch_size=32, lr=5e-4,
                    weight_decay=5e-4, seed=0, val_samples=va)
-    return {"spec": spec, "result": result, "n_train": len(tr),
+    return {"spec": spec, "result": result, "n_train": len(tr[0]),
             "steps": len(result.log_rows), "bicubic": bicubic_patch_psnr(va, 2)}
 
 

@@ -205,9 +205,9 @@ class TestTrain:
         import vsr3d.cli as cli
         real, calls = cli.train, []
 
-        def recording(spec, samples, *, val_samples, **loop):
-            calls.append((samples, val_samples))
-            return real(spec, samples, val_samples=val_samples, **loop)
+        def recording(spec, data, *, val_samples, **loop):
+            calls.append((data, val_samples))
+            return real(spec, data, val_samples=val_samples, **loop)
         monkeypatch.setattr(cli, "train", recording)
         argv = ["train", "--data", str(clips["hr"]), "--val", str(clips["pool_a"]),
                 "--arch", "v1", "--lr-patch-size", "16", "--subimages-per-frame", "2",
@@ -217,12 +217,34 @@ class TestTrain:
         want = extract_dataset([read_clip(str(clips["hr"]))], recipe, seed=7)
         want_val = extract_dataset([read_clip(str(clips["pool_a"]))], recipe, seed=8)
         assert main(argv) == 0
-        assert f"{len(want)} training / {len(want_val)} validation samples" in \
+        assert f"{len(want[0])} training / {len(want_val[0])} validation samples" in \
             capsys.readouterr().out
-        (samples, val), = calls
-        for got, exp in ((samples, want), (val, want_val)):
-            assert [s.source_id for s in got] == [s.source_id for s in exp]
-            assert all(np.array_equal(g.lr_frames, e.lr_frames) for g, e in zip(got, exp))
+        (data, val), = calls
+        for got, exp in ((data, want), (val, want_val)):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in exp]
+
+    @pytest.mark.parametrize("val", [False, True])
+    def test_no_clip_frame_is_alive_while_training(self, clips, tmp_path, monkeypatch, capsys,
+                                                   val):
+        # the clips go once their samples are extracted, with --val or without
+        import vsr3d.cli as cli
+        real_read, real_train, frames, alive = cli.read_clip, cli.train, [], []
+
+        def reading(*args, **kwargs):
+            clip = real_read(*args, **kwargs)
+            frames.extend(weakref.ref(f) for f in clip)
+            return clip
+
+        def training(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in frames))
+            return real_train(*args, **kwargs)
+        monkeypatch.setattr(cli, "read_clip", reading)
+        monkeypatch.setattr(cli, "train", training)
+        argv = ["train", "--data", str(clips["hr"]), "--arch", "v1", "--lr-patch-size", "16",
+                "--subimages-per-frame", "2", "--frame-stride", "4", "--batch-size", "4",
+                "--max-steps", "1", "--out", str(tmp_path / "m.ckpt")]
+        assert main(argv + (["--val", str(clips["pool_a"])] if val else [])) == 0
+        assert len(frames) == (14 + 24 if val else 14) and alive == [0]
 
     def test_clip_paths_with_commas_pass_through_flags(self, clips, tmp_path, capsys):
         # a flag's paths reach the reader as given; only a config file's

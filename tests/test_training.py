@@ -30,20 +30,46 @@ def synthetic_clip(frames=12, h=48, w=48, seed=0):
     return VideoClip(out)
 
 
+def position_clip(frames=12, h=48, w=48):
+    """A clip whose every pixel holds (frame, y, x) as one float32 code."""
+    n = frames * h * w
+    return VideoClip([Frame(c) for c in np.arange(n).reshape(frames, h, w) / n])
+
+
+def position_of(clip, value):
+    """(frame, y, x) of the pixel of a position_clip that holds `value`."""
+    n, plane = len(clip) * clip.height * clip.width, clip.height * clip.width
+    t, rest = divmod(round(float(value) * n), plane)
+    return (t, *divmod(rest, clip.width))
+
+
+def subset(data, lo, hi):
+    """Samples lo:hi of an (lr, hr) pair, as a pair."""
+    lr, hr = data
+    return lr[lo:hi], hr[lo:hi]
+
+
 class TestExtractDataset:
     def test_sample_arithmetic(self):
         clip = synthetic_clip(frames=100, h=96, w=96)
         recipe = DatasetRecipe(scale=2, frame_stride=5, subimages_per_frame=10,
                                lr_patch_size=8)
-        samples = extract_dataset([clip], recipe, seed=0)
-        assert len(samples) == 20 * 10
+        lr, hr = extract_dataset([clip], recipe, seed=0)
+        assert len(lr) == len(hr) == 20 * 10
 
     def test_patch_geometry(self):
         recipe = DatasetRecipe(scale=2, lr_patch_size=8, subimages_per_frame=2)
-        samples = extract_dataset([synthetic_clip()], recipe, seed=1)
-        s = samples[0]
-        assert s.lr_frames.shape == (5, 8, 8)
-        assert s.hr_target.shape == (16, 16)
+        lr, hr = extract_dataset([synthetic_clip()], recipe, seed=1)
+        assert lr.shape == (6, 5, 8, 8)   # 3 centres x 2 crops
+        assert hr.shape == (6, 16, 16)
+
+    def test_arrays_own_their_bytes(self):
+        # no sample pins a clip frame: both arrays are fresh C-contiguous float32
+        clips = [synthetic_clip(seed=0), synthetic_clip(frames=6, seed=1)]
+        recipe = DatasetRecipe(scale=2, lr_patch_size=8, subimages_per_frame=2)
+        for a in extract_dataset(clips, recipe, seed=1):
+            assert a.dtype == np.float32 and a.flags.c_contiguous and a.flags.owndata
+            assert not any(np.shares_memory(a, f.luma) for clip in clips for f in clip)
 
     def test_default_patch_sizes_follow_scale(self):
         assert DatasetRecipe(scale=2).lr_patch_size == 80
@@ -57,16 +83,20 @@ class TestExtractDataset:
         recipe = DatasetRecipe(scale=2, lr_patch_size=8, subimages_per_frame=3)
         a = extract_dataset([synthetic_clip()], recipe, seed=9)
         b = extract_dataset([synthetic_clip()], recipe, seed=9)
-        assert [s.source_id for s in a] == [s.source_id for s in b]
-        assert all(np.array_equal(x.lr_frames, y.lr_frames) for x, y in zip(a, b))
+        for x, y in zip(a, b):
+            assert x.tobytes() == y.tobytes()
 
     def test_crops_do_not_overlap(self):
         recipe = DatasetRecipe(scale=2, lr_patch_size=8, subimages_per_frame=4)
-        samples = extract_dataset([synthetic_clip(h=64, w=64)], recipe, seed=2)
+        clip = position_clip(h=64, w=64)
+        _, hr = extract_dataset([clip], recipe, seed=2)
         p = recipe.hr_patch_size
         by_frame = {}
-        for s in samples:
-            by_frame.setdefault(s.source_id[:2], []).append(s.source_id[2])
+        for crop in hr:
+            t, y, x = position_of(clip, crop[0, 0])
+            by_frame.setdefault(t, []).append((y, x))
+        assert sorted(by_frame) == [0, 5, 10]   # every 5th centre
+        assert all(len(origins) == 4 for origins in by_frame.values())
         for origins in by_frame.values():
             for i, (y1, x1) in enumerate(origins):
                 for y2, x2 in origins[i + 1:]:
@@ -75,13 +105,15 @@ class TestExtractDataset:
     def test_lr_is_downscaled_hr_crop(self):
         from vsr3d.bicubic import resize_plane
         recipe = DatasetRecipe(scale=2, lr_patch_size=8, subimages_per_frame=1)
-        clip = synthetic_clip()
-        s = extract_dataset([clip], recipe, seed=3)[0]
-        ci, centre, (y, x) = s.source_id
+        clip = position_clip()
+        lr, hr = extract_dataset([clip], recipe, seed=3)
+        centre, y, x = position_of(clip, hr[1, 0, 0])   # the second window's crop
+        assert centre == 5
         crop = clip[centre].luma[y:y + 16, x:x + 16]
-        assert np.array_equal(s.lr_frames[2],
-                              resize_plane(crop, 8, 8).astype(np.float32))
-        assert np.array_equal(s.hr_target, crop)
+        assert np.array_equal(hr[1], crop)
+        for k, f in enumerate(clip.window(centre)):   # frames 3..7, the same crop of each
+            assert np.array_equal(lr[1, k],
+                                  resize_plane(f.luma[y:y + 16, x:x + 16], 8, 8).astype(np.float32))
 
     def test_infeasible_patch_count_rejected(self):
         # 40x40 admits at most four non-overlapping 16x16 crops
@@ -98,6 +130,11 @@ class TestExtractDataset:
     def test_unsupported_scale_rejected(self):
         with pytest.raises(ValueError, match="scale"):
             DatasetRecipe(scale=5)
+
+    @pytest.mark.parametrize("size", [0, -4])
+    def test_patch_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match=f"lr_patch_size must be >= 1, got {size}"):
+            DatasetRecipe(scale=2, lr_patch_size=size)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -227,7 +264,7 @@ def small_dataset(n_clips=1, seed=0):
 class TestTrainLoop:
     def test_loss_decreases_on_fixed_batch(self):
         spec = miniature_spec("full")
-        samples = small_dataset()[:8]
+        samples = subset(small_dataset(), 0, 8)
         result = train(spec, samples, epochs=50, batch_size=8, lr=5e-4, seed=0)
         losses = [r[1] for r in result.log_rows]
         assert losses[-1] < losses[0] * 0.7
@@ -262,12 +299,19 @@ class TestTrainLoop:
         r2 = train(spec, samples, epochs=1, batch_size=8, seed=2)
         assert [r[1] for r in r1.log_rows] != [r[1] for r in r2.log_rows]
 
+    def test_empty_validation_pair_validates_nothing(self):
+        # an empty pair turns validation off, as None does: no +inf is logged
+        samples = small_dataset()
+        result = train(miniature_spec("v1"), subset(samples, 0, 8), epochs=1, batch_size=8,
+                       seed=0, val_samples=subset(samples, 0, 0))
+        assert result.final_val is None and result.log_rows[-1][2] is None
+
     def test_log_format(self, tmp_path):
         spec = miniature_spec("v1")
         samples = small_dataset()
         log = str(tmp_path / "log.csv")
-        train(spec, samples[:8], epochs=2, batch_size=8, seed=0,
-              val_samples=samples[8:12], val_every=2, log_path=log)
+        train(spec, subset(samples, 0, 8), epochs=2, batch_size=8, seed=0,
+              val_samples=subset(samples, 8, 12), val_every=2, log_path=log)
         lines = open(log).read().strip().split("\n")
         assert lines[0] == "step,loss,val_psnr_db"
         first = lines[1].split(",")
@@ -278,15 +322,15 @@ class TestTrainLoop:
     def test_sf_spec_is_refused_up_front(self):
         # not as a numpy broadcast error from inside the step
         with pytest.raises(ValueError, match="^train needs an SR spec$"):
-            train(build_sf_net(2), small_dataset()[:8], epochs=1, batch_size=8)
+            train(build_sf_net(2), subset(small_dataset(), 0, 8), epochs=1, batch_size=8)
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            train(miniature_spec("v1"), [], epochs=1)
+        with pytest.raises(ValueError, match="empty dataset"):
+            train(miniature_spec("v1"), subset(small_dataset(), 0, 0), epochs=1)
 
     def test_divergence_aborts_with_checkpoint_kept(self, tmp_path):
         spec = miniature_spec("v1")
-        samples = small_dataset()[:8]
+        samples = subset(small_dataset(), 0, 8)
         out = str(tmp_path / "diverge.ckpt")
         with pytest.raises(TrainingDiverged), np.errstate(over="ignore", invalid="ignore"):
             # absurd learning rate with sum loss blows up quickly
@@ -301,13 +345,9 @@ class TestTrainLoop:
         # constant residual, reachable by the last bias alone, is an exact fit
         spec = miniature_spec("v1")
         rng = np.random.default_rng(0)
-        from vsr3d.training import WindowSample
-        samples = []
-        for i in range(8):
-            lr = rng.random((5, 8, 8)).astype(np.float32)
-            hr = resize_plane(lr[2], 16, 16).astype(np.float32) + 0.05
-            samples.append(WindowSample(lr, hr, (0, i, (0, 0))))
-        result = train(spec, samples, epochs=2000, batch_size=8, lr=2e-3,
+        lr = np.stack([rng.random((5, 8, 8)) for _ in range(8)]).astype(np.float32)
+        hr = np.stack([resize_plane(x[2], 16, 16).astype(np.float32) + 0.05 for x in lr])
+        result = train(spec, (lr, hr), epochs=2000, batch_size=8, lr=2e-3,
                        weight_decay=0.0, seed=4)
         assert result.log_rows[-1][1] < 1e-6
 

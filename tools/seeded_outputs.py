@@ -6,7 +6,8 @@ Usage:
 
 Makes small seeded clips with numpy and vsr3d.write_clip, seeded Xavier
 checkpoints with vsr3d.save_checkpoint, and then runs vsr3d.cli.main for
-`train` (`full` with the mean loss, `v1` with the sum), `sf-train`,
+`train` (`full` with the mean loss, `v1` with the sum, and `v1` on two
+`--data` clips, which holds out every 20th sample), `sf-train`,
 `upscale` (`full` with the trained scene checkpoint, x3 through the
 scale-2 checkpoint, a small stack whose 8-group layers feed a DUPLICATE
 layer, and bicubic), `scene`, `evaluate` (a candidate clip, and
@@ -79,6 +80,11 @@ RUNS = [
                       "--lr", "1e-6", "--lr-patch-size", "16", "--subimages-per-frame", "4",
                       "--batch-size", "8", "--max-steps", "3", "--val-every", "1", "--seed", "5",
                       "--out", "train_v1_sum.ckpt", "--log", "train_v1_sum.csv"]),
+    ("train_two_clips", ["train", "--data", "train.y4m", "val.y4m", "--arch", "v1",
+                         "--lr-patch-size", "16", "--subimages-per-frame", "10",
+                         "--batch-size", "8", "--max-steps", "2", "--val-every", "1",
+                         "--seed", "7", "--out", "train_two_clips.ckpt",
+                         "--log", "train_two_clips.csv"]),
     ("sf_train", ["sf-train", "--scenes-a", "pool_a.y4m", "--scenes-b", "pool_b.y4m",
                   "--per-class", "20", "--epochs", "2", "--seed", "3",
                   "--out", "sf.ckpt", "--log", "sf_train.csv", "--csv", "sf_confusion.csv"]),
