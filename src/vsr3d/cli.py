@@ -24,7 +24,7 @@ from .metrics import format_metric, mean_psnr, metrics_csv, psnr, ssim
 from .model import ARCH_NAMES, build_architecture, count_parameters, dump_feature_maps, forward
 from .scene import (SceneLabel, build_sf_net, confusion_csv, confusion_matrix,
                     make_sf_dataset, replace_frames, sf_input_from_window,
-                    sf_logits, softmax, train_sf)
+                    sf_logits, shrinks_ahead, softmax, train_sf)
 from .tensor_core import run_parts
 from .training import DatasetRecipe, TrainingDiverged, extract_dataset, train
 from .video_io import ClipFormatError, atomic_write, detect_format, read_clip, write_clip
@@ -130,11 +130,11 @@ def cmd_train(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # upscale
 
-def _scene_verdict(sf, window) -> tuple[SceneLabel, float]:
+def _scene_verdict(sf, window, lookup=None) -> tuple[SceneLabel, float]:
     """The classifier's label for a window and its softmax confidence; ties
-    resolve to the lowest class index."""
+    resolve to the lowest class index. `lookup` goes to sf_input_from_window."""
     params, spec, _ = sf
-    logits = sf_logits(params, spec, sf_input_from_window(window)[None])[0]
+    logits = sf_logits(params, spec, sf_input_from_window(window, lookup)[None])[0]
     label = SceneLabel(int(np.argmax(logits)))
     return label, float(softmax(logits)[label.value])
 
@@ -243,10 +243,11 @@ def cmd_scene(cfg: RunConfig, in_path: str) -> int:
     clip = _read(cfg, in_path)
     lines = ["frame,label,confidence"]
     print(f"{'frame':>5}  {'label':<15}  {'confidence':>10}")
-    for centre in range(len(clip)):
-        label, conf = _scene_verdict(sf, clip.window(centre))
-        print(f"{centre:>5}  {label.name.lower():<15}  {conf:>10.4f}")
-        lines.append(f"{centre},{label.name.lower()},{conf:.4f}")
+    with shrinks_ahead(clip.frames) as lookup:   # frames shrunk on every core
+        for centre in range(len(clip)):
+            label, conf = _scene_verdict(sf, clip.window(centre), lookup)
+            print(f"{centre:>5}  {label.name.lower():<15}  {conf:>10.4f}")
+            lines.append(f"{centre},{label.name.lower()},{conf:.4f}")
     _write_csv(cfg, "\n".join(lines) + "\n", "window report")
     return 0
 

@@ -8,13 +8,17 @@ the boundary, so the SR net only ever sees one scene.
 
 The classifier reads plain arrays: a window's input is a (5, 27, 48) float32
 stack of shrunk lumas, a batch or a dataset an (N, 5, 27, 48) array beside
-its (N,) SceneLabel values. One function, `_shrink`, shrinks a frame, and
-each frame is shrunk once through a cache keyed by the frame (frames are
-immutable and hash by identity): consecutive windows share four of five
-frames, so `sf_input_from_window` reads an LRU cache of the last five, and
+its (N,) SceneLabel values. One function, `shrink`, shrinks a frame, and
+each frame is shrunk once, through a lookup keyed by the frame (frames are
+immutable and hash by identity). Consecutive windows share four of five
+frames, so `sf_input_from_window` reads by default `_shrink`, an LRU cache
+of the last five, as single windows and `upscale` do; the `scene` command
+instead walks its whole clip, and `shrinks_ahead` shrinks its frames in
+order on map_parts, on every core, ahead of the window that waits on them.
 `make_sf_dataset`'s random draws read a cache made for the call.
 """
 
+from contextlib import closing, contextmanager
 from enum import Enum
 from functools import cache, lru_cache
 
@@ -23,7 +27,7 @@ import numpy as np
 from .bicubic import resize_plane
 from .frames import INPUT_FRAMES, VideoClip
 from .model import LayerSpec, ModelSpec, forward_stack
-from .tensor_core import DEFAULT_DTYPE, conv_out_shape, padded_shape
+from .tensor_core import DEFAULT_DTYPE, conv_out_shape, map_parts, padded_shape
 from .training import TrainResult, batch_step, fit
 
 SF_WIDTH = 48
@@ -49,8 +53,7 @@ class SceneLabel(Enum):
     NO_CHANGE = 4
 
 
-@lru_cache(maxsize=INPUT_FRAMES)   # a sliding window's frames
-def _shrink(frame) -> np.ndarray:
+def shrink(frame) -> np.ndarray:
     """The frame's luma on the 48x27 classifier grid. Sources smaller than
     the target carry no extra detail to pool and are rejected."""
     if frame.width < SF_WIDTH or frame.height < SF_HEIGHT:
@@ -59,11 +62,35 @@ def _shrink(frame) -> np.ndarray:
     return resize_plane(frame.luma, SF_HEIGHT, SF_WIDTH).astype(DEFAULT_DTYPE)
 
 
-def sf_input_from_window(window) -> np.ndarray:
-    """A five-frame window's (5, 27, 48) classifier input."""
+_shrink = lru_cache(maxsize=INPUT_FRAMES)(shrink)   # a sliding window's frames
+
+
+@contextmanager
+def shrinks_ahead(frames):
+    """A lookup of each frame's shrink for windows taken along `frames` in
+    order: one map_parts call shrinks the frames in order, ahead of the
+    window that waits on the lookup, and the last five are kept."""
+    kept = {}
+    with closing(map_parts(shrink, frames)) as shrunk:
+        ahead = zip(frames, shrunk)
+
+        def lookup(frame):
+            while frame not in kept:
+                done, plane = next(ahead)
+                kept.pop(done, None)   # a frame the clip repeats counts as new
+                kept[done] = plane
+                if len(kept) > INPUT_FRAMES:
+                    del kept[next(iter(kept))]
+            return kept[frame]
+        yield lookup
+
+
+def sf_input_from_window(window, lookup=None) -> np.ndarray:
+    """A five-frame window's (5, 27, 48) classifier input, each frame's
+    shrink taken from `lookup` (by default `_shrink`)."""
     if len(window) != INPUT_FRAMES:
         raise ValueError(f"expected a five-frame window, got {len(window)}")
-    return np.stack([_shrink(f) for f in window])
+    return np.stack([(lookup or _shrink)(f) for f in window])
 
 
 def build_sf_net(layers: int) -> ModelSpec:
@@ -154,12 +181,12 @@ def make_sf_dataset(clips_a: list[VideoClip], clips_b: list[VideoClip],
                 raise ValueError(f"pool {name} clip {i} has {len(clip)} frames; "
                                  f"need at least {INPUT_FRAMES}")
     rng = np.random.default_rng(seed)
-    shrink = cache(_shrink.__wrapped__)   # draws revisit frames in any order
+    shrunk = cache(shrink)   # draws revisit frames in any order
 
     def segment(pool, count):
         clip = pool[int(rng.integers(len(pool)))]
         start = int(rng.integers(len(clip) - count + 1))
-        return [shrink(clip[start + i]) for i in range(count)]
+        return [shrunk(clip[start + i]) for i in range(count)]
 
     labels = np.repeat([label.value for label in SceneLabel], per_class)
     inputs = np.empty((len(labels), *_SF_SHAPE), dtype=DEFAULT_DTYPE)

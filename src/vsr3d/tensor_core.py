@@ -71,26 +71,32 @@ and can round differently (a forty-row training patch's 32-group layers get
 covers one sample anyway, and one buffer reused for every band stays mapped
 and cached, where a batch-wide band would not.
 
-Every conv call owns the buffer it gathers into. A conv_padded call outside
-run_parts' parts whose samples span two or more bands runs its (sample,
-band) list as contiguous parts, taken by the calling thread and helpers that
-live for the call, one per further core, their GEMMs on one BLAS thread
-(from the first such call on, the process's OpenBLAS runs one thread, with
-no worker pool). The parts share out the same bands whatever their count,
-so no core or thread count changes a bit. Each part gathers into a band
-buffer, and writes into a scratch band, that the caller allocates (a
-helper's malloc arena would keep them); the parts' bands cover disjoint rows
-of the output and of relu_into. Other calls, and all without OpenBLAS
-control, run in the calling thread.
+The one part pool is map_parts: it yields fn(item) for each item in
+order, each call a part taken by a helper it starts, one per further core,
+or by its caller while it waits and no helper is idle, with at most two
+started parts per core not yet yielded. run_parts is its list. A map's parts
+run their GEMMs on one BLAS thread (from the first map on, the process's
+OpenBLAS runs one thread, with no worker pool). A part call made inside a
+part, or by the caller of an open map between its results, runs inline: so
+the scene command classifies each window, its layers inline, while the map
+shrinks the frames after it.
 
-The first top-level run_parts call also fixes glibc's malloc thresholds for
-the process (mmap 32 MiB, trim 64 MiB, through mallopt), so the heap top
-that a layer or micro-batch frees stays mapped for the next one instead of
-being handed back and faulted again; where no mallopt is found, malloc keeps
-its own rule.
+Every conv call owns the buffer it gathers into. A conv_padded call not run
+inline whose samples span two or more bands runs its (sample, band) list as
+contiguous parts on run_parts, one per core. The parts share out the same
+bands whatever their count, so no core or thread count changes a bit. Each
+part gathers into a band buffer, and writes into a scratch band, that the
+caller allocates (a helper's malloc arena would keep them); the parts'
+bands cover disjoint rows of the output and of relu_into. Other calls, and
+all without OpenBLAS control, run in the calling thread.
+
+The first top-level map also fixes glibc's malloc thresholds for the
+process (mmap 32 MiB, trim 64 MiB, through mallopt), so the heap top that a
+layer or micro-batch frees stays mapped for the next one instead of being
+handed back and faulted again; where no mallopt is found, malloc keeps its
+own rule.
 """
 
-import collections
 import contextvars
 import enum
 import functools
@@ -120,7 +126,8 @@ _MIN_BAND_POSITIONS = 512
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024
 _TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
-_PARTS_LOCK = threading.Lock()  # one top-level run_parts at a time: sets malloc, BLAS, helpers
+_PARTS_LOCK = threading.Lock()  # one top-level map at a time: sets malloc, BLAS, helpers
+_MAP_CALLER = None  # the thread ident of the open map's caller
 _IN_PART = contextvars.ContextVar("vsr3d_in_part", default=False)
 
 
@@ -209,8 +216,8 @@ def _malloc_thresholds():
 
 
 def _workers() -> int:
-    """Usable cores (a part call's threads, a split's parts), capped by a positive
-    integer OPENBLAS_NUM_THREADS, or else OMP_NUM_THREADS."""
+    """Usable cores (a map's helpers and its bound, a split's parts), capped by a
+    positive integer OPENBLAS_NUM_THREADS, or else OMP_NUM_THREADS."""
     cores = len(os.sched_getaffinity(0))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(var, "")
@@ -219,59 +226,186 @@ def _workers() -> int:
     return cores
 
 
+def _inline() -> bool:
+    """Whether a part call made here runs inline: inside a part, or from
+    the caller of the open map."""
+    return _IN_PART.get() or _MAP_CALLER == threading.get_ident()
+
+
+class _Claims:
+    """The part indices of one map, taken in order by its caller and helpers.
+
+    A part may start while fewer than `bound` started parts are not yet
+    passed to the caller. A thread's next take ends the part it ran (its
+    outcome is stored by then). A helper that ends inside a part leaves it
+    ended with no outcome, and closes the claims, as the map's end does:
+    no part starts after."""
+
+    def __init__(self, count: int, bound: int):
+        self.cond = threading.Condition()
+        self.count, self.bound = count, bound
+        self.started = self.passed = self.idle = 0
+        self.ended = [False] * count
+        self.held = {}  # thread ident -> the part it runs
+        self.closed = False
+
+    def room(self) -> bool:
+        return not self.closed and self.started < min(self.count, self.passed + self.bound)
+
+    def take(self) -> int:
+        """The next part, for this thread (under cond, with room)."""
+        self.held[threading.get_ident()] = i = self.started
+        self.started += 1
+        self.cond.notify_all()  # a caller handing the room on waits for this
+        return i
+
+    def _end_part(self):
+        i = self.held.pop(threading.get_ident(), None)
+        if i is not None:
+            self.ended[i] = True
+            self.cond.notify_all()
+
+    def __next__(self) -> int:
+        """A helper's next part: it waits, idle, for room, and stops once no
+        part is left to start."""
+        with self.cond:
+            self._end_part()
+            self.idle += 1
+            try:
+                while not self.room():
+                    if self.closed or self.started == self.count:
+                        raise StopIteration
+                    self.cond.wait()
+            finally:
+                self.idle -= 1
+            return self.take()
+
+    def __iter__(self):
+        return self
+
+    def asking(self, i: int):
+        """The parts the caller runs while it waits for part i to end: one
+        whenever a part may start and no helper is idle to take it. A part
+        that an idle helper may take is left to it, and the caller waits
+        until it has, so every part that may start has started when part i
+        is returned."""
+        while True:
+            with self.cond:
+                self._end_part()
+                while self.room() and self.idle or not self.ended[i] and not self.room():
+                    self.cond.wait()
+                if self.ended[i]:
+                    return
+                j = self.take()
+            yield j
+
+    def pass_on(self, i: int):
+        """Part i goes to the caller: room for one more part."""
+        with self.cond:
+            self.passed = i + 1
+            self.cond.notify_all()
+
+    def leave(self):
+        """A helper's end: a part it is still in ends with no outcome."""
+        with self.cond:
+            if threading.get_ident() in self.held:
+                self.closed = True
+            self._end_part()
+
+    def close(self):
+        with self.cond:
+            self.closed = True
+            self.cond.notify_all()
+
+
 def _drain(parts, claims, results, errors):
     """Run each part whose index this thread takes from `claims`; store its outcome."""
     for i in claims:
         try:
             results[i], errors[i] = parts[i](), None
-        except Exception as error:  # raised in part order once every thread is done
+        except Exception as error:  # raised at its turn
             errors[i] = error
 
 
-def run_parts(fn, items) -> list:
-    """[fn(item) for item in items], each call a part run in a copy of the
-    caller's contextvars context (so its np.errstate holds). The calling
-    thread runs each next part not yet taken until none is left. Outside a
-    part, one caller at a time: the first such call fixes glibc's malloc
-    thresholds for the process, and with OpenBLAS thread control found, up
-    to _workers() - 1 helpers started for the call take parts too, joined
-    even on an error or interrupt, after each finishes only the part it is
-    in; OpenBLAS is set to one thread first, and left there for good."""
+def _help(claims, loop):
+    """A helper thread: drain the map's parts, and leave it however it ends."""
+    try:
+        _drain(*loop)
+    finally:
+        claims.leave()
+
+
+def map_parts(fn, items):
+    """Yield fn(item) for each of items, in order, each call a part run in a
+    copy of the caller's context (so its np.errstate holds); nothing starts
+    before the first result is asked for. A part's error is raised at its
+    turn, and the map ends there.
+
+    Inside a part, or from the caller of an open map, the parts run one by
+    one in the calling thread. Otherwise one map is open at a time: the first
+    fixes glibc's malloc thresholds for the process, and with OpenBLAS thread
+    control found (OpenBLAS set to one thread first, and left there for good)
+    and more than one worker, the caller takes the first part and starts up
+    to _workers() - 1 helpers. At most 2 * _workers() started parts are not
+    yet yielded: each worker may hold one running part and one that has
+    ended but waits for an earlier one, so a long part holds up no other
+    worker. Each helper takes the next part that may start; the caller,
+    while it waits for a result, takes one when no helper is idle. Every
+    helper is joined when the map ends, however it ends (a helper finishes
+    only the part it is in)."""
     ctx = contextvars.copy_context()
     ctx.run(_IN_PART.set, True)
     parts = [functools.partial(ctx.copy().run, fn, item) for item in items]
+    if _inline():
+        for part in parts:
+            yield part()
+        return
+    global _MAP_CALLER
     # a slot for every outcome before any helper starts: storing one allocates nothing
     lost = MemoryError("a part's helper thread ended before storing its outcome")
     results, errors = [None] * len(parts), [lost] * len(parts)
-    claims = iter(range(len(parts)))
-    loop = (parts, claims, results, errors)
-    if _IN_PART.get():  # a nested call: no helper
-        _drain(*loop)
-    else:
-        with _PARTS_LOCK:
-            _malloc_thresholds()
-            blas = _blas_threads()
-            helpers = []
-            try:
-                if blas is not None:  # without BLAS control: no helper
-                    get, put = blas
-                    if get() > 1:  # only if raised: each set starts a pool that spins
-                        put(1)
-                    for _ in range(min(_workers(), len(parts)) - 1):
-                        helper = threading.Thread(target=_drain, args=loop, name="vsr3d-step")
-                        try:
-                            helper.start()
-                        except RuntimeError:  # no thread to be had: the others take its parts
-                            break
-                        helpers.append(helper)
-                _drain(*loop)
-            finally:
-                collections.deque(claims, maxlen=0)  # after an interrupt: no helper takes another
-                for helper in helpers:
-                    helper.join()
-    for error in filter(None, errors):
-        raise error
-    return results
+    with _PARTS_LOCK:
+        _MAP_CALLER = threading.get_ident()
+        _malloc_thresholds()
+        blas = _blas_threads()
+        workers = _workers() if blas is not None else 1  # without BLAS control: no helper
+        claims = _Claims(len(parts), 2 * workers)
+        loop = (parts, claims, results, errors)
+        helpers = []
+        try:
+            if blas is not None:
+                get, put = blas
+                if get() > 1:  # only if raised: each set starts a pool that spins
+                    put(1)
+            if workers > 1 and len(parts) > 1:
+                with claims.cond:
+                    claims.take()  # part 0 is the caller's, run while its helpers start
+                for _ in range(min(workers, len(parts)) - 1):
+                    helper = threading.Thread(target=_help, args=(claims, loop), name="vsr3d-step")
+                    try:
+                        helper.start()
+                    except RuntimeError:  # no thread to be had: the others take its parts
+                        break
+                    helpers.append(helper)
+                _drain(parts, [0], results, errors)
+            for i in range(len(parts)):
+                _drain(parts, claims.asking(i), results, errors)
+                result, error = results[i], errors[i]
+                results[i] = None
+                if error is not None:
+                    raise error
+                claims.pass_on(i)
+                yield result
+        finally:
+            claims.close()  # after an error or interrupt: no helper takes another part
+            for helper in helpers:
+                helper.join()
+            _MAP_CALLER = None
+
+
+def run_parts(fn, items) -> list:
+    """list(map_parts(fn, items))."""
+    return list(map_parts(fn, items))
 
 
 def _stored_pads(kernel_depth: int, pad: PadPolicy) -> tuple[int, int, int]:
@@ -451,7 +585,7 @@ def conv_padded(xp: np.ndarray, weights: ConvWeights, pad: PadPolicy,
             if relu_into is not None:
                 np.maximum(pre.reshape(o, do, y1 - y0, wo), 0, out=inner[n, :, :, y0:y1])
 
-    workers = 1 if _IN_PART.get() or _blas_threads() is None else _workers()
+    workers = 1 if _inline() or _blas_threads() is None else _workers()
     bands, buf = _bands(xp, kh, kw, ho, wo)
     scratch = None if keep else np.empty((o, do, buf.shape[4] * wo), dtype=xp.dtype)
     if len(bands) == len(xp) or workers == 1:

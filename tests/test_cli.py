@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import contextlib
 import dataclasses
 import hashlib
 import inspect
@@ -29,7 +30,7 @@ from vsr3d.tensor_core import ConvWeights
 from vsr3d.training import DatasetRecipe, extract_dataset, xavier_init
 from vsr3d.video_io import read_clip, write_clip
 
-from test_tensor_core import force_pool, no_pool
+from test_tensor_core import force_pool, needs_blas, no_pool
 
 
 def textured_clip(seed: int, frames: int, width: int, height: int,
@@ -744,6 +745,92 @@ class TestSceneLane:
         assert labels[11] == "change_after_1"
         assert labels[4] == "no_change" and labels[15] == "no_change"
 
+    def test_scene_bytes_match_the_serial_path(self, clips, sf_ckpt, tmp_path):
+        # the frames shrunk ahead on a map, against each window shrunk in turn
+        # through sf_input_from_window(clip.window(c))'s cached lookup
+        csv = tmp_path / "scene.csv"
+        argv = ["scene", str(clips["spliced"]), "--sf-checkpoint", str(sf_ckpt),
+                "--csv", str(csv)]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            runs = []
+            for entry in (["-m", "vsr3d.cli"], ["-c", _SERIAL_SCENE_MAIN]):
+                proc = subprocess.run([sys.executable, *entry, *argv],
+                                      capture_output=True, text=True, env=env, timeout=300)
+                assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+                runs.append((csv.read_bytes(), proc.stdout))
+                csv.unlink()
+            assert runs[0] == runs[1] and runs[0][0].count(b"\n") == 21
+
+    def test_each_frame_is_shrunk_once(self, clips, sf_ckpt, monkeypatch):
+        import vsr3d.scene as scene
+        real, planes = scene.resize_plane, []
+
+        def counting(plane, out_h, out_w):
+            planes.append(plane)
+            return real(plane, out_h, out_w)
+        monkeypatch.setattr(scene, "resize_plane", counting)
+        with force_pool(monkeypatch, 2):
+            assert main(["scene", str(clips["spliced"]), "--sf-checkpoint", str(sf_ckpt)]) == 0
+        assert len(planes) == 20 and len({id(p) for p in planes}) == 20
+
+    def test_shrinks_wait_inside_the_window_calls(self, clips, sf_ckpt, monkeypatch):
+        # the bench times each window from the call of cli.sf_input_from_window
+        # to the return of cli.softmax: no shrink may start before the first
+        # window's call, and each wait for a shrink falls inside a window's call
+        import vsr3d.cli as cli
+        import vsr3d.scene as scene
+        clock, windows, shrinks, waits = time.perf_counter, [], [], []
+
+        def timed(fn, spans):
+            def wrapper(*args):
+                start = clock()
+                try:
+                    return fn(*args)
+                finally:
+                    spans.append((start, clock()))
+            return wrapper
+
+        def waited_map(fn, items):
+            inner = real_map(fn, items)
+            with contextlib.closing(inner):
+                while True:
+                    start = clock()
+                    try:
+                        result = next(inner)
+                    except StopIteration:
+                        return
+                    waits.append((start, clock()))
+                    yield result
+        real_map = scene.map_parts
+        monkeypatch.setattr(cli, "sf_input_from_window", timed(cli.sf_input_from_window, windows))
+        monkeypatch.setattr(scene, "shrink", timed(scene.shrink, shrinks))
+        monkeypatch.setattr(scene, "map_parts", waited_map)
+        with force_pool(monkeypatch, 2):
+            assert main(["scene", str(clips["spliced"]), "--sf-checkpoint", str(sf_ckpt)]) == 0
+        assert len(windows) == 20 and len(shrinks) == 20 and len(waits) == 20
+        assert min(start for start, _ in shrinks) >= windows[0][0]
+        assert all(any(s <= w0 and w1 <= e for s, e in windows) for w0, w1 in waits)
+
+    @needs_blas
+    def test_out_of_memory_in_a_shrink_helper_is_one_line(self, clips, sf_ckpt, monkeypatch,
+                                                          capsys):
+        import vsr3d.scene as scene
+        real = scene.shrink
+
+        def starved(frame):
+            if threading.current_thread().name == "vsr3d-step":
+                raise MemoryError("Unable to allocate 7.03 MiB for an array")
+            return real(frame)
+        monkeypatch.setattr(scene, "shrink", starved)
+        with force_pool(monkeypatch, 2):
+            assert main(["scene", str(clips["spliced"]), "--sf-checkpoint", str(sf_ckpt)]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 7.03 MiB for an array\n"
+        assert not any(t.name == "vsr3d-step" for t in threading.enumerate())
+
     def test_scene_needs_sf_checkpoint(self, clips, capsys):
         assert main(["scene", str(clips["spliced"])]) == 2
 
@@ -988,6 +1075,17 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+# runs the command line with each scene window shrunk in turn, through the
+# cached lookup sf_input_from_window takes by default
+_SERIAL_SCENE_MAIN = """
+import contextlib, sys
+import vsr3d.cli as cli
+from vsr3d.scene import _shrink
+cli.shrinks_ahead = lambda frames: contextlib.nullcontext(_shrink)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 # runs the command line with every thread start refused
 _NO_THREAD_MAIN = """
 import sys, threading
@@ -1024,14 +1122,18 @@ def test_oversized_geometry_is_one_line_error(tmp_path, name, payload, extra):
 @pytest.mark.parametrize("command", ["scene", "evaluate"])
 def test_scene_and_evaluate_start_no_worker_thread(clips, tmp_path, monkeypatch, command):
     # the scene classifier's 27x48 layers are one band each, so scene may
-    # not split a layer into parts; evaluate's bicubic method scores its
-    # frames as parts, but runs no conv layer
-    def refuse(*args):
-        raise AssertionError("a layer was split into parts")
+    # not split a layer into parts: its helpers only shrink frames, and with
+    # every thread start refused the caller shrinks them, with the same
+    # bytes; evaluate's bicubic method scores its frames as parts, but runs
+    # no conv layer
     args = [command, str(clips["spliced"]), "--csv", str(tmp_path / "out.csv")]
     if command == "scene":
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        monkeypatch.setattr(tensor_core, "run_parts", refuse)
+        real, gathers = tensor_core._column_bands, []
+
+        def recording(*args):
+            gathers.append(threading.current_thread())
+            yield from real(*args)
+        monkeypatch.setattr(tensor_core, "_column_bands", recording)
         ckpt, spec = tmp_path / "sf.ckpt", build_sf_net(3)
         save_checkpoint(xavier_init(spec, 0), spec, {}, str(ckpt))
         args += ["--sf-checkpoint", str(ckpt)]
@@ -1042,6 +1144,18 @@ def test_scene_and_evaluate_start_no_worker_thread(clips, tmp_path, monkeypatch,
             monkeypatch.setattr(module, "conv_padded", no_layer)
         args += ["--method", "bicubic", "--scale", "2"]
     assert main(args) == 0
+    if command == "scene":
+        assert set(gathers) == {threading.current_thread()}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OMP_NUM_THREADS="2", OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs = []
+        for entry in (["-m", "vsr3d.cli"], ["-c", _NO_THREAD_MAIN]):
+            proc = subprocess.run([sys.executable, *entry, *args],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            runs.append((Path(args[3]).read_bytes(), proc.stdout))
+        assert runs[1] == runs[0]
 
 
 @pytest.mark.parametrize("command", ["upscale", "train", "scene", "evaluate"])

@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,6 +25,7 @@ from vsr3d.tensor_core import (
     TemporalPad,
     conv_backward,
     conv_forward,
+    map_parts,
     padded,
     pixel_shuffle,
     pixel_unshuffle,
@@ -673,6 +675,174 @@ class TestParts:
         pad = PadPolicy(spatial=1, temporal=TemporalPad.DUPLICATE)
         np.testing.assert_allclose(conv_forward(x, w, pad), reference.conv_forward_loop(x, w, pad),
                                    atol=1e-5)
+
+
+class TestMapParts:
+    """map_parts: in order, bounded, and every helper joined however it ends."""
+
+    @staticmethod
+    def recorder(delay=0.0):
+        """(fn, started): fn returns i * i after `delay`, recording each start."""
+        started = []
+
+        def fn(i):
+            started.append(i)
+            time.sleep(delay)
+            return i * i
+        return fn, started
+
+    @staticmethod
+    def settle(started, want):
+        """Wait up to 2 s for `want` parts to have started; return the count."""
+        deadline = time.monotonic() + 2.0
+        while len(started) < want and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return len(started)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_results_come_back_in_input_order(self, monkeypatch, workers):
+        # parts that end out of order still yield in order
+        rng = np.random.default_rng(workers)
+        delays = rng.uniform(0, 0.004, 30)
+
+        def fn(i):
+            time.sleep(delays[i])
+            return i * i
+        with force_pool(monkeypatch, workers):
+            assert list(map_parts(fn, range(30))) == [i * i for i in range(30)]
+
+    def test_more_workers_than_cores_with_threads_switched_often(self, monkeypatch):
+        # a lost claim or a part run twice would break the count or the order;
+        # the caller dawdles at random between results, as scene's does
+        rng, lock, calls = np.random.default_rng(38), threading.Lock(), [0]
+
+        def fn(i):
+            with lock:
+                calls[0] += 1
+            return i
+
+        def consume():
+            out = []
+            for result in map_parts(fn, range(300)):
+                out.append(result)
+                if rng.random() < 0.3:
+                    time.sleep(0.0005)
+            return out
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with force_pool(monkeypatch, 4), ThreadPoolExecutor(1) as caller:
+                out = caller.submit(consume).result(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert out == list(range(300)) and calls[0] == 300
+
+    @needs_blas
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_no_more_parts_in_flight_than_the_bound(self, monkeypatch, workers):
+        # a caller that dawdles over each result: the helpers run ahead to
+        # the bound of started parts not yet yielded, two per worker, and no
+        # further, and no more parts run at once than there are workers
+        bound, lock, running, most = 2 * workers, threading.Lock(), [0], [0]
+
+        def fn(i):
+            started.append(i)
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            time.sleep(0.001)
+            with lock:
+                running[0] -= 1
+            return i
+        started = []
+        with force_pool(monkeypatch, workers):
+            for i, result in enumerate(map_parts(fn, range(20))):
+                assert result == i
+                want = min(20, i + 1 + bound)
+                assert self.settle(started, want) == want
+                time.sleep(0.005)
+                assert len(started) == want
+        assert most[0] <= workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_error_is_raised_at_its_turn_and_no_later_part_starts(self, monkeypatch,
+                                                                    workers):
+        fn, started = self.recorder(0.001)
+
+        def failing(i):
+            if i == 3:
+                started.append(i)
+                raise ValueError("part 3 fails")
+            return fn(i)
+        got = []
+        threads = threading.active_count()
+        with force_pool(monkeypatch, workers), pytest.raises(ValueError, match="part 3 fails"):
+            for result in map_parts(failing, range(20)):
+                got.append(result)
+        assert got == [0, 1, 4]
+        at_raise = sorted(started)
+        time.sleep(0.02)
+        assert sorted(started) == at_raise
+        assert at_raise == list(range(len(at_raise))) and len(at_raise) <= 3 + 2 * workers
+        assert threading.active_count() == threads
+
+    @needs_blas
+    @pytest.mark.parametrize("how", ["break", "consumer error", "interrupt"])
+    def test_a_map_closed_early_joins_every_helper(self, monkeypatch, how):
+        fn, started = self.recorder(0.001)
+        threads = threading.active_count()
+        with force_pool(monkeypatch, 2):
+            try:
+                for result in map_parts(fn, range(50)):
+                    if result == 4:
+                        if how == "break":
+                            break
+                        raise KeyboardInterrupt if how == "interrupt" else ValueError(how)
+            except (KeyboardInterrupt, ValueError):
+                pass
+        assert threading.active_count() == threads
+        at_close = len(started)
+        time.sleep(0.02)
+        assert len(started) == at_close <= 3 + 2 * 2
+
+    def test_refused_thread_starts_leave_every_part_to_the_caller(self, monkeypatch):
+        caller, names = threading.current_thread().name, set()
+
+        def fn(i):
+            names.add(threading.current_thread().name)
+            return -i
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        with force_pool(monkeypatch, 2):
+            assert list(map_parts(fn, range(9))) == [-i for i in range(9)]
+        assert names == {caller}
+
+    def test_part_calls_from_the_caller_of_an_open_map_run_inline(self, monkeypatch):
+        # the caller holds the map's lock while it is open: a top-level
+        # run_parts or split conv_padded of its own would wait on it forever
+        x, w, pad = TestParts.split_case(monkeypatch)
+        want = reference.conv_forward_loop(x, w, pad)
+        real, gathered = tensor_core._column_bands, []
+
+        def recording(*args):
+            gathered.append(threading.current_thread().name)
+            yield from real(*args)
+        monkeypatch.setattr(tensor_core, "_column_bands", recording)
+
+        def consume():
+            out = []
+            for result in map_parts(abs, [-1, -2, -3]):
+                out.append((result, run_parts(abs, [-result, result]), conv_forward(x, w, pad)))
+            return out, threading.current_thread().name
+        with force_pool(monkeypatch, 2), ThreadPoolExecutor(1) as caller:
+            out, name = caller.submit(consume).result(timeout=60)
+        assert [(r, nested) for r, nested, _ in out] == [(i, [i, i]) for i in (1, 2, 3)]
+        for _, _, conv in out:
+            np.testing.assert_allclose(conv, want, atol=1e-5)
+        assert set(gathered) == {name}
+        assert run_parts(abs, [-4, 4]) == [4, 4]  # the closed map holds no lock
 
 
 def record_stored_depths(monkeypatch):

@@ -15,7 +15,10 @@ layer, and bicubic), `scene`, `evaluate` (a candidate clip, and
 carry each oracle check's worst difference. The CSVs round PSNR and SSIM,
 so each frame of both `evaluate` pairs is scored again through
 vsr3d.psnr and vsr3d.ssim and written exactly, as float.hex(), to
-`evaluate.hex` and `evaluate_bicubic.hex`. Every output file and every
+`evaluate.hex` and `evaluate_bicubic.hex`; `scene.csv` rounds too, so the
+`scene` run's own softmax probabilities, five per window, are taken from
+vsr3d.cli.softmax as it runs and written as float.hex() to `scene.hex`.
+Every output file and every
 command's stdout and exit code land under OUT_DIR, named relative to it,
 so that
 
@@ -34,7 +37,7 @@ import sys
 import numpy as np
 
 import vsr3d
-from vsr3d.cli import main
+from vsr3d import cli
 
 
 def textured(seed: int, frames: int, width: int, height: int, chroma: bool,
@@ -111,6 +114,22 @@ def write_metric_hex(pairs, path: str):
                      f"{float(vsr3d.ssim(ref, cand)).hex()}\n")
 
 
+@contextlib.contextmanager
+def softmax_recorded():
+    """Yield a list that collects every result of vsr3d.cli.softmax while
+    the context is open."""
+    real, seen = cli.softmax, []
+
+    def recording(logits):
+        seen.append(real(logits))
+        return seen[-1]
+    cli.softmax = recording
+    try:
+        yield seen
+    finally:
+        cli.softmax = real
+
+
 def evaluate_pairs():
     """The frame pairs `evaluate` scores: the upscaled clip's, then those of
     `--method bicubic --scale 2` (the reference cropped to what its LR
@@ -147,10 +166,14 @@ def run(out_dir: str) -> int:
     failed = 0
     for name, argv in RUNS:
         stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = main(argv)
+        with contextlib.redirect_stdout(stdout), softmax_recorded() as probs:
+            code = cli.main(argv)
         with open(f"{name}.stdout", "w", encoding="utf-8") as fh:
             fh.write(f"{stdout.getvalue()}exit {code}\n")
+        if name == "scene":
+            with open("scene.hex", "w", encoding="utf-8") as fh:
+                for i, window in enumerate(probs):
+                    fh.write(f"{i}," + ",".join(float(p).hex() for p in window) + "\n")
         print(f"{name}: exit {code}")
         failed += code != 0
     for pairs, name in zip(evaluate_pairs(), ("evaluate", "evaluate_bicubic")):
